@@ -43,136 +43,8 @@ from .lifespan import (
 )
 from .mixed_norms import SolutionNormInputs, ThetaExponents, grand_lebesgue_norm, nu_bound, psi_bound, psi_min
 
-MODES = (
-    "thm31",
-    "thm41",
-    "thm41_explicit",
-    "global_test",
-    "mixed_norms",
-    "forced",
-    "abstract_parabolic",
-)
-
-_FORCE_BLOCK = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["theta", "lambda", "value"],
-    "properties": {
-        "theta": {"type": "number", "minimum": 1},
-        "lambda": {"type": "number", "exclusiveMinimum": -1, "exclusiveMaximum": 0},
-        "value": {"type": "number", "minimum": 0},
-    },
-}
-
-SCHEMA: dict = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "nslifespan problem configuration",
-    "description": (
-        "Input schema for the certification CLI. Reports emitted by the CLI "
-        "serialize numbers with 17 significant digits and encode infinite "
-        "values (such as a global-solution horizon t0) as the JSON string "
-        "'infinity' ('-infinity' for the negative sign), since JSON has no "
-        "infinity literal."
-    ),
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["d", "mode"],
-    "properties": {
-        "d": {"type": "integer", "minimum": 3},
-        "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "delta_grid": {
-            "type": "array",
-            "items": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            "minItems": 1,
-        },
-        "mode": {"enum": list(MODES)},
-        "data": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["family", "sigma", "amplitude"],
-                    "properties": {
-                        "family": {"const": "vortex_gaussian"},
-                        "sigma": {"type": "number", "exclusiveMinimum": 0},
-                        "amplitude": {"type": "number", "minimum": 0},
-                    },
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["norms"],
-                    "properties": {
-                        "norms": {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "required": ["lp_norms"],
-                            "properties": {
-                                "lp_norms": {
-                                    "type": "object",
-                                    "additionalProperties": {"type": "number", "minimum": 0},
-                                },
-                                "grad_d_norm": {"type": "number", "minimum": 0},
-                                "theta": {"type": "number", "exclusiveMinimum": 0},
-                                "norm_d_plus_theta": {"type": "number", "minimum": 0},
-                            },
-                        }
-                    },
-                },
-            ]
-        },
-        "theta": {"type": "number", "exclusiveMinimum": 0},
-        "q_grid": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "solution_norms": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "k_sup": {"type": "number", "minimum": 0},
-                "k_prime_sup": {"type": "number", "minimum": 0},
-            },
-        },
-        "force": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["k0", "k0_prime"],
-            "properties": {
-                "k0": _FORCE_BLOCK,
-                "k0_prime": _FORCE_BLOCK,
-                "halved_kernel_decay": {"type": "boolean"},
-            },
-        },
-        "abstract_parabolic": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["gamma", "c_gamma", "alpha", "k1", "k2", "t1", "t2"],
-            "properties": {
-                "gamma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "c_gamma": {"type": "number", "exclusiveMinimum": 0},
-                "alpha": {"type": "number", "exclusiveMinimum": 0},
-                "k1": {"type": "number", "exclusiveMinimum": 0},
-                "k2": {"type": "number", "exclusiveMinimum": 0},
-                "t1": {"type": "number", "exclusiveMinimum": 0},
-                "t2": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "tolerances": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "rel_tol": {"type": "number", "exclusiveMinimum": 0},
-                "margin": {"type": "number", "minimum": 0},
-            },
-        },
-        "search": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "t_min": {"type": "number", "exclusiveMinimum": 0},
-                "t_max": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-    },
-}
+SCHEMA: dict = json.loads(Path(__file__).with_name("schema.json").read_text(encoding="utf-8"))
+MODES = tuple(SCHEMA["properties"]["mode"]["enum"])
 
 
 class ConfigError(ValueError):

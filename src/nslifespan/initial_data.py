@@ -25,9 +25,12 @@ The weighted semigroup norms
     K0(T)  = sup_{t in (0,T)} t^{(1-delta)/2} |u0(t)|_{d/delta},
     K0'(T) = sup_{t in (0,T)} t^{1/2} |grad u0(t)|_d,
 
-are evaluated on the closed-form evolution with a golden-section maximizer
-(bracket scan, interior refinement, endpoint comparison); both vanish as
-T -> 0+ and saturate at a finite value as T -> infinity.
+are closed forms too. On the evolution, t^{(1-delta)/2} |e^{t Lap} a|_{d/delta}
+is proportional to t^{(1-delta)/2} (sigma^2 + 2t)^{-(d+1-delta)/2}, which
+rises up to t* = (1 - delta) sigma^2 / (2d) and falls after it, so
+K0(T) is the weighted norm at min(T, t*). The gradient weight is the same
+function at delta = 0, so K0'(T) is its value at min(T, sigma^2 / (2d)).
+Both vanish as T -> 0+ and saturate at their peak as T -> infinity.
 """
 
 from __future__ import annotations
@@ -35,10 +38,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
-from scipy import integrate
 
 from .constants import ExponentPair, heat_kernel_norm, log_gamma, young_constant
 from .errors import DomainError, UnavailableBoundError
@@ -54,11 +56,10 @@ __all__ = [
     "k0_prime_bound_from_norms",
     "sharp_k0_norm_coefficient",
     "norm_bundle_from_vortex",
-    "weighted_supremum",
 ]
 
-# quadrature box half-width, in units of the Gaussian width
-_BOX_WIDTHS = 14.0
+# nodes per axis of the product Gauss-Laguerre rule for the gradient constant
+_GAUSS_NODES = 150
 
 
 @dataclass(frozen=True)
@@ -145,53 +146,67 @@ def lp_norm(data: VortexGaussian, p: float) -> float:
     return data.amplitude * math.exp(log_pp / p)
 
 
-def _sphere_area(m: int) -> float:
-    """Surface measure of the unit sphere in R^m (2 for m = 1)."""
-    return 2.0 * math.pi ** (m / 2.0) / math.exp(log_gamma(m / 2.0))
+def _gauss_laguerre(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the probability weight x^alpha e^{-x} / Gamma(alpha + 1).
 
-
-def reduced_integral(fn: Callable[[float, float], float], d: int, radius: float) -> float:
-    """Integrate fn(r, eta) over R^d for integrands of the planar/axial radii.
-
-    fn sees the rotation-plane radius r and the radius eta of the remaining
-    d-2 coordinates; the angular factors 2 pi r and omega_{d-2} eta^{d-3}
-    are applied here. Adaptive (QUADPACK) on the box [0, radius]^2; the
-    integrands used in this module decay like exp(-c (r^2+eta^2)) so the
-    truncation error at the default box is below 1e-30 of the result.
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    generalized Laguerre recurrence, polished by one Newton step on p_n
+    (eigvalsh gives the smallest nodes only to an absolute 1e-13). The
+    eigenvector of node x is (p_0(x), ..., p_{n-1}(x)) for the
+    orthonormal polynomials p_k, so its weight is 1 / sum_k p_k(x)^2. The
+    recurrence gives that to full relative precision even at the largest
+    nodes, whose weights fall to 1e-250; the eigenvectors of eigh carry
+    those weights only to an absolute 1e-32, and Q^{d/2} magnifies that
+    error past the result for d >= 20. Scaling the weights to their exact
+    sum 1 removes the rounding that the recurrence accumulates in common.
     """
-    omega = _sphere_area(d - 2)
-
-    def outer(r: float) -> float:
-        inner, _ = integrate.quad(
-            lambda eta: fn(r, eta) * eta ** (d - 3),
-            0.0,
-            radius,
-            epsabs=1e-14,
-            epsrel=1e-12,
-            limit=200,
-        )
-        return inner * 2.0 * math.pi * r * omega
-
-    val, _ = integrate.quad(outer, 0.0, radius, epsabs=1e-14, epsrel=1e-12, limit=200)
-    return val
+    k = np.arange(n + 1, dtype=float)
+    diag = 2.0 * k + alpha + 1.0
+    off = np.sqrt(k[1:] * (k[1:] + alpha))  # off[j] links p_j and p_{j+1}
+    nodes = np.linalg.eigvalsh(np.diag(diag[:n]) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    for polish in (True, False):
+        p_prev, p, dp_prev, dp = 0.0, np.ones(n), 0.0, np.zeros(n)
+        total = np.zeros(n)
+        for j in range(n):
+            total += p * p
+            back = off[j - 1] if j else 0.0
+            p_next = ((nodes - diag[j]) * p - back * p_prev) / off[j]
+            dp_next = (p + (nodes - diag[j]) * dp - back * dp_prev) / off[j]
+            p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
+        if polish:
+            nodes = nodes - p / dp
+    weights = 1.0 / total
+    return nodes, weights / weights.sum()
 
 
 @lru_cache(maxsize=32)
 def _grad_unit_constant(d: int) -> float:
-    """|grad a|_d for the unit vortex (sigma = amplitude = 1), via quadrature.
+    """|grad a|_d for the unit vortex (sigma = amplitude = 1), by a Gauss rule.
 
-    The Frobenius density is (2 - 2 r^2 + r^2 (r^2 + eta^2))^{1/2} e^{-|u|^2/2},
-    which never vanishes (the quadratic in r^2 is bounded below by 1), so the
-    d-th power integrand is smooth.
+    In the planar radius r and the axial radius eta, the d-th power of the
+    Frobenius density is Q^{d/2} e^{-d (r^2 + eta^2)/2} with
+    Q = 2 - 2 r^2 + r^2 (r^2 + eta^2) >= 1. With the angular factors
+    2 pi r and omega_{d-2} eta^{d-3}, the substitution u = d r^2/2,
+    v = d eta^2/2 turns |grad a|_d^d into
+
+        2 pi omega_{d-2} d^{-2} (2/d)^{(d-4)/2} Int Int Q^{d/2} e^{-u} v^{(d-4)/2} e^{-v} du dv,
+
+    a product generalized Gauss-Laguerre rule. For even d, Q^{d/2} is a
+    polynomial of degree at most d in each variable and the rule is exact;
+    for odd d it is smooth and the rule converges to rounding level. The
+    rule's weights are normalized to sum 1, and the Gamma((d-2)/2) they
+    take out cancels the one in omega_{d-2} = 2 pi^{(d-2)/2} / Gamma((d-2)/2),
+    which leaves the prefactor 4 pi^{d/2} d^{-2} (2/d)^{(d-4)/2}. It is
+    taken in logarithms because (2/d)^{(d-4)/2} underflows at a few hundred
+    dimensions.
     """
-
-    def fn(r: float, eta: float) -> float:
-        s2 = r * r + eta * eta
-        quad = 2.0 - 2.0 * r * r + r * r * s2
-        return quad ** (d / 2.0) * math.exp(-d * s2 / 2.0)
-
-    val = reduced_integral(fn, d, _BOX_WIDTHS)
-    return val ** (1.0 / d)
+    u, wu = _gauss_laguerre(_GAUSS_NODES, 0.0)
+    v, wv = _gauss_laguerre(_GAUSS_NODES, (d - 4) / 2.0)
+    u, v = u[:, None], v[None, :]
+    q = 2.0 - 4.0 * u / d + 4.0 * u * (u + v) / (d * d)
+    total = float(wu @ q ** (d / 2.0) @ wv)
+    log_scale = math.log(4.0 / (d * d)) + (d / 2.0) * math.log(math.pi) + ((d - 4) / 2.0) * math.log(2.0 / d)
+    return math.exp((log_scale + math.log(total)) / d)
 
 
 def grad_norm(data: VortexGaussian) -> float:
@@ -206,84 +221,31 @@ def grad_norm(data: VortexGaussian) -> float:
     return data.amplitude * data.sigma * _grad_unit_constant(data.d)
 
 
-def weighted_supremum(
-    fn: Callable[[float], float],
-    t_max: float,
-    t_scale: float,
-    rel_tol: float = 1e-12,
-) -> float:
-    """sup of fn over (0, t_max) for weights that vanish at 0+.
-
-    Deterministic: a fixed log-spaced bracket scan around t_scale locates the
-    maximizer, golden-section refines the bracketing interval, and the
-    endpoint value fn(t_max) is folded in (the supremum over the open interval
-    equals the endpoint limit when fn is still increasing there). t_max may
-    be infinity, in which case only the interior maximum matters.
-    """
-    if not t_max > 0:
-        raise DomainError(f"t_max must be positive, got {t_max}")
-    finite_end = math.isfinite(t_max)
-    grid = [t_scale * 10.0 ** (k / 10.0) for k in range(-120, 121)]
-    ts = [t for t in grid if t < t_max]
-    if not ts:
-        ts = [t_max / 2.0]
-    vals = [fn(t) for t in ts]
-    best_idx = max(range(len(ts)), key=lambda i: vals[i])
-    lo = ts[best_idx - 1] if best_idx > 0 else ts[best_idx] / 10.0
-    hi = ts[best_idx + 1] if best_idx + 1 < len(ts) else min(ts[best_idx] * 10.0, t_max)
-    best = vals[best_idx]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    e = a + invphi * (b - a)
-    fc, fe = fn(c), fn(e)
-    for _ in range(200):
-        if b - a <= rel_tol * max(abs(a), abs(b)):
-            break
-        if fc >= fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe = fn(e)
-    best = max(best, fc, fe)
-    if finite_end:
-        best = max(best, fn(t_max))
-    return best
-
-
 def k0_exact(data: VortexGaussian, delta: float, T: float) -> float:
-    """sup_{t in (0,T)} t^{(1-delta)/2} |e^{t Lap} a|_{d/delta}, exactly.
+    """sup_{t in (0,T)} t^{(1-delta)/2} |e^{t Lap} a|_{d/delta}, in closed form.
 
-    Uses the closed-form evolution, so each evaluation is a handful of
-    Gamma calls. T = infinity is allowed: the weighted norm decays like
-    t^{-d/2} at large times, so the supremum is interior.
+    The weighted norm peaks at t* = (1 - delta) sigma^2 / (2d) (module
+    docstring), so the supremum is its value at min(T, t*). T = infinity
+    is allowed.
     """
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
     if data.amplitude == 0:
         return 0.0
-    p = data.d / delta
-    weight = (1.0 - delta) / 2.0
-
-    def fn(t: float) -> float:
-        return t**weight * lp_norm(data.evolve(t), p)
-
-    return weighted_supremum(fn, T, data.sigma**2)
+    if not T > 0:
+        raise DomainError(f"horizon T must be positive, got {T}")
+    t = min(T, (1.0 - delta) * data.sigma**2 / (2.0 * data.d))
+    return t ** ((1.0 - delta) / 2.0) * lp_norm(data.evolve(t), data.d / delta)
 
 
 def k0_prime_exact(data: VortexGaussian, T: float) -> float:
-    """sup_{t in (0,T)} t^{1/2} |grad e^{t Lap} a|_d, exactly."""
+    """sup_{t in (0,T)} t^{1/2} |grad e^{t Lap} a|_d, at min(T, sigma^2/(2d))."""
     if data.amplitude == 0:
         return 0.0
-
-    def fn(t: float) -> float:
-        return math.sqrt(t) * grad_norm(data.evolve(t))
-
-    return weighted_supremum(fn, T, data.sigma**2)
+    if not T > 0:
+        raise DomainError(f"horizon T must be positive, got {T}")
+    t = min(T, data.sigma**2 / (2.0 * data.d))
+    return math.sqrt(t) * grad_norm(data.evolve(t))
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,14 @@ that never constructs the original evaluators.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from . import initial_data as idmod
 from .constants import C3_DISCREPANCY_NOTE, ConstantSet, composite_constants, default_delta_grid
 from .errors import DomainError, UnavailableBoundError
-from .recurrence import CoupledRecurrence, coupled_bound
+from .recurrence import CoupledRecurrence, coupled_bound, z_root
 
 __all__ = [
     "KatoEvaluator",
@@ -508,14 +509,16 @@ def _inverted_power(threshold: float, denom: float, exponent: float) -> tuple[fl
     Capping replaces an astronomically large horizon by a smaller one, which
     keeps the certificate sound (any value below the true inversion is a
     valid lower bound). Underflow to 0.0 is likewise sound: the crude route
-    then certifies nothing.
+    then certifies nothing. A subnormal result counts as underflow, because
+    the relative shrink applied to t0 is lost to rounding there.
     """
     if denom == 0.0:
         return math.inf, False  # the bound is identically zero: every horizon passes
     log_term = exponent * (math.log(threshold) - math.log(denom))
     if log_term >= math.log(_EXPLICIT_CAP):
         return _EXPLICIT_CAP, True
-    return math.exp(log_term), False
+    value = math.exp(log_term)
+    return (value if value >= sys.float_info.min else 0.0), False
 
 
 def theorem41_explicit(
@@ -683,13 +686,6 @@ class ReplayReport:
     results: tuple[tuple[str, bool, str], ...]
 
 
-def _z(alpha: float, beta: float, gamma: float) -> float:
-    disc = (beta - 1.0) ** 2 - 4.0 * alpha * gamma
-    if disc < 0:
-        return math.nan
-    return (1.0 - beta + math.sqrt(disc)) / (2.0 * gamma)
-
-
 def replay_certificate(cert: LifespanCertificate | Mapping) -> ReplayReport:
     """Re-derive every intermediate and re-check every inequality.
 
@@ -721,10 +717,15 @@ def replay_certificate(cert: LifespanCertificate | Mapping) -> ReplayReport:
         s1 = inter["j1"] * inter["k0_prime_at_t0"] - inter["j2"] * inter["k0_at_t0"]
         record("identity:s1", close(s1, inter["s1"]), "s1 = j1*k0' - j2*k0")
         record("identity:s2", close(-s1, inter["s2"]), "s2 = -s1")
-        v1 = _z(inter["k0_at_t0"], inter["s1"], inter["j2"])
-        v2 = _z(inter["k0_prime_at_t0"], inter["s2"], inter["j1"])
-        record("identity:v1", close(v1, inter["v1"]), "v1 = Z(k0, s1, j2)")
-        record("identity:v2", close(v2, inter["v2"]), "v2 = Z(k0', s2, j1)")
+        for name, args, formula in (
+            ("v1", (inter["k0_at_t0"], inter["s1"], inter["j2"]), "Z(k0, s1, j2)"),
+            ("v2", (inter["k0_prime_at_t0"], inter["s2"], inter["j1"]), "Z(k0', s2, j1)"),
+        ):
+            try:
+                passed = close(z_root(*args), inter[name])
+            except DomainError:  # tampered numbers can leave no real root
+                passed = False
+            record(f"identity:{name}", passed, f"{name} = {formula}")
         d1 = (inter["s1"] + 1.0) ** 2 - 4.0 * inter["k0_at_t0"] * inter["j2"]
         d2 = (inter["s2"] + 1.0) ** 2 - 4.0 * inter["k0_prime_at_t0"] * inter["j1"]
         record("identity:d1", close(d1, inter["d1"]), "d1 from (s1+1)^2 - 4 k0 j2")

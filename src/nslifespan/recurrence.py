@@ -188,7 +188,7 @@ def fixed_point_bound(rec: ScalarRecurrence) -> ScalarBound:
     disc = rec.discriminant
     if disc <= 0:
         return ScalarBound(None, disc, (HypothesisFailure("discriminant_positive", disc),))
-    z = (1.0 - rec.beta + math.sqrt(disc)) / (2.0 * rec.gamma)
+    z = z_root(rec.alpha, rec.beta, rec.gamma)
     failures: list[HypothesisFailure] = []
     if z <= 0:
         failures.append(HypothesisFailure("root_positive", z))

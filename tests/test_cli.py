@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nslifespan.cli import SCHEMA, build_report, load_config, main, validate_config
+from nslifespan.cli import build_report, load_config, main, validate_config
 from nslifespan.constants import DELTA0
 from nslifespan.jsonio import canonical_dumps, decode_infinities
 
@@ -65,9 +65,10 @@ class TestConfigValidation:
     def test_missing_cli_arguments(self):
         assert main([]) == 1
 
-    def test_schema_file_in_sync(self):
-        shipped = json.loads((REPO_ROOT / "docs" / "schema.json").read_text(encoding="utf-8"))
-        assert shipped == SCHEMA
+    def test_import_leaves_scipy_out(self):
+        code = "import nslifespan.cli, sys; assert 'scipy' not in sys.modules"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 class TestRuns:

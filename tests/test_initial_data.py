@@ -9,6 +9,7 @@ from nslifespan.errors import DomainError, UnavailableBoundError
 from nslifespan.initial_data import (
     NormBundle,
     VortexGaussian,
+    _grad_unit_constant,
     grad_norm,
     k0_bound_from_norms,
     k0_exact,
@@ -16,7 +17,6 @@ from nslifespan.initial_data import (
     k0_prime_exact,
     lp_norm,
     norm_bundle_from_vortex,
-    weighted_supremum,
 )
 
 
@@ -102,6 +102,17 @@ class TestGradNorm:
     def test_scheme_agreement_d4(self):
         data = VortexGaussian(4, 1.3, 0.6)
         assert grad_norm(data) == pytest.approx(oracle.grad_norm_simpson(data), rel=1e-6)
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_unit_constant_matches_dblquad(self, d):
+        assert _grad_unit_constant(d) == pytest.approx(oracle.grad_unit_constant_dblquad(d), rel=1e-14)
+
+    @pytest.mark.parametrize("d", [4, 8, 20, 50, 100])
+    def test_unit_constant_exact_for_even_d(self, d):
+        # the largest Gauss nodes have weights near 1e-250 and integrand
+        # values up to 1e108 (d = 100), so their weights must be accurate in
+        # relative terms, not only to an absolute 1e-32
+        assert _grad_unit_constant(d) == pytest.approx(oracle.grad_unit_constant_even_exact(d), rel=1e-14)
 
     def test_pure_power_law_in_sigma(self):
         base = VortexGaussian(3, 1.0, 1.0)
@@ -193,10 +204,20 @@ class TestWeightedSup:
         assert k0_exact(data, 0.3, 1.0) == 0.0
         assert k0_prime_exact(data, 1.0) == 0.0
 
-    def test_weighted_supremum_tiny_horizon(self):
-        # horizon below the entire scan grid still returns the endpoint value
-        value = weighted_supremum(lambda t: t, 1e-30, 1.0)
-        assert value == pytest.approx(1e-30)
+    def test_k0_tiny_horizon(self):
+        # a horizon far below the peak time returns the weighted norm at T
+        data = VortexGaussian(3, 1.0, 1.0)
+        T = 1e-30
+        expected = T ** ((1 - 0.3) / 2) * lp_norm(data.evolve(T), 3 / 0.3)
+        assert k0_exact(data, 0.3, T) == pytest.approx(expected, rel=1e-15)
+
+    def test_horizon_must_be_positive(self):
+        data = VortexGaussian(3, 1.0, 1.0)
+        for T in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                k0_exact(data, 0.3, T)
+            with pytest.raises(DomainError):
+                k0_prime_exact(data, T)
 
     def test_brute_force_grid_agrees(self):
         data = VortexGaussian(3, 1.0, 1.0)

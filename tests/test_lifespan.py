@@ -228,6 +228,16 @@ class TestTheorem41Explicit:
         assert replay_certificate(cert).all_passed
         assert any("capped" in note for note in cert.notes)
 
+    def test_subnormal_term_counts_as_underflow(self):
+        # the theta term lands at 2.4e-317, where the relative shrink of t0
+        # is lost to rounding; it must become 0.0 so that replay passes
+        bundle = NormBundle(lp_norms={3.0: 1.0}, grad_d_norm=0.4774,
+                            theta=0.9526, norm_d_plus_theta=0.007207)
+        cert = theorem41_explicit(bundle, 3, 0.04933)
+        assert cert.intermediate["term_theta"] == 0.0
+        assert cert.t0 == 0.0
+        assert replay_certificate(cert).all_passed
+
     def test_norm_scaling_monotonicity_randomized(self, rng):
         # multiplying every norm by c > 1 never increases the closed form
         for _ in range(25):
@@ -426,6 +436,15 @@ class TestCertificatePlumbing:
         data = cert.to_dict()
         data["intermediate"]["v1"] = data["intermediate"]["v1"] * 1.5
         assert not replay_certificate(data).all_passed
+
+    def test_replay_records_tampering_with_no_real_root(self, eps3):
+        # a tampered k0 drives the discriminant of Z(k0, s1, j2) negative;
+        # replay records the failed identity instead of raising
+        cert = theorem31_bound(state_from_vortex(vortex_with_a3(1000 * eps3), DELTA0))
+        data = cert.to_dict()
+        data["intermediate"]["k0_at_t0"] = 1e6
+        rows = {name: passed for name, passed, _ in replay_certificate(data).results}
+        assert rows["identity:v1"] is False
 
     def test_replay_detects_violated_inequality(self):
         cert = LifespanCertificate(
