@@ -31,6 +31,9 @@ from .extensions import (
 from .initial_data import NormBundle, VortexGaussian, lp_norm, norm_bundle_from_vortex
 from .jsonio import canonical_dumps, fingerprint
 from .lifespan import (
+    _DEFAULT_MARGIN,
+    _DEFAULT_SEARCH,
+    _DEFAULT_TOL,
     LifespanCertificate,
     global_certificate,
     optimize_delta,
@@ -130,11 +133,11 @@ def _bundle_for_explicit(config: Mapping) -> NormBundle:
 def _certificate_result(config: Mapping) -> tuple[dict, bool, list]:
     mode = config["mode"]
     deltas = _resolve_deltas(config)
-    tol = float(config.get("tolerances", {}).get("rel_tol", 1e-9))
-    margin = float(config.get("tolerances", {}).get("margin", 1e-9))
+    tol = float(config.get("tolerances", {}).get("rel_tol", _DEFAULT_TOL))
+    margin = float(config.get("tolerances", {}).get("margin", _DEFAULT_MARGIN))
     search = (
-        float(config.get("search", {}).get("t_min", 1e-12)),
-        float(config.get("search", {}).get("t_max", 1e12)),
+        float(config.get("search", {}).get("t_min", _DEFAULT_SEARCH[0])),
+        float(config.get("search", {}).get("t_max", _DEFAULT_SEARCH[1])),
     )
 
     def certify(delta: float) -> LifespanCertificate:
@@ -143,8 +146,7 @@ def _certificate_result(config: Mapping) -> tuple[dict, bool, list]:
         if mode == "thm41":
             return theorem41_bound(_make_state(config, delta), search=search, tol=tol)
         if mode == "thm41_explicit":
-            bundle = _bundle_for_explicit(config)
-            return theorem41_explicit(bundle, int(config["d"]), delta, bundle.theta)
+            return theorem41_explicit(_bundle_for_explicit(config), int(config["d"]), delta)
         if mode == "forced":
             force_cfg = config["force"]
             f1 = ForceNorm(

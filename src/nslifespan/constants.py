@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -249,6 +249,9 @@ class ConstantSet:
 
     The provenance map records, for each scalar, the defining formula as it
     is implemented (including the known c3 reference discrepancy note).
+    The constants fixed by identities (j, delta0, j_bar, c1, c2, c3 and the
+    threshold and iterate bound built from them) are derived on first use
+    and cached on the instance; their formulas are in the provenance map.
     """
 
     d: int
@@ -264,12 +267,6 @@ class ConstantSet:
     j2: float
     j_up1: float
     j_up2: float
-    j: float
-    delta0: float
-    j_bar: float
-    c1: float
-    c2: float
-    c3: float
     provenance: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -281,31 +278,41 @@ class ConstantSet:
             "j2": self.j2,
             "j_up1": self.j_up1,
             "j_up2": self.j_up2,
-            "j": self.j,
-            "delta0": self.delta0,
-            "j_bar": self.j_bar,
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
         }
         for name, value in scalars.items():
             if not (value > 0 and math.isfinite(value)):
                 raise DomainError(f"constant {name} must be finite and positive, got {value}")
-        if self.j != max(self.j_up1, self.j_up2):
-            raise DomainError("j must equal max(j_up1, j_up2)")
-        if not math.isclose(self.j_bar, 4.5 * self.d**2 / self.delta0**2, rel_tol=1e-14):
-            raise DomainError("j_bar must equal 9 d^2 / (2 delta0^2)")
-        if not math.isclose(self.c2, 3.0 / (16.0 * self.c1), rel_tol=1e-14):
-            raise DomainError("c2 must equal 3/(16 c1)")
-        if self.c3 != 4.0 * self.c2:
-            raise DomainError("c3 must equal 4 c2 exactly")
 
-    @property
+    @cached_property
+    def j(self) -> float:
+        return max(self.j_up1, self.j_up2)
+
+    @cached_property
+    def delta0(self) -> float:
+        return DELTA0
+
+    @cached_property
+    def j_bar(self) -> float:
+        return 4.5 * self.d * self.d / (DELTA0 * DELTA0)
+
+    @cached_property
+    def c1(self) -> float:
+        return self.j_bar / (self.d * self.d)
+
+    @cached_property
+    def c2(self) -> float:
+        return 3.0 / (16.0 * self.c1)
+
+    @cached_property
+    def c3(self) -> float:
+        return 4.0 * self.c2
+
+    @cached_property
     def threshold(self) -> float:
         """Smallness threshold 3/(16 Jbar) = c2/d^2 of the one-variable envelope."""
         return self.c2 / (self.d * self.d)
 
-    @property
+    @cached_property
     def iterate_bound(self) -> float:
         """Certified sup bound 3/(4 Jbar) = c3/d^2 for the Picard iterates."""
         return self.c3 / (self.d * self.d)
@@ -363,11 +370,6 @@ def _composite(d: int, delta: float) -> ConstantSet:
     )
     j_up1 = j_upper_1(d, delta)
     j_up2 = j_upper_2(d, delta)
-    j = max(j_up1, j_up2)
-    j_bar = 4.5 * d * d / (DELTA0 * DELTA0)
-    c1 = j_bar / (d * d)
-    c2 = 3.0 / (16.0 * c1)
-    c3 = 4.0 * c2
 
     ks = {1.0: sobolev_constant(d, 1.0), 2.0: sobolev_constant(d, 2.0)}
     kr = {float(d): k_r_d, d / delta: k_r_dd}
@@ -405,12 +407,6 @@ def _composite(d: int, delta: float) -> ConstantSet:
         j2=j2,
         j_up1=j_up1,
         j_up2=j_up2,
-        j=j,
-        delta0=DELTA0,
-        j_bar=j_bar,
-        c1=c1,
-        c2=c2,
-        c3=c3,
         provenance=MappingProxyType(provenance),
     )
 

@@ -35,7 +35,14 @@ from dataclasses import dataclass, replace
 
 from .constants import ExponentPair, beta_fn, heat_kernel_grad_norm, heat_kernel_norm, young_constant
 from .errors import DomainError, InfeasibleExponentError
-from .lifespan import KatoBoundState, KatoEvaluator, LifespanCertificate, theorem41_bound
+from .lifespan import (
+    _DEFAULT_SEARCH,
+    _DEFAULT_TOL,
+    KatoBoundState,
+    KatoEvaluator,
+    LifespanCertificate,
+    theorem41_bound,
+)
 
 __all__ = [
     "ForceNorm",
@@ -198,8 +205,8 @@ def forced_lifespan(
     state: KatoBoundState,
     f1: ForceNorm,
     f2: ForceNorm,
-    search: tuple[float, float] = (1e-12, 1e12),
-    tol: float = 1e-9,
+    search: tuple[float, float] = _DEFAULT_SEARCH,
+    tol: float = _DEFAULT_TOL,
     halved_kernel_decay: bool = False,
 ) -> LifespanCertificate:
     """Envelope-route horizon with the force contributions folded in.
@@ -218,21 +225,12 @@ def forced_lifespan(
                 f"force contribution to {label} infeasible: {', '.join(failed)}"
             )
     assert c1.coefficient is not None and c2.coefficient is not None
-    aug = KatoBoundState(
-        d=state.d,
-        delta=state.delta,
-        k0=KatoEvaluator(
-            lambda T, base=state.k0, c=c1.coefficient: base(T) + c,
-            state.k0.finite_at_infinity,
-            state.k0.label + " + force",
-        ),
+    aug = replace(
+        state,
+        k0=KatoEvaluator(lambda T, base=state.k0, c=c1.coefficient: base(T) + c, state.k0.finite_at_infinity),
         k0_prime=KatoEvaluator(
-            lambda T, base=state.k0_prime, c=c2.coefficient: base(T) + c,
-            state.k0_prime.finite_at_infinity,
-            state.k0_prime.label + " + force",
+            lambda T, base=state.k0_prime, c=c2.coefficient: base(T) + c, state.k0_prime.finite_at_infinity
         ),
-        constants=state.constants,
-        notes=state.notes,
     )
     cert = theorem41_bound(aug, search=search, tol=tol)
     inter = dict(cert.intermediate)

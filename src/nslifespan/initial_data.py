@@ -52,6 +52,7 @@ __all__ = [
     "grad_norm",
     "k0_exact",
     "k0_prime_exact",
+    "check_theta",
     "k0_bound_from_norms",
     "k0_prime_bound_from_norms",
     "sharp_k0_norm_coefficient",
@@ -296,29 +297,32 @@ class NormBundle:
         )
 
 
-def k0_bound_from_norms(
-    norms: NormBundle, d: int, delta: float, theta: float | None, T: float
-) -> float:
+def check_theta(d: int, delta: float, theta: float) -> None:
+    """Reject a theta outside (0, min(1, (d-1)/delta)].
+
+    That is the range of the extra-integrability power bound on K0; every
+    route that applies the bound calls this check.
+    """
+    if not (0.0 < theta <= min(1.0, (d - 1) / delta)):
+        raise DomainError(
+            f"theta must lie in (0, min(1, (d-1)/delta)] = (0, {min(1.0, (d - 1) / delta)}], got {theta}"
+        )
+
+
+def k0_bound_from_norms(norms: NormBundle, d: int, delta: float, T: float) -> float:
     """Extra-integrability bound T^{theta delta/(2d)} 2^{d+theta} |a|_{d+theta}.
 
-    The crude constant 2^{d+theta} majorizes the Young factor times the
-    kernel envelope; `sharp_k0_norm_coefficient` provides the sharp
-    alternative with the same T power.
+    theta is the bundle's exponent. The crude constant 2^{d+theta}
+    majorizes the Young factor times the kernel envelope;
+    `sharp_k0_norm_coefficient` provides the sharp alternative with the
+    same T power.
     """
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
     if norms.theta is None or norms.norm_d_plus_theta is None:
         raise UnavailableBoundError("bundle carries no (theta, |a|_{d+theta}) pair")
-    if theta is None:
-        theta = norms.theta
-    elif not math.isclose(theta, norms.theta, rel_tol=1e-12):
-        raise DomainError(
-            f"requested theta {theta} does not match the bundled exponent {norms.theta}"
-        )
-    if not (0.0 < theta <= min(1.0, (d - 1) / delta)):
-        raise DomainError(
-            f"theta must lie in (0, min(1, (d-1)/delta)] = (0, {min(1.0, (d - 1) / delta)}], got {theta}"
-        )
+    theta = norms.theta
+    check_theta(d, delta, theta)
     if T == 0:
         return 0.0
     return T ** (theta * delta / (2.0 * d)) * 2.0 ** (d + theta) * norms.norm_d_plus_theta

@@ -52,7 +52,9 @@ __all__ = [
 ]
 
 _DEFAULT_SEARCH = (1e-12, 1e12)
+_DEFAULT_TOL = 1e-9  # relative width of the final bisection bracket
 _DEFAULT_MARGIN = 1e-9  # absolute slack certifying strict inequalities
+_MAX_BISECTIONS = 60  # stops the bisection when tol is below the float spacing
 _EXPLICIT_SHRINK = 1.0 - 1e-12  # keeps closed-form replay margins nonnegative
 _EXPLICIT_CAP = 1e300  # horizon cap for the closed-form inversion
 _TINY = 1e-300
@@ -69,7 +71,6 @@ class KatoEvaluator:
 
     fn: Callable[[float], float]
     finite_at_infinity: bool
-    label: str
 
     def __call__(self, t: float) -> float:
         if math.isinf(t) and not self.finite_at_infinity:
@@ -95,8 +96,8 @@ def state_from_vortex(data: idmod.VortexGaussian, delta: float) -> KatoBoundStat
     return KatoBoundState(
         d=data.d,
         delta=delta,
-        k0=KatoEvaluator(lambda T: idmod.k0_exact(data, delta, T), True, "exact vortex K0"),
-        k0_prime=KatoEvaluator(lambda T: idmod.k0_prime_exact(data, T), True, "exact vortex K0'"),
+        k0=KatoEvaluator(lambda T: idmod.k0_exact(data, delta, T), True),
+        k0_prime=KatoEvaluator(lambda T: idmod.k0_prime_exact(data, T), True),
         constants=constants,
         notes=(f"vortex_gaussian d={data.d} sigma={data.sigma} amplitude={data.amplitude}",),
     )
@@ -125,6 +126,7 @@ def state_from_norms(bundle: idmod.NormBundle, d: int, delta: float) -> KatoBoun
         notes.append("k0 bound includes the T-uniform envelope S1*|a|_d")
     if bundle.theta is not None:
         theta = bundle.theta
+        idmod.check_theta(d, delta, theta)
         crude = 2.0 ** (d + theta)
         sharp = idmod.sharp_k0_norm_coefficient(d, delta, theta)
         if sharp is not None and sharp < crude:
@@ -161,8 +163,8 @@ def state_from_norms(bundle: idmod.NormBundle, d: int, delta: float) -> KatoBoun
     return KatoBoundState(
         d=d,
         delta=delta,
-        k0=KatoEvaluator(k0_fn, k0_finite_at_inf, "norm-bundle K0 bound"),
-        k0_prime=KatoEvaluator(k0p_fn, k0p_finite_at_inf, "norm-bundle K0' bound"),
+        k0=KatoEvaluator(k0_fn, k0_finite_at_inf),
+        k0_prime=KatoEvaluator(k0p_fn, k0p_finite_at_inf),
         constants=constants,
         notes=tuple(notes),
     )
@@ -286,7 +288,7 @@ def thm31_feasible_at(state: KatoBoundState, T: float, margin: float = _DEFAULT_
     return ok
 
 
-def _envelope_probe(state: KatoBoundState, T: float, margin: float = 0.0):
+def _envelope_probe(state: KatoBoundState, T: float):
     k0 = state.k0(T)
     k0p = state.k0_prime(T)
     threshold = state.constants.threshold
@@ -297,7 +299,7 @@ def _envelope_probe(state: KatoBoundState, T: float, margin: float = 0.0):
         "threshold": threshold,
         "j_bar": state.constants.j_bar,
     }
-    return max(k0, k0p) <= threshold - margin, detail
+    return max(k0, k0p) <= threshold, detail
 
 
 def thm41_feasible_at(state: KatoBoundState, T: float) -> bool:
@@ -307,64 +309,51 @@ def thm41_feasible_at(state: KatoBoundState, T: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# monotone bisection driver
+# horizon search
 # ---------------------------------------------------------------------------
 
 
-def _largest_feasible(probe, t_lo: float, t_hi: float, tol: float, max_iter: int = 60):
+def _largest_feasible(probe, t_lo: float, t_hi: float, tol: float):
     """Largest feasible T found by downward scan plus geometric bisection.
 
     Returns (t_best, detail, scan_notes) with t_best = None when nothing in
-    [t_lo, t_hi] is feasible. The scan pattern is inspected for
-    non-monotone feasibility (feasible above an infeasible point), which is
-    reported rather than silently assumed away.
+    [t_lo, t_hi] is feasible. The scan steps down by factors of 8 to the
+    first feasible seed, then probes up to three more points below it: an
+    infeasible one there means feasibility is non-monotone, which is
+    reported rather than silently assumed away. Bisection runs between the
+    seed and the last infeasible scan point.
     """
     if not (0 < t_lo < t_hi):
         raise DomainError(f"search range must satisfy 0 < t_lo < t_hi, got ({t_lo}, {t_hi})")
-    notes: list[str] = []
     ok, detail = probe(t_hi)
     if ok:
-        notes.append("feasible at the search-range end; larger horizons were not explored")
-        return t_hi, detail, notes
+        return t_hi, detail, ["feasible at the search-range end; larger horizons were not explored"]
 
-    # geometric scan downward for a feasible seed
-    pattern: list[tuple[float, bool]] = [(t_hi, False)]
-    t = t_hi
-    seed = None
-    seed_detail = None
-    last_detail = detail
-    while t > t_lo:
-        t = max(t / 8.0, t_lo)
-        ok, det = probe(t)
-        last_detail = det
-        pattern.append((t, ok))
-        if ok and seed is None:
-            seed, seed_detail = t, det
-            # keep scanning a little below the seed to spot non-monotone sets
-            for _ in range(3):
-                t = max(t / 8.0, t_lo)
-                if t == pattern[-1][0]:
-                    break
-                ok2, _ = probe(t)
-                pattern.append((t, ok2))
-                if t == t_lo:
-                    break
+    hi = t_hi
+    while True:
+        lo = max(hi / 8.0, t_lo)
+        ok, detail = probe(lo)
+        if ok:
             break
+        if lo == t_lo:
+            return None, detail, [
+                f"no feasible horizon found down to the search floor {t_lo}; "
+                "the tolerance floor was hit"
+            ]
+        hi = lo
+
+    monotone = True
+    t = lo
+    for _ in range(3):
         if t == t_lo:
             break
-    if seed is None:
-        notes.append(
-            f"no feasible horizon found down to the search floor {t_lo}; "
-            "the tolerance floor was hit"
-        )
-        return None, last_detail, notes
-    below = [okp for tp, okp in pattern if tp < seed]
-    if any(not okp for okp in below):
-        notes.append("feasibility was non-monotone in the scan; certifying the largest feasible prefix")
+        t = max(t / 8.0, t_lo)
+        monotone &= probe(t)[0]
+    notes = [] if monotone else [
+        "feasibility was non-monotone in the scan; certifying the largest feasible prefix"
+    ]
 
-    hi = min(tp for tp, okp in pattern if tp > seed and not okp)
-    lo, detail = seed, seed_detail
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         if hi - lo <= tol * lo:
             break
         mid = math.sqrt(lo * hi)
@@ -376,6 +365,35 @@ def _largest_feasible(probe, t_lo: float, t_hi: float, tol: float, max_iter: int
     return lo, detail, notes
 
 
+def _searched_certificate(state, theorem, probe, build, search, tol, global_note, notes=()):
+    """The searched-route policy shared by the coupled and envelope routes.
+
+    T = infinity is tried first when both evaluators are finite there; then
+    the largest feasible horizon in the search range is certified; when none
+    is feasible the certificate is infeasible with t0 = 0 and carries the
+    scan notes. ``build(t0, detail, notes)`` assembles the feasible
+    certificate from the probe detail at t0.
+    """
+    if state.k0.finite_at_infinity and state.k0_prime.finite_at_infinity:
+        ok, detail = probe(math.inf)
+        if ok:
+            return build(math.inf, detail, (global_note, *notes))
+
+    t_best, detail, scan_notes = _largest_feasible(probe, search[0], search[1], tol)
+    if t_best is None:
+        return LifespanCertificate(
+            t0=0.0,
+            theorem=theorem,
+            delta_used=state.delta,
+            intermediate=dict(detail),
+            iterate_bound=None,
+            feasible=False,
+            checks=(),
+            notes=(*scan_notes, *notes, *state.notes),
+        )
+    return build(t_best, detail, (*scan_notes, *notes))
+
+
 # ---------------------------------------------------------------------------
 # certifiers
 # ---------------------------------------------------------------------------
@@ -384,7 +402,7 @@ def _largest_feasible(probe, t_lo: float, t_hi: float, tol: float, max_iter: int
 def theorem31_bound(
     state: KatoBoundState,
     search: tuple[float, float] = _DEFAULT_SEARCH,
-    tol: float = 1e-9,
+    tol: float = _DEFAULT_TOL,
     margin: float = _DEFAULT_MARGIN,
 ) -> LifespanCertificate:
     """Largest certifiable horizon via the coupled fixed-point route.
@@ -396,30 +414,18 @@ def theorem31_bound(
     at T = infinity (declared-finite evaluators only) the infinite branch is
     certified directly.
     """
-    probe = lambda T: _coupled_probe(state, T, margin)
-
-    if state.k0.finite_at_infinity and state.k0_prime.finite_at_infinity:
-        ok, detail = probe(math.inf)
-        if ok:
-            return _build_thm31_cert(math.inf, state, detail, margin,
-                                     notes=("inequalities hold at T = infinity; solution is global",))
-
-    t_best, detail, scan_notes = _largest_feasible(probe, search[0], search[1], tol)
-    if t_best is None:
-        return LifespanCertificate(
-            t0=0.0,
-            theorem="thm31",
-            delta_used=state.delta,
-            intermediate=dict(detail),
-            iterate_bound=None,
-            feasible=False,
-            checks=(),
-            notes=tuple(scan_notes) + state.notes,
-        )
-    return _build_thm31_cert(t_best, state, detail, margin, notes=tuple(scan_notes))
+    return _searched_certificate(
+        state,
+        "thm31",
+        lambda T: _coupled_probe(state, T, margin),
+        lambda t0, detail, notes: _build_thm31_cert(t0, state, detail, margin, notes),
+        search,
+        tol,
+        "inequalities hold at T = infinity; solution is global",
+    )
 
 
-def _build_thm31_cert(t0, state, detail, margin, notes=()):
+def _build_thm31_cert(t0, state, detail, margin, notes):
     checks = (
         InequalityCheck("k0_below_v1", detail["k0_at_t0"], "<", detail["v1"]),
         InequalityCheck("k0_prime_below_v2", detail["k0_prime_at_t0"], "<", detail["v2"]),
@@ -443,7 +449,7 @@ def _build_thm31_cert(t0, state, detail, margin, notes=()):
 def theorem41_bound(
     state: KatoBoundState,
     search: tuple[float, float] = _DEFAULT_SEARCH,
-    tol: float = 1e-9,
+    tol: float = _DEFAULT_TOL,
 ) -> LifespanCertificate:
     """Largest horizon with max(K0(T), K0'(T)) <= 3/(16 Jbar) = C2/d^2.
 
@@ -451,39 +457,27 @@ def theorem41_bound(
     applies. The certificate stores the Picard iterate bound
     3/(4 Jbar) = C3/d^2 and carries the c3 reference-discrepancy note.
     """
-    probe = lambda T: _envelope_probe(state, T)
-    extra_notes: list[str] = []
+    window_notes = ()
     if state.constants.j > state.constants.j_bar:
-        extra_notes.append(
+        window_notes = (
             "envelope max(j_up1, j_up2) at this delta exceeds the critical-point "
             "envelope Jbar; the threshold is certified against Jbar, which is "
             "only a valid product-constant majorant for delta in "
-            "[delta0, 1 - delta0]"
+            "[delta0, 1 - delta0]",
         )
-
-    if state.k0.finite_at_infinity and state.k0_prime.finite_at_infinity:
-        ok, detail = probe(math.inf)
-        if ok:
-            return _build_thm41_cert(math.inf, state, detail,
-                                     notes=("threshold holds at T = infinity; solution is global",
-                                            *extra_notes))
-
-    t_best, detail, scan_notes = _largest_feasible(probe, search[0], search[1], tol)
-    if t_best is None:
-        return LifespanCertificate(
-            t0=0.0,
-            theorem="thm41",
-            delta_used=state.delta,
-            intermediate=dict(detail),
-            iterate_bound=None,
-            feasible=False,
-            checks=(),
-            notes=tuple(scan_notes) + tuple(extra_notes) + state.notes,
-        )
-    return _build_thm41_cert(t_best, state, detail, notes=tuple(scan_notes) + tuple(extra_notes))
+    return _searched_certificate(
+        state,
+        "thm41",
+        lambda T: _envelope_probe(state, T),
+        lambda t0, detail, notes: _build_thm41_cert(t0, state, detail, notes),
+        search,
+        tol,
+        "threshold holds at T = infinity; solution is global",
+        window_notes,
+    )
 
 
-def _build_thm41_cert(t0, state, detail, notes=()):
+def _build_thm41_cert(t0, state, detail, notes):
     cs = state.constants
     checks = (
         InequalityCheck("k_zero_below_threshold", detail["k_zero_sup"], "<=", detail["threshold"]),
@@ -521,9 +515,7 @@ def _inverted_power(threshold: float, denom: float, exponent: float) -> tuple[fl
     return (value if value >= sys.float_info.min else 0.0), False
 
 
-def theorem41_explicit(
-    norms: idmod.NormBundle, d: int, delta: float, theta: float | None = None
-) -> LifespanCertificate:
+def theorem41_explicit(norms: idmod.NormBundle, d: int, delta: float) -> LifespanCertificate:
     """Closed-form horizon from the norm bounds, no iteration.
 
     T0 = min( [C2 d^-2 / (2^{d+theta} |a|_{d+theta})]^{2d/(theta delta)},
@@ -539,17 +531,11 @@ def theorem41_explicit(
     terms: dict[str, float] = {}
     notes: list[str] = []
     if norms.theta is not None:
-        theta_used = norms.theta if theta is None else theta
-        if not math.isclose(theta_used, norms.theta, rel_tol=1e-12):
-            raise DomainError(
-                f"requested theta {theta_used} does not match the bundled exponent {norms.theta}"
-            )
-        denom = 2.0 ** (d + theta_used) * norms.norm_d_plus_theta
-        value, capped = _inverted_power(threshold, denom, 2.0 * d / (theta_used * delta))
+        idmod.check_theta(d, delta, norms.theta)
+        denom = 2.0 ** (d + norms.theta) * norms.norm_d_plus_theta
+        value, capped = _inverted_power(threshold, denom, 2.0 * d / (norms.theta * delta))
         terms["term_theta"] = value
         notes.append("theta-norm term present" + (" (capped at 1e300)" if capped else ""))
-    elif theta is not None:
-        raise UnavailableBoundError("theta requested but the bundle carries no theta norm")
     if norms.grad_d_norm is not None:
         value, capped = _inverted_power(threshold, norms.grad_d_norm, 2.0)
         terms["term_grad"] = value
@@ -571,7 +557,7 @@ def theorem41_explicit(
         checks.append(
             InequalityCheck(
                 "k0_norm_bound_at_t0",
-                idmod.k0_bound_from_norms(norms, d, delta, norms.theta, t0),
+                idmod.k0_bound_from_norms(norms, d, delta, t0),
                 "<=",
                 threshold,
             )
@@ -604,9 +590,10 @@ def optimize_delta(
 ) -> DeltaSweep:
     """Run a per-delta certifier over a grid and keep the best certificate.
 
-    Deterministic: the grid is traversed in order and ties in t0 are broken
-    toward the smaller delta. The full (delta, t0, feasible) profile is
-    returned alongside the winner.
+    The winner is the feasible certificate with the largest t0; ties in t0
+    go to the smallest delta, so the winner does not depend on the grid
+    order. The full (delta, t0, feasible) profile is returned in grid order
+    alongside the winner.
     """
     if grid is None:
         grid = default_delta_grid()
@@ -617,29 +604,21 @@ def optimize_delta(
         if not (0.0 < dlt < 1.0):
             raise DomainError(f"grid delta {dlt} outside (0, 1)")
 
-    best: LifespanCertificate | None = None
-    profile: list[tuple[float, float, bool]] = []
-    for dlt in grid:
-        cert = certify(dlt)
-        profile.append((dlt, cert.t0, cert.feasible))
-        if best is None:
-            best = cert
-        elif cert.feasible and (not best.feasible or cert.t0 > best.t0):
-            best = cert
-    assert best is not None
+    certs = [certify(dlt) for dlt in grid]
+    _, best = max(zip(grid, certs), key=lambda pair: (pair[1].feasible, pair[1].t0, -pair[0]))
     if not best.feasible:
         best = replace(best, notes=best.notes + ("all deltas on the grid were infeasible",))
-    return DeltaSweep(best=best, profile=tuple(profile))
+    return DeltaSweep(best=best, profile=tuple((dlt, c.t0, c.feasible) for dlt, c in zip(grid, certs)))
 
 
-def global_smallness_threshold(d: int, delta: float, constants: ConstantSet | None = None) -> float:
+def global_smallness_threshold(d: int, delta: float) -> float:
     """Largest epsilon with |a|_d <= epsilon certifying a global solution.
 
     The T-uniform envelopes give max(K0, K0') <= max(S1, S2) |a|_d, so
     epsilon = C2 / (d^2 max(S1, S2)) pushes the data under the envelope
     threshold for every horizon at once.
     """
-    cs = constants if constants is not None else composite_constants(d, delta)
+    cs = composite_constants(d, delta)
     return cs.threshold / max(cs.s1, cs.s2)
 
 
@@ -648,7 +627,7 @@ def global_certificate(a_d_norm: float, d: int, delta: float) -> LifespanCertifi
     if a_d_norm < 0 or not math.isfinite(a_d_norm):
         raise DomainError(f"|a|_d must be finite and nonnegative, got {a_d_norm}")
     cs = composite_constants(d, delta)
-    eps = global_smallness_threshold(d, delta, cs)
+    eps = global_smallness_threshold(d, delta)
     feasible = a_d_norm <= eps
     intermediate = {
         "a_d_norm": a_d_norm,

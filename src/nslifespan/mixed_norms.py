@@ -196,23 +196,22 @@ def psi_min(
     """Infimum of psi over the admissible deltas of a fixed grid.
 
     Inadmissible grid points (infeasible exponents) are skipped; if every
-    delta is inadmissible a domain error reports it. Deterministic: ties go
-    to the smaller delta.
+    delta is inadmissible a domain error reports it. Ties in psi go to the
+    smallest delta, so the result does not depend on the grid order; the
+    profile keeps the grid order.
     """
     grid = tuple(delta_grid) if delta_grid is not None else default_delta_grid()
     profile: list[tuple[float, float]] = []
-    best: tuple[float, float] | None = None
     for dlt in grid:
         try:
             value = psi_bound(d, q, dlt, inputs, use_m1_variant=use_m1_variant)
         except (InfeasibleExponentError, DomainError):
             continue
         profile.append((dlt, value))
-        if best is None or value < best[1]:
-            best = (dlt, value)
-    if best is None:
+    if not profile:
         raise DomainError(f"no admissible delta on the grid for d={d}, q={q}")
-    return PsiMin(value=best[1], delta=best[0], profile=tuple(profile))
+    delta, value = min(profile, key=lambda row: (row[1], row[0]))
+    return PsiMin(value=value, delta=delta, profile=tuple(profile))
 
 
 def nu_bound(d: int, q: float, delta: float, inputs: SolutionNormInputs) -> float:

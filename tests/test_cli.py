@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -251,6 +252,24 @@ class TestRuns:
         for _q, value, argmin in report["result"]["psi_min"]:
             assert value > 0 and argmin in cfg["delta_grid"]
 
+    @pytest.mark.parametrize("mode", ["thm31", "thm41", "thm41_explicit", "forced"])
+    def test_theta_out_of_range_is_input_error(self, tmp_path, mode):
+        # theta = 2.5 lies outside (0, min(1, (d-1)/delta)] = (0, 1]
+        from nslifespan.extensions import matching_lambda_k0, matching_lambda_k0_prime
+
+        cfg = {
+            "d": 3,
+            "mode": mode,
+            "delta": 0.5,
+            "data": {"norms": {"lp_norms": {}, "theta": 2.5, "norm_d_plus_theta": 1e-4, "grad_d_norm": 1e-3}},
+            "force": {
+                "k0": {"theta": 2.7, "lambda": matching_lambda_k0(3, 0.5, 2.7), "value": 1e-7},
+                "k0_prime": {"theta": 2.0, "lambda": matching_lambda_k0_prime(3, 2.0), "value": 1e-7},
+            },
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["--config", str(path), "--out", str(tmp_path / "report.json")]) == 1
+
     def test_abstract_parabolic_mode(self, tmp_path):
         cfg = {
             "d": 3,
@@ -290,6 +309,32 @@ class TestExampleCorpus:
             assert result.returncode == self.EXPECTED_EXIT[path.name], (
                 path.name, result.returncode, result.stderr
             )
+
+
+class TestGoldenReports:
+    """sha256 of canonical_dumps(build_report(example)) for each valid example.
+
+    Reports must stay byte-identical while the mathematics is unchanged; a
+    change that alters a report says why and records the new digest here.
+    invalid_missing_d writes no report; TestExampleCorpus pins its exit code.
+    """
+
+    DIGESTS = {
+        "abstract_parabolic": "1ad32bc0c17d0c1cfed55dd8e410cfbd52ddff90dc85c39ec4c72e8b207e6a0c",
+        "explicit_from_norms": "584325e0e35579e6064712ce57f60f8d48e2977d58086c1c187b3f300aef4cb0",
+        "forced_small": "91c1f4bb1c529e935293361402a6aa5d7e1284212131323d8a0ca6c4f3ca7965",
+        "global_large_data": "1c4d3f663827bab13455740fd8f9df04b35c2b422aa0068fc0250b92d10ebfc5",
+        "global_small_data": "2d32fd68dd8e2b7bd711a54636ec3ac324ad5a1822ff1bedb26299bf7992e2e5",
+        "mixed_norms_demo": "71589c64844faaf7e89f7d037cd13f6399d94834098e674a8a461b478af9f69c",
+        "thm31_delta_grid": "29088d32d92fb7915320f20c22916399b78a6166e9368f68923691a4412b0f2d",
+        "thm41_vortex": "05b5813f356f2a0896deb5ed94befc4389131b40a51e20e65c6f020c148751cc",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_report_digest(self, name):
+        config = load_config(REPO_ROOT / "docs" / "examples" / f"{name}.json")
+        report, _ = build_report(config)
+        assert hashlib.sha256(canonical_dumps(report).encode("utf-8")).hexdigest() == self.DIGESTS[name]
 
 
 class TestPrintConstants:

@@ -251,20 +251,22 @@ class TestNormBundle:
 class TestNormBounds:
     def test_k0_bound_examples(self):
         bundle = NormBundle(lp_norms={3.0: 1.0}, theta=1.0, norm_d_plus_theta=1.0)
-        assert k0_bound_from_norms(bundle, 3, DELTA0, 1.0, 0.0) == 0.0
-        assert k0_bound_from_norms(bundle, 3, DELTA0, 1.0, 1.0) == pytest.approx(16.0, rel=1e-15)
+        assert k0_bound_from_norms(bundle, 3, DELTA0, 0.0) == 0.0
+        assert k0_bound_from_norms(bundle, 3, DELTA0, 1.0) == pytest.approx(16.0, rel=1e-15)
         doubled = NormBundle(lp_norms={3.0: 1.0}, theta=1.0, norm_d_plus_theta=2.0)
-        assert k0_bound_from_norms(doubled, 3, DELTA0, 1.0, 1.0) == pytest.approx(32.0, rel=1e-15)
+        assert k0_bound_from_norms(doubled, 3, DELTA0, 1.0) == pytest.approx(32.0, rel=1e-15)
 
     def test_k0_bound_missing_norm(self):
         bundle = NormBundle(lp_norms={3.0: 1.0})
         with pytest.raises(UnavailableBoundError):
-            k0_bound_from_norms(bundle, 3, DELTA0, 1.0, 1.0)
+            k0_bound_from_norms(bundle, 3, DELTA0, 1.0)
 
-    def test_k0_bound_theta_mismatch(self):
-        bundle = NormBundle(lp_norms={3.0: 1.0}, theta=0.5, norm_d_plus_theta=1.0)
+    def test_k0_bound_theta_out_of_range(self):
+        # theta must lie in (0, min(1, (d-1)/delta)]; 1.0 is the upper end here
+        assert k0_bound_from_norms(NormBundle(lp_norms={}, theta=1.0, norm_d_plus_theta=1.0), 3, 0.5, 1.0) > 0
+        bundle = NormBundle(lp_norms={}, theta=2.5, norm_d_plus_theta=1.0)
         with pytest.raises(DomainError):
-            k0_bound_from_norms(bundle, 3, DELTA0, 0.7, 1.0)
+            k0_bound_from_norms(bundle, 3, 0.5, 1.0)
 
     def test_k0_prime_bound(self):
         bundle = NormBundle(lp_norms={3.0: 1.0}, grad_d_norm=1.0)
@@ -279,4 +281,4 @@ class TestNormBounds:
             bundle = norm_bundle_from_vortex(data, theta=0.5)
             T = float(rng.uniform(0.05, 2.0))
             assert k0_prime_exact(data, T) <= k0_prime_bound_from_norms(bundle, T) * (1 + 1e-12)
-            assert k0_exact(data, DELTA0, T) <= k0_bound_from_norms(bundle, 3, DELTA0, 0.5, T) * (1 + 1e-12)
+            assert k0_exact(data, DELTA0, T) <= k0_bound_from_norms(bundle, 3, DELTA0, T) * (1 + 1e-12)

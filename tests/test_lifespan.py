@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nslifespan.constants import DELTA0, composite_constants
 from nslifespan.errors import DomainError, UnavailableBoundError
 from nslifespan.initial_data import NormBundle, VortexGaussian, lp_norm, norm_bundle_from_vortex
 from nslifespan.lifespan import (
+    _largest_feasible,
     InequalityCheck,
     KatoBoundState,
     KatoEvaluator,
@@ -48,7 +51,7 @@ class TestTheorem41:
 
     def test_constant_evaluator_below_threshold_gives_infinity(self):
         cs = composite_constants(3, DELTA0)
-        ev = KatoEvaluator(lambda T: 0.5 * cs.threshold, True, "constant")
+        ev = KatoEvaluator(lambda T: 0.5 * cs.threshold, True)
         state = KatoBoundState(3, DELTA0, ev, ev, cs)
         cert = theorem41_bound(state)
         assert cert.t0 == math.inf and cert.feasible
@@ -184,6 +187,70 @@ class TestTheorem31:
         assert not replay_certificate(cert).all_passed
 
 
+class TestLargestFeasible:
+    """Scan-and-bisect search on synthetic probes: horizon, notes and probe order."""
+
+    MONOTONE_BISECTION = [
+        math.sqrt(1.953125 * 15.625),
+        math.sqrt(1.953125 * math.sqrt(1.953125 * 15.625)),
+        math.sqrt(1.953125 * math.sqrt(1.953125 * math.sqrt(1.953125 * 15.625))),
+    ]
+
+    @pytest.mark.parametrize(
+        "feasible, t_lo, expected_t0, expected_notes, expected_probes",
+        [
+            pytest.param(
+                lambda T: True, 1e-3, 1e3,
+                ["feasible at the search-range end; larger horizons were not explored"],
+                [1e3],
+                id="feasible-at-t-hi",
+            ),
+            pytest.param(
+                lambda T: False, 1.0, None,
+                ["no feasible horizon found down to the search floor 1.0; the tolerance floor was hit"],
+                [1e3, 125.0, 15.625, 1.953125, 1.0],
+                id="floor-hit",
+            ),
+            pytest.param(
+                lambda T: T <= 3.0, 1e-3, MONOTONE_BISECTION[2],
+                [],
+                [1e3, 125.0, 15.625, 1.953125, 0.244140625, 0.030517578125, 0.003814697265625,
+                 *MONOTONE_BISECTION],
+                id="monotone-frontier",
+            ),
+            pytest.param(
+                lambda T: T <= 3.0 and not 0.01 < T < 0.1, 1e-3, MONOTONE_BISECTION[2],
+                ["feasibility was non-monotone in the scan; certifying the largest feasible prefix"],
+                [1e3, 125.0, 15.625, 1.953125, 0.244140625, 0.030517578125, 0.003814697265625,
+                 *MONOTONE_BISECTION],
+                id="hole-below-seed",
+            ),
+            pytest.param(
+                lambda T: T <= 1.0, 1.0, 1.0,
+                [],
+                [1e3, 125.0, 15.625, 1.953125, 1.0, math.sqrt(1.953125)],
+                id="seed-at-floor",
+            ),
+        ],
+    )
+    def test_probe_sequence(self, feasible, t_lo, expected_t0, expected_notes, expected_probes):
+        probes = []
+
+        def probe(T):
+            probes.append(T)
+            return feasible(T), {"T": T}
+
+        t0, detail, notes = _largest_feasible(probe, t_lo, 1e3, 0.5)
+        assert t0 == expected_t0
+        assert detail == {"T": t_lo if t0 is None else t0}
+        assert list(notes) == expected_notes
+        assert probes == expected_probes
+
+    def test_search_range_must_be_ordered(self):
+        with pytest.raises(DomainError):
+            _largest_feasible(lambda T: (True, {}), 1.0, 1.0, 1e-9)
+
+
 class TestTheorem41Explicit:
     def test_unit_threshold_case(self):
         cs = composite_constants(3, DELTA0)
@@ -203,15 +270,13 @@ class TestTheorem41Explicit:
         for factor in (5.0, 50.0, 500.0):
             data = vortex_with_a3(factor * eps3)
             bundle = norm_bundle_from_vortex(data, theta=0.5)
-            explicit = theorem41_explicit(bundle, 3, DELTA0, 0.5)
+            explicit = theorem41_explicit(bundle, 3, DELTA0)
             exact = theorem41_bound(state_from_vortex(data, DELTA0))
             assert explicit.t0 <= exact.t0 * (1 + 1e-9)
 
     def test_missing_norms(self):
         with pytest.raises(UnavailableBoundError):
             theorem41_explicit(NormBundle(lp_norms={3.0: 1.0}), 3, DELTA0)
-        with pytest.raises(UnavailableBoundError):
-            theorem41_explicit(NormBundle(lp_norms={3.0: 1.0}, grad_d_norm=1.0), 3, DELTA0, theta=0.5)
 
     def test_zero_data_is_global(self):
         bundle = NormBundle(lp_norms={3.0: 0.0}, grad_d_norm=0.0)
@@ -223,7 +288,7 @@ class TestTheorem41Explicit:
         # hundreds; the term must cap instead of raising OverflowError
         data = VortexGaussian(3, 2.9844735394728876, 5.0307726744251754e-08)
         bundle = norm_bundle_from_vortex(data, theta=0.05717058842313513)
-        cert = theorem41_explicit(bundle, 3, 0.21830807124595003, bundle.theta)
+        cert = theorem41_explicit(bundle, 3, 0.21830807124595003)
         assert cert.feasible and 0.0 < cert.t0 <= 1e300
         assert replay_certificate(cert).all_passed
         assert any("capped" in note for note in cert.notes)
@@ -280,6 +345,25 @@ class TestOptimizeDelta:
         )
         sweep = optimize_delta(cert_of, (0.3, 0.5, 0.7))
         assert sweep.best.delta_used == 0.3
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid=st.lists(st.sampled_from((0.1, 0.2, DELTA0, 0.3, 0.5, 0.7)), min_size=1, unique=True),
+        amplitude=st.sampled_from((1e-4, 0.05, 50.0)),
+        data=st.data(),
+    )
+    def test_winner_independent_of_grid_order(self, grid, amplitude, data):
+        # ties in t0 are common: tiny data certifies t0 = infinity at every
+        # delta, K0' alone can bind (it does not depend on delta), and large
+        # data hits the search floor; ties go to the smallest delta
+        vortex = VortexGaussian(3, 1.0, amplitude)
+        certify = lambda dlt: theorem41_bound(state_from_vortex(vortex, dlt))
+        sweep = optimize_delta(certify, grid)
+        shuffled = optimize_delta(certify, data.draw(st.permutations(grid)))
+        assert shuffled.best == sweep.best
+        assert [row[0] for row in sweep.profile] == grid
+        tied = [dlt for dlt, t0, feasible in sweep.profile if (feasible, t0) == (sweep.best.feasible, sweep.best.t0)]
+        assert sweep.best.delta_used == min(tied)
 
     def test_all_deltas_infeasible(self):
         certify = lambda dlt: global_certificate(100.0, 3, dlt)
@@ -353,6 +437,13 @@ class TestNormBackedStates:
     def test_unusable_bundle(self):
         with pytest.raises(UnavailableBoundError):
             state_from_norms(NormBundle(lp_norms={4.0: 1.0}), 3, DELTA0)
+
+    def test_theta_out_of_range_rejected_by_every_route(self):
+        bundle = NormBundle(lp_norms={}, grad_d_norm=1e-3, theta=2.5, norm_d_plus_theta=1e-4)
+        with pytest.raises(DomainError):
+            state_from_norms(bundle, 3, 0.5)
+        with pytest.raises(DomainError):
+            theorem41_explicit(bundle, 3, 0.5)
 
     def test_evaluator_is_min_of_bounds(self):
         bundle = NormBundle(lp_norms={3.0: 0.1}, grad_d_norm=0.2, theta=0.5, norm_d_plus_theta=0.12)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nslifespan.constants import (
     DELTA0,
@@ -168,6 +170,22 @@ class TestPsiMin:
         coarse = psi_min(3, 4.0, inputs, default_delta_grid(16)).value
         fine = psi_min(3, 4.0, inputs, default_delta_grid(64)).value
         assert abs(fine - coarse) <= 1e-3 * coarse
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid=st.lists(st.sampled_from((0.15, 0.2, DELTA0, 0.5, 0.7)), min_size=1, unique=True),
+        quadratic=st.booleans(),
+        data=st.data(),
+    )
+    def test_argmin_independent_of_grid_order(self, grid, quadratic, data):
+        # without the quadratic term psi does not depend on delta: every
+        # grid point ties, and the tie goes to the smallest delta
+        inputs = demo_inputs() if quadratic else SolutionNormInputs(0.0, 0.0, 1.0)
+        result = psi_min(3, 4.0, inputs, grid)
+        shuffled = psi_min(3, 4.0, inputs, data.draw(st.permutations(grid)))
+        assert (shuffled.value, shuffled.delta) == (result.value, result.delta)
+        assert [dlt for dlt, _ in result.profile] == grid
+        assert result.delta == min(dlt for dlt, value in result.profile if value == result.value)
 
     def test_no_admissible_delta(self):
         # at q far beyond 2d no delta keeps the psi pair admissible
