@@ -11,6 +11,7 @@ norms). The report bytes are stable across runs for identical input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -50,6 +51,18 @@ SCHEMA: dict = json.loads(Path(__file__).with_name("schema.json").read_text(enco
 MODES = tuple(SCHEMA["properties"]["mode"]["enum"])
 
 
+@functools.cache
+def _validator() -> jsonschema.protocols.Validator:
+    """Validator of SCHEMA, built and checked against its metaschema on first use.
+
+    Both steps cost far more than validating one config, so a process pays
+    for them once; importing the module pays for neither.
+    """
+    validator = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+    validator.check_schema(SCHEMA)
+    return validator
+
+
 class ConfigError(ValueError):
     """Input-side failure: maps to exit code 1."""
 
@@ -73,9 +86,9 @@ def load_config(path: Path) -> dict:
 
 
 def validate_config(config: Mapping) -> None:
-    try:
-        jsonschema.validate(config, SCHEMA)
-    except jsonschema.ValidationError as exc:
+    # best_match over iter_errors is the error jsonschema.validate raises
+    exc = jsonschema.exceptions.best_match(_validator().iter_errors(config))
+    if exc is not None:
         field = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config field '{field}': {exc.message}") from exc
     mode = config["mode"]

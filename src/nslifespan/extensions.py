@@ -296,7 +296,10 @@ def abstract_parabolic_lifespan(
 
     T3 solves K1 C(gamma) T^{1-gamma}/(1-gamma) = (1 - strict_margin) alpha/2
     (the inequality is strict, so equality is backed off by the margin);
-    T4 solves K2 C(gamma) T^{1-gamma}/(1-gamma) = 1/2 exactly. At the
+    T4 solves K2 C(gamma) T^{1-gamma}/(1-gamma) = 1/2 exactly. The rounded
+    closed form of T4 can land above the root, so the returned T is stepped
+    down one double at a time until the contraction factor, evaluated at T,
+    is <= 1/2; the breakdown keeps the closed-form T4. At the
     returned T the contraction factor is <= 1/2 and the Duhamel sup term
     stays strictly inside alpha/2.
     """
@@ -308,9 +311,15 @@ def abstract_parabolic_lifespan(
         1.0 / one_minus
     )
     t4 = (one_minus / (2.0 * problem.k2 * problem.c_gamma)) ** (1.0 / one_minus)
+
+    def duhamel(k: float, t: float) -> float:
+        return k * problem.c_gamma * t**one_minus / one_minus
+
     t = min(problem.t1, problem.t2, t3, t4)
-    contraction = problem.k2 * problem.c_gamma * t**one_minus / one_minus
-    sup_term = problem.k1 * problem.c_gamma * t**one_minus / one_minus
+    while duhamel(problem.k2, t) > 0.5:
+        t = math.nextafter(t, 0.0)
+    contraction = duhamel(problem.k2, t)
+    sup_term = duhamel(problem.k1, t)
     return ParabolicLifespan(
         t=t,
         t1=problem.t1,

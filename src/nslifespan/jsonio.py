@@ -4,15 +4,26 @@ Floats are written with 17 significant digits so a replaying process parses
 back bit-identical doubles; infinities are encoded as the strings
 "infinity" / "-infinity" (JSON has no literal for them); object keys are
 emitted sorted. The output is byte-stable across runs for identical input.
+
+The encoder makes one pass over the report and appends every piece to one
+list. It dispatches on the exact type of each value first (float, str,
+dict, list, None, bool: most of what reports are made of) and falls back
+to isinstance checks, in the order int, float, str, list/tuple, dict, for
+ints, tuples and subclasses such as numpy.float64. bool is an int
+subclass but cannot itself be subclassed, so the exact dispatch catches
+every bool before the int check.
 """
 
 from __future__ import annotations
 
-import json
+import hashlib
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 __all__ = ["canonical_dumps", "decode_infinities", "fingerprint"]
+
+_INDENT = 2
 
 
 def _format_float(x: float) -> str:
@@ -23,41 +34,71 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _encode(obj: Any, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_encode(v, indent, level + 1) for v in obj]
-        return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        keys = sorted(obj.keys())
-        if any(not isinstance(k, str) for k in keys):
-            raise TypeError("report keys must be strings")
-        items = [
-            pad_in + json.dumps(k, ensure_ascii=True) + ": " + _encode(obj[k], indent, level + 1)
-            for k in keys
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    raise TypeError(f"unsupported type in report: {type(obj)!r}")
+def _encode(obj: Any, level: int, out: list[str]) -> None:
+    tp = type(obj)
+    if tp is float:
+        out.append(_format_float(obj))
+    elif tp is str:
+        out.append(encode_basestring_ascii(obj))
+    elif tp is dict:
+        _encode_members(obj, level, out)
+    elif tp is list:
+        _encode_items(obj, level, out)
+    elif obj is None:
+        out.append("null")
+    elif tp is bool:
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_format_float(obj))
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, (list, tuple)):
+        _encode_items(obj, level, out)
+    elif isinstance(obj, dict):
+        _encode_members(obj, level, out)
+    else:
+        raise TypeError(f"unsupported type in report: {type(obj)!r}")
 
 
-def canonical_dumps(obj: Any, indent: int = 2) -> str:
+def _encode_items(items: Any, level: int, out: list[str]) -> None:
+    if not items:
+        out.append("[]")
+        return
+    sep = ",\n" + " " * (_INDENT * (level + 1))
+    out.append("[" + sep[1:])
+    for i, v in enumerate(items):
+        if i:
+            out.append(sep)
+        _encode(v, level + 1, out)
+    out.append("\n" + " " * (_INDENT * level) + "]")
+
+
+def _encode_members(members: Any, level: int, out: list[str]) -> None:
+    if not members:
+        out.append("{}")
+        return
+    keys = sorted(members)
+    if any(not isinstance(k, str) for k in keys):
+        raise TypeError("report keys must be strings")
+    sep = ",\n" + " " * (_INDENT * (level + 1))
+    out.append("{" + sep[1:])
+    for i, k in enumerate(keys):
+        if i:
+            out.append(sep)
+        out.append(encode_basestring_ascii(k))
+        out.append(": ")
+        _encode(members[k], level + 1, out)
+    out.append("\n" + " " * (_INDENT * level) + "}")
+
+
+def canonical_dumps(obj: Any) -> str:
     """Serialize a report to its canonical byte-stable form."""
-    return _encode(obj, indent, 0) + "\n"
+    out: list[str] = []
+    _encode(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def decode_infinities(obj: Any) -> Any:
@@ -77,6 +118,4 @@ def decode_infinities(obj: Any) -> Any:
 
 def fingerprint(obj: Any) -> str:
     """sha256 of the canonical serialization; deterministic run identifier."""
-    import hashlib
-
     return "sha256:" + hashlib.sha256(canonical_dumps(obj).encode("utf-8")).hexdigest()

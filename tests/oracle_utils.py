@@ -4,13 +4,15 @@ Everything here deliberately avoids the closed forms under test: norms are
 integrated numerically (adaptive QUADPACK through a different reduction, or
 a plain tensor Simpson grid), the heat evolution is checked against direct
 convolution with the Gaussian kernel, and suprema are brute-forced on dense
-grids.
+grids. The report encoder is checked against a plain recursive encoder.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
+from typing import Any
 
 import numpy as np
 from scipy import integrate
@@ -172,3 +174,52 @@ def brute_force_weighted_sup(fn, T: float, n: int = 20001) -> float:
     ts = np.geomspace(1e-10, hi, n)
     vals = np.array([fn(t) for t in ts])
     return float(vals.max())
+
+
+def canonical_dumps_recursive(obj: Any) -> str:
+    """Reference for `nslifespan.jsonio.canonical_dumps`: the recursive encoder.
+
+    Each value builds its own string from its children's strings, tested
+    with isinstance in the order None, bool, int, float, str, list/tuple,
+    dict. The package's single-pass encoder must match it byte for byte.
+    """
+
+    def format_float(x: float) -> str:
+        if math.isnan(x):
+            raise ValueError("NaN is not representable in a certificate report")
+        if math.isinf(x):
+            return '"infinity"' if x > 0 else '"-infinity"'
+        return format(x, ".17g")
+
+    def encode(obj: Any, level: int) -> str:
+        pad = "  " * level
+        pad_in = "  " * (level + 1)
+        if obj is None:
+            return "null"
+        if isinstance(obj, bool):
+            return "true" if obj else "false"
+        if isinstance(obj, int):
+            return str(obj)
+        if isinstance(obj, float):
+            return format_float(obj)
+        if isinstance(obj, str):
+            return json.dumps(obj, ensure_ascii=True)
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            items = [encode(v, level + 1) for v in obj]
+            return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "]"
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            keys = sorted(obj.keys())
+            if any(not isinstance(k, str) for k in keys):
+                raise TypeError("report keys must be strings")
+            items = [
+                pad_in + json.dumps(k, ensure_ascii=True) + ": " + encode(obj[k], level + 1)
+                for k in keys
+            ]
+            return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        raise TypeError(f"unsupported type in report: {type(obj)!r}")
+
+    return encode(obj, 0) + "\n"

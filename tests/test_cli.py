@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
-from nslifespan.cli import build_report, load_config, main, validate_config
+from nslifespan.cli import SCHEMA, ConfigError, build_report, load_config, main, validate_config
 from nslifespan.constants import DELTA0
 from nslifespan.jsonio import canonical_dumps, decode_infinities
 
@@ -32,6 +33,35 @@ THM41_CONFIG = {
     "d": 3,
     "mode": "thm41",
     "data": {"family": "vortex_gaussian", "sigma": 1.0, "amplitude": 0.001},
+}
+NORMS_DATA = {"norms": {"lp_norms": {"3.0": 0.1}, "grad_d_norm": 0.2}}
+
+SCHEMA_VIOLATIONS = {
+    "d_below_3": {**THM41_CONFIG, "d": 2},
+    "d_not_integer": {**THM41_CONFIG, "d": 3.5},
+    "d_string": {**THM41_CONFIG, "d": "3"},
+    "d_missing": {"mode": "thm41", "data": THM41_CONFIG["data"]},
+    "delta_one": {**THM41_CONFIG, "delta": 1.0},
+    "delta_zero": {**THM41_CONFIG, "delta": 0.0},
+    "delta_grid_entry_outside": {**THM41_CONFIG, "delta_grid": [0.3, 1.5]},
+    "unknown_key": {**THM41_CONFIG, "surprise": 1},
+    "unknown_mode": {**THM41_CONFIG, "mode": "thm99"},
+    "negative_lp_norm": {**THM41_CONFIG, "data": {"norms": {"lp_norms": {"3.0": -1.0}}}},
+    "negative_grad_norm": {**THM41_CONFIG, "data": {"norms": {**NORMS_DATA["norms"], "grad_d_norm": -0.2}}},
+    "data_neither_branch": {**THM41_CONFIG, "data": {"family": "vortex_gaussian", "sigma": 1.0}},
+    "data_both_branches": {**THM41_CONFIG, "data": {**THM41_CONFIG["data"], **NORMS_DATA}},
+    "sigma_string": {**THM41_CONFIG, "data": {**THM41_CONFIG["data"], "sigma": "1.0"}},
+    "delta_grid_not_array": {**THM41_CONFIG, "delta_grid": 0.5},
+    "halved_flag_not_boolean": {
+        **THM41_CONFIG,
+        "mode": "forced",
+        "force": {
+            "k0": {"theta": 2.7, "lambda": -0.5, "value": 0.0},
+            "k0_prime": {"theta": 2.0, "lambda": -0.6, "value": 0.0},
+            "halved_kernel_decay": 1,
+        },
+    },
+    "config_not_object": [THM41_CONFIG],
 }
 
 
@@ -65,6 +95,35 @@ class TestConfigValidation:
 
     def test_missing_cli_arguments(self):
         assert main([]) == 1
+
+    def test_validator_built_once(self, monkeypatch):
+        validate_config(THM41_CONFIG)
+        checks = []
+        validator_cls = jsonschema.validators.validator_for(SCHEMA)
+        monkeypatch.setattr(
+            validator_cls, "check_schema", classmethod(lambda cls, schema, *a, **k: checks.append(schema))
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("validator rebuilt for one config")
+
+        monkeypatch.setattr(jsonschema, "validate", forbidden)
+        monkeypatch.setattr(jsonschema.validators, "validate", forbidden)
+        for _ in range(3):
+            validate_config(THM41_CONFIG)
+            with pytest.raises(ConfigError):
+                validate_config(SCHEMA_VIOLATIONS["d_below_3"])
+        assert checks == []
+
+    @pytest.mark.parametrize("name", sorted(SCHEMA_VIOLATIONS))
+    def test_schema_error_message(self, name):
+        config = SCHEMA_VIOLATIONS[name]
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(config, SCHEMA)
+        field = "/".join(str(p) for p in expected.value.absolute_path) or "<root>"
+        with pytest.raises(ConfigError) as raised:
+            validate_config(config)
+        assert str(raised.value) == f"config field '{field}': {expected.value.message}"
 
     def test_import_leaves_scipy_out(self):
         code = "import nslifespan.cli, sys; assert 'scipy' not in sys.modules"

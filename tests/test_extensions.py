@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nslifespan.constants import (
     DELTA0,
@@ -232,6 +234,26 @@ class TestAbstractParabolic:
         assert res.contraction_factor == pytest.approx(contraction, rel=1e-15)
         assert res.ball_fraction < 1.0
         assert res.breakdown()["t3"] == res.t3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gamma=st.floats(0.01, 0.9),
+        c_gamma=st.floats(1e-3, 1e3),
+        k2=st.floats(1e-3, 1e3),
+    )
+    def test_t4_limited_horizon_contracts(self, gamma, c_gamma, k2):
+        # k1 = k2/4 puts T3 above T4 and t1, t2 are far above both, so the
+        # horizon is the T4 root, whose closed form may round above it
+        problem = AbstractParabolicProblem(
+            gamma=gamma, c_gamma=c_gamma, alpha=1.0, k1=k2 / 4.0, k2=k2, t1=1e300, t2=1e300
+        )
+        res = abstract_parabolic_lifespan(problem)
+        one_minus = 1.0 - gamma
+        t4 = (one_minus / (2.0 * k2 * c_gamma)) ** (1.0 / one_minus)
+        assert res.t4 == t4 and res.t3 > t4
+        assert res.contraction_factor <= 0.5
+        assert res.t <= t4
+        assert res.t == pytest.approx(t4, rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(DomainError):
