@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Any, Mapping
@@ -53,14 +54,14 @@ MODES = tuple(SCHEMA["properties"]["mode"]["enum"])
 
 @functools.cache
 def _validator() -> jsonschema.protocols.Validator:
-    """Validator of SCHEMA, built and checked against its metaschema on first use.
+    """Validator of SCHEMA, built on first use.
 
-    Both steps cost far more than validating one config, so a process pays
-    for them once; importing the module pays for neither.
+    Building it costs far more than validating one config, so a process
+    pays for it once; importing the module does not pay for it. SCHEMA is
+    package data, so its check against the metaschema is a test, not a
+    per-process step.
     """
-    validator = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
-    validator.check_schema(SCHEMA)
-    return validator
+    return jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
 
 
 class ConfigError(ValueError):
@@ -414,6 +415,10 @@ def print_constants(d: int, delta: float) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The one LAPACK call (the 150x150 eigensolve of the gradient rule) is
+    # slower on OpenBLAS's thread pool than on one thread, and starting the
+    # pool adds to numpy's import; numpy is not imported before this line.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = argparse.ArgumentParser(
         prog="nslifespan",
         description="Certified lifespan lower bounds from norms of the initial data.",

@@ -289,6 +289,14 @@ class ParabolicLifespan:
                 "ball_fraction": self.ball_fraction}
 
 
+def _power_or_inf(base: float, exponent: float) -> float:
+    """base ** exponent for a positive base, inf where the float power overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def abstract_parabolic_lifespan(
     problem: AbstractParabolicProblem, strict_margin: float = 0.01
 ) -> ParabolicLifespan:
@@ -307,10 +315,9 @@ def abstract_parabolic_lifespan(
         raise DomainError(f"strict_margin must lie in [0, 1), got {strict_margin}")
     g = problem.gamma
     one_minus = 1.0 - g
-    t3 = ((1.0 - strict_margin) * problem.alpha * one_minus / (2.0 * problem.k1 * problem.c_gamma)) ** (
-        1.0 / one_minus
-    )
-    t4 = (one_minus / (2.0 * problem.k2 * problem.c_gamma)) ** (1.0 / one_minus)
+    t3 = _power_or_inf((1.0 - strict_margin) * problem.alpha * one_minus / (2.0 * problem.k1 * problem.c_gamma),
+                       1.0 / one_minus)
+    t4 = _power_or_inf(one_minus / (2.0 * problem.k2 * problem.c_gamma), 1.0 / one_minus)
 
     def duhamel(k: float, t: float) -> float:
         return k * problem.c_gamma * t**one_minus / one_minus

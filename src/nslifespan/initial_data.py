@@ -38,12 +38,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .constants import ExponentPair, heat_kernel_norm, log_gamma, young_constant
 from .errors import DomainError, UnavailableBoundError
+
+if TYPE_CHECKING:  # numpy is imported where arrays are built, off the CLI's import path
+    import numpy as np
 
 __all__ = [
     "VortexGaussian",
@@ -81,6 +82,8 @@ class VortexGaussian:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Field values at points x of shape (..., d)."""
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.d:
             raise DomainError(f"points must have last dimension {self.d}, got {x.shape}")
@@ -92,6 +95,8 @@ class VortexGaussian:
 
     def magnitude(self, x: np.ndarray) -> np.ndarray:
         """Pointwise Euclidean magnitude |a(x)|."""
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         rho = np.hypot(x[..., 0], x[..., 1])
         g = np.exp(-np.sum(x * x, axis=-1) / (2.0 * self.sigma**2))
@@ -99,6 +104,8 @@ class VortexGaussian:
 
     def gradient_frobenius(self, x: np.ndarray) -> np.ndarray:
         """Pointwise Frobenius norm of the Jacobian of a."""
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         s2 = self.sigma**2
         rho2 = x[..., 0] ** 2 + x[..., 1] ** 2
@@ -147,6 +154,7 @@ def lp_norm(data: VortexGaussian, p: float) -> float:
     return data.amplitude * math.exp(log_pp / p)
 
 
+@lru_cache(maxsize=64)
 def _gauss_laguerre(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss rule for the probability weight x^alpha e^{-x} / Gamma(alpha + 1).
 
@@ -160,7 +168,12 @@ def _gauss_laguerre(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     those weights only to an absolute 1e-32, and Q^{d/2} magnifies that
     error past the result for d >= 20. Scaling the weights to their exact
     sum 1 removes the rounding that the recurrence accumulates in common.
+
+    Rules are cached, since every dimension shares the alpha = 0 rule, and
+    returned read-only, since callers share them.
     """
+    import numpy as np
+
     k = np.arange(n + 1, dtype=float)
     diag = 2.0 * k + alpha + 1.0
     off = np.sqrt(k[1:] * (k[1:] + alpha))  # off[j] links p_j and p_{j+1}
@@ -177,7 +190,9 @@ def _gauss_laguerre(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         if polish:
             nodes = nodes - p / dp
     weights = 1.0 / total
-    return nodes, weights / weights.sum()
+    weights = weights / weights.sum()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @lru_cache(maxsize=32)

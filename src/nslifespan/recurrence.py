@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .errors import DomainError
+
+if TYPE_CHECKING:  # numpy is imported where arrays are built, off the CLI's import path
+    import numpy as np
 
 __all__ = [
     "ScalarRecurrence",
@@ -247,6 +248,8 @@ def iterate_worst_case(
     rec: Union[ScalarRecurrence, CoupledRecurrence], n_steps: int
 ) -> Trajectory:
     """Iterate the recurrence with equality (the extremal sequence)."""
+    import numpy as np
+
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     if isinstance(rec, ScalarRecurrence):
@@ -287,6 +290,8 @@ def iterate_scalar_batch(
 
     Diverging entries saturate at inf rather than raising.
     """
+    import numpy as np
+
     x = np.array(x0, dtype=float)
     sup = x.copy()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -310,6 +315,8 @@ def iterate_coupled_batch(
     n_steps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized componentwise suprema of the coupled equality dynamics."""
+    import numpy as np
+
     x = np.array(x0, dtype=float)
     y = np.array(y0, dtype=float)
     sx = x.copy()

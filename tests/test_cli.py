@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -125,8 +126,12 @@ class TestConfigValidation:
             validate_config(config)
         assert str(raised.value) == f"config field '{field}': {expected.value.message}"
 
-    def test_import_leaves_scipy_out(self):
-        code = "import nslifespan.cli, sys; assert 'scipy' not in sys.modules"
+    def test_schema_matches_metaschema(self):
+        jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+
+    @pytest.mark.parametrize("module", ["scipy", "numpy"])
+    def test_import_leaves_out(self, module):
+        code = f"import nslifespan.cli, sys; assert {module!r} not in sys.modules"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
 
@@ -344,6 +349,57 @@ class TestRuns:
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["result"]["lifespan"] > 0
         assert report["verification"]["all_passed"] is True
+
+    def test_abstract_parabolic_overflowing_closed_forms(self, tmp_path):
+        cfg = {
+            "d": 3,
+            "mode": "abstract_parabolic",
+            "abstract_parabolic": {
+                "gamma": 0.999, "c_gamma": 1.0, "alpha": 1.0,
+                "k1": 1e-6, "k2": 1e-6, "t1": 1.0, "t2": 1.0,
+            },
+        }
+        out = tmp_path / "report.json"
+        assert main(["--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        report = decode_infinities(json.loads(out.read_text(encoding="utf-8")))
+        assert report["result"]["lifespan"] == 1.0
+        assert report["result"]["breakdown"]["t3"] == math.inf
+        assert report["result"]["breakdown"]["t4"] == math.inf
+
+
+class TestStartUp:
+    def test_norm_bundle_run_leaves_numpy_out(self, tmp_path):
+        config = REPO_ROOT / "docs" / "examples" / "explicit_from_norms.json"
+        code = (
+            "import sys; from nslifespan.cli import main; "
+            f"code = main(['--config', {str(config)!r}, '--out', {str(tmp_path / 'out.json')!r}]); "
+            "assert code == 0, code; assert 'numpy' not in sys.modules"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
+    def test_openblas_threads_default_keeps_user_value(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert main([]) == 1
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert main([]) == 1
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+    def test_gradient_constant_independent_of_openblas_threads(self):
+        # the golden report digests rely on the CLI's one-thread eigensolve
+        # giving the gradient constant bit for bit
+        from nslifespan.initial_data import _grad_unit_constant
+
+        dims = (3, 4, 5, 8, 20, 50, 100)
+        code = (
+            "from nslifespan.initial_data import _grad_unit_constant; "
+            f"print(' '.join(_grad_unit_constant(d).hex() for d in {dims!r}))"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [_grad_unit_constant(d).hex() for d in dims]
 
 
 class TestExampleCorpus:

@@ -9,6 +9,7 @@ from nslifespan.errors import DomainError, UnavailableBoundError
 from nslifespan.initial_data import (
     NormBundle,
     VortexGaussian,
+    _gauss_laguerre,
     _grad_unit_constant,
     grad_norm,
     k0_bound_from_norms,
@@ -113,6 +114,18 @@ class TestGradNorm:
         # values up to 1e108 (d = 100), so their weights must be accurate in
         # relative terms, not only to an absolute 1e-32
         assert _grad_unit_constant(d) == pytest.approx(oracle.grad_unit_constant_even_exact(d), rel=1e-14)
+
+    def test_gauss_rules_cached_read_only_and_unchanged(self):
+        nodes, weights = _gauss_laguerre(150, 0.5)
+        cached_nodes, cached_weights = _gauss_laguerre(150, 0.5)
+        assert cached_nodes is nodes and cached_weights is weights
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+        fresh_nodes, fresh_weights = _gauss_laguerre.__wrapped__(150, 0.5)
+        assert nodes.tobytes() == fresh_nodes.tobytes()
+        assert weights.tobytes() == fresh_weights.tobytes()
 
     def test_pure_power_law_in_sigma(self):
         base = VortexGaussian(3, 1.0, 1.0)
