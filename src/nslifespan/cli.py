@@ -158,7 +158,7 @@ def _certificate_result(config: Mapping) -> tuple[dict, bool, list]:
         if mode == "thm31":
             return theorem31_bound(_make_state(config, delta), search=search, tol=tol, margin=margin)
         if mode == "thm41":
-            return theorem41_bound(_make_state(config, delta), search=search, tol=tol)
+            return theorem41_bound(_make_state(config, delta))
         if mode == "thm41_explicit":
             return theorem41_explicit(_bundle_for_explicit(config), int(config["d"]), delta)
         if mode == "forced":
@@ -177,8 +177,6 @@ def _certificate_result(config: Mapping) -> tuple[dict, bool, list]:
                 _make_state(config, delta),
                 f1,
                 f2,
-                search=search,
-                tol=tol,
                 halved_kernel_decay=bool(force_cfg.get("halved_kernel_decay", False)),
             )
         if mode == "global_test":
@@ -298,6 +296,8 @@ def _abstract_parabolic_result(config: Mapping) -> tuple[dict, bool, list]:
             "detail": f"factor={res.contraction_factor:.6g}",
         },
     ]
+    if not res.t > 0.0:  # T3 or T4 underflowed: a zero horizon certifies nothing
+        replay_rows.insert(0, {"name": "lifespan_positive", "passed": False, "detail": f"lifespan={res.t:.6g}"})
     all_passed = all(row["passed"] for row in replay_rows)
     return result, all_passed, replay_rows
 

@@ -35,14 +35,7 @@ from dataclasses import dataclass, replace
 
 from .constants import ExponentPair, beta_fn, heat_kernel_grad_norm, heat_kernel_norm, young_constant
 from .errors import DomainError, InfeasibleExponentError
-from .lifespan import (
-    _DEFAULT_SEARCH,
-    _DEFAULT_TOL,
-    KatoBoundState,
-    KatoEvaluator,
-    LifespanCertificate,
-    theorem41_bound,
-)
+from .lifespan import KatoBoundState, KatoEvaluator, LifespanCertificate, theorem41_bound
 
 __all__ = [
     "ForceNorm",
@@ -205,15 +198,13 @@ def forced_lifespan(
     state: KatoBoundState,
     f1: ForceNorm,
     f2: ForceNorm,
-    search: tuple[float, float] = _DEFAULT_SEARCH,
-    tol: float = _DEFAULT_TOL,
     halved_kernel_decay: bool = False,
 ) -> LifespanCertificate:
     """Envelope-route horizon with the force contributions folded in.
 
     The contributions are constants added to K0(T) and K0'(T) for every T
-    (the time weights match exactly), so the solve is the unforced one on
-    shifted evaluators; a zero force reproduces the unforced certificate
+    (the time weights match exactly), so the solve is ``theorem41_bound``
+    on shifted evaluators; a zero force reproduces the unforced certificate
     bit for bit. Infeasible exponents raise before any solve.
     """
     c1 = force_contribution_k0(state.d, state.delta, f1, halved_kernel_decay=halved_kernel_decay)
@@ -232,7 +223,7 @@ def forced_lifespan(
             lambda T, base=state.k0_prime, c=c2.coefficient: base(T) + c, state.k0_prime.finite_at_infinity
         ),
     )
-    cert = theorem41_bound(aug, search=search, tol=tol)
+    cert = theorem41_bound(aug)
     inter = dict(cert.intermediate)
     inter["force_k0_coefficient"] = c1.coefficient
     inter["force_k0_prime_coefficient"] = c2.coefficient

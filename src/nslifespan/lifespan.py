@@ -1,16 +1,15 @@
 """Lifespan certification: largest T for which the weighted-norm inequality
 systems close, emitted as replayable certificates.
 
-Two routes are implemented. The coupled route keeps the sharp product
-constants J1(d, delta), J2(d, delta) and certifies the largest T where the
-coupled fixed-point hypotheses hold with K0(T), K0'(T) in both the offset
-and the start slots. The envelope route collapses the system to one
+Two routes are implemented, each with one search over T. The coupled route
+keeps the sharp product constants J1(d, delta), J2(d, delta) and certifies
+the largest T where the coupled fixed-point hypotheses hold with K0(T),
+K0'(T) in both the offset and the start slots; that feasibility need not be
+monotone in T, so a scan of a search range seeds a bisection and a floor hit
+is reported in the notes. The envelope route collapses the system to one
 variable: max(K0(T), K0'(T)) <= 3/(16 Jbar) = C2/d^2 certifies T and bounds
-every Picard iterate by 3/(4 Jbar) = C3/d^2. Both use monotone bisection
-over T driven by a feasibility probe; K0 and K0' are nondecreasing in T and
-vanish as T -> 0+, so a positive horizon exists whenever the decay reaches
-the feasible region above the search floor (a floor hit is reported in the
-certificate notes instead of a bound).
+every Picard iterate by 3/(4 Jbar) = C3/d^2. K0 and K0' are nondecreasing in
+T, so one exact bisection over the doubles finds the largest T that passes.
 
 A certificate records the producing inequalities with their evaluated sides;
 ``replay_certificate`` re-derives every intermediate from the stored values
@@ -21,6 +20,7 @@ that never constructs the original evaluators.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
@@ -55,6 +55,8 @@ _DEFAULT_SEARCH = (1e-12, 1e12)
 _DEFAULT_TOL = 1e-9  # relative width of the final bisection bracket
 _DEFAULT_MARGIN = 1e-9  # absolute slack certifying strict inequalities
 _MAX_BISECTIONS = 60  # stops the bisection when tol is below the float spacing
+_DOUBLE = struct.Struct("<d")  # with _INT64, maps a double to its bit pattern and back
+_INT64 = struct.Struct("<q")
 _EXPLICIT_SHRINK = 1.0 - 1e-12  # keeps closed-form replay margins nonnegative
 _EXPLICIT_CAP = 1e300  # horizon cap for the closed-form inversion
 _TINY = 1e-300
@@ -365,33 +367,35 @@ def _largest_feasible(probe, t_lo: float, t_hi: float, tol: float):
     return lo, detail, notes
 
 
-def _searched_certificate(state, theorem, probe, build, search, tol, global_note, notes=()):
-    """The searched-route policy shared by the coupled and envelope routes.
+def _largest_double(ok: Callable[[float], bool]) -> float:
+    """Largest positive double T with ok(T), or 0.0 when none passes.
 
-    T = infinity is tried first when both evaluators are finite there; then
-    the largest feasible horizon in the search range is certified; when none
-    is feasible the certificate is infeasible with t0 = 0 and carries the
-    scan notes. ``build(t0, detail, notes)`` assembles the feasible
-    certificate from the probe detail at t0.
+    ok must hold on an interval (0, T*] of the doubles and fail above it.
+    Positive doubles sort like their int64 bit patterns, so bisecting the
+    patterns between 0.0 (taken to pass) and +inf (taken to fail) ends on
+    two adjacent doubles after at most 63 probes.
     """
-    if state.k0.finite_at_infinity and state.k0_prime.finite_at_infinity:
-        ok, detail = probe(math.inf)
-        if ok:
-            return build(math.inf, detail, (global_note, *notes))
+    lo, hi = 0, 0x7FF0000000000000  # the bit patterns of 0.0 and +inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(_DOUBLE.unpack(_INT64.pack(mid))[0]):
+            lo = mid
+        else:
+            hi = mid
+    return _DOUBLE.unpack(_INT64.pack(lo))[0]
 
-    t_best, detail, scan_notes = _largest_feasible(probe, search[0], search[1], tol)
-    if t_best is None:
-        return LifespanCertificate(
-            t0=0.0,
-            theorem=theorem,
-            delta_used=state.delta,
-            intermediate=dict(detail),
-            iterate_bound=None,
-            feasible=False,
-            checks=(),
-            notes=(*scan_notes, *notes, *state.notes),
-        )
-    return build(t_best, detail, (*scan_notes, *notes))
+
+def _infeasible_certificate(state, theorem, detail, notes):
+    return LifespanCertificate(
+        t0=0.0,
+        theorem=theorem,
+        delta_used=state.delta,
+        intermediate=dict(detail),
+        iterate_bound=None,
+        feasible=False,
+        checks=(),
+        notes=(*notes, *state.notes),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +418,16 @@ def theorem31_bound(
     at T = infinity (declared-finite evaluators only) the infinite branch is
     certified directly.
     """
-    return _searched_certificate(
-        state,
-        "thm31",
-        lambda T: _coupled_probe(state, T, margin),
-        lambda t0, detail, notes: _build_thm31_cert(t0, state, detail, margin, notes),
-        search,
-        tol,
-        "inequalities hold at T = infinity; solution is global",
-    )
+    probe = lambda T: _coupled_probe(state, T, margin)
+    if state.k0.finite_at_infinity and state.k0_prime.finite_at_infinity:
+        ok, detail = probe(math.inf)
+        if ok:
+            notes = ("inequalities hold at T = infinity; solution is global",)
+            return _build_thm31_cert(math.inf, state, detail, margin, notes)
+    t_best, detail, notes = _largest_feasible(probe, search[0], search[1], tol)
+    if t_best is None:
+        return _infeasible_certificate(state, "thm31", detail, notes)
+    return _build_thm31_cert(t_best, state, detail, margin, notes)
 
 
 def _build_thm31_cert(t0, state, detail, margin, notes):
@@ -446,35 +451,34 @@ def _build_thm31_cert(t0, state, detail, margin, notes):
     )
 
 
-def theorem41_bound(
-    state: KatoBoundState,
-    search: tuple[float, float] = _DEFAULT_SEARCH,
-    tol: float = _DEFAULT_TOL,
-) -> LifespanCertificate:
+def theorem41_bound(state: KatoBoundState) -> LifespanCertificate:
     """Largest horizon with max(K0(T), K0'(T)) <= 3/(16 Jbar) = C2/d^2.
 
-    The evaluator maximum is nondecreasing in T, so plain monotone bisection
-    applies. The certificate stores the Picard iterate bound
-    3/(4 Jbar) = C3/d^2 and carries the c3 reference-discrepancy note.
+    T = infinity is tried first; otherwise t0 is the largest passing double
+    (the maximum is nondecreasing in T), and t0 = 0 is infeasible. The
+    certificate stores the Picard iterate bound 3/(4 Jbar) = C3/d^2 and
+    carries the c3 reference-discrepancy note.
     """
-    window_notes = ()
+    notes = ()
     if state.constants.j > state.constants.j_bar:
-        window_notes = (
+        notes = (
             "envelope max(j_up1, j_up2) at this delta exceeds the critical-point "
             "envelope Jbar; the threshold is certified against Jbar, which is "
             "only a valid product-constant majorant for delta in "
             "[delta0, 1 - delta0]",
         )
-    return _searched_certificate(
-        state,
-        "thm41",
-        lambda T: _envelope_probe(state, T),
-        lambda t0, detail, notes: _build_thm41_cert(t0, state, detail, notes),
-        search,
-        tol,
-        "threshold holds at T = infinity; solution is global",
-        window_notes,
-    )
+    k0, k0p, threshold = state.k0, state.k0_prime, state.constants.threshold
+    if k0.finite_at_infinity and k0p.finite_at_infinity:
+        ok, detail = _envelope_probe(state, math.inf)
+        if ok:
+            notes = ("threshold holds at T = infinity; solution is global", *notes)
+            return _build_thm41_cert(math.inf, state, detail, notes)
+    # K0' first: on vortex data it is the cheaper evaluator
+    t0 = _largest_double(lambda T: k0p(T) <= threshold and k0(T) <= threshold)
+    if t0 > 0.0:
+        return _build_thm41_cert(t0, state, _envelope_probe(state, t0)[1], notes)
+    notes = ("no positive double passes max(K0, K0') <= threshold; intermediates at T = 5e-324", *notes)
+    return _infeasible_certificate(state, "thm41", _envelope_probe(state, math.ulp(0.0))[1], notes)
 
 
 def _build_thm41_cert(t0, state, detail, notes):

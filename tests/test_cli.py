@@ -48,6 +48,7 @@ SCHEMA_VIOLATIONS = {
     "unknown_key": {**THM41_CONFIG, "surprise": 1},
     "unknown_mode": {**THM41_CONFIG, "mode": "thm99"},
     "negative_lp_norm": {**THM41_CONFIG, "data": {"norms": {"lp_norms": {"3.0": -1.0}}}},
+    "lp_norm_exponent_not_numeric": {**THM41_CONFIG, "data": {"norms": {"lp_norms": {"abc": 1e-4}}}},
     "negative_grad_norm": {**THM41_CONFIG, "data": {"norms": {**NORMS_DATA["norms"], "grad_d_norm": -0.2}}},
     "data_neither_branch": {**THM41_CONFIG, "data": {"family": "vortex_gaussian", "sigma": 1.0}},
     "data_both_branches": {**THM41_CONFIG, "data": {**THM41_CONFIG["data"], **NORMS_DATA}},
@@ -367,6 +368,38 @@ class TestRuns:
         assert report["result"]["breakdown"]["t4"] == math.inf
 
 
+    def test_abstract_parabolic_zero_horizon_is_infeasible(self, tmp_path):
+        # T3 = (4.95e-10)^1000 and T4 underflow to 0; a zero horizon
+        # certifies nothing, so the run exits 2
+        cfg = {
+            "d": 3,
+            "mode": "abstract_parabolic",
+            "abstract_parabolic": {
+                "gamma": 0.999, "c_gamma": 1.0, "alpha": 1.0,
+                "k1": 1e6, "k2": 1e6, "t1": 1.0, "t2": 1.0,
+            },
+        }
+        out = tmp_path / "report.json"
+        assert main(["--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["result"]["lifespan"] == 0.0
+        assert report["verification"]["all_passed"] is False
+
+    def test_force_dominated_forced_run_is_infeasible(self, tmp_path):
+        # forced_small with a k0 force of 1.0: its coefficient 35.55 exceeds
+        # the threshold 3.7e-4 at every horizon, so no positive double passes
+        cfg = load_config(REPO_ROOT / "docs" / "examples" / "forced_small.json")
+        cfg["force"]["k0"]["value"] = 1.0
+        report, certified = build_report(cfg)
+        cert = report["result"]["certificate"]
+        assert not certified
+        assert cert["t0"] == 0.0 and cert["feasible"] is False
+        assert cert["intermediate"]["force_k0_coefficient"] == pytest.approx(35.55, rel=1e-3)
+        assert cert["intermediate"]["threshold"] == pytest.approx(3.7e-4, rel=1e-2)
+        assert not any("floor" in note for note in cert["notes"])
+        assert main(["--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "r.json")]) == 2
+
+
 class TestStartUp:
     def test_norm_bundle_run_leaves_numpy_out(self, tmp_path):
         config = REPO_ROOT / "docs" / "examples" / "explicit_from_norms.json"
@@ -442,7 +475,7 @@ class TestGoldenReports:
         "global_small_data": "2d32fd68dd8e2b7bd711a54636ec3ac324ad5a1822ff1bedb26299bf7992e2e5",
         "mixed_norms_demo": "71589c64844faaf7e89f7d037cd13f6399d94834098e674a8a461b478af9f69c",
         "thm31_delta_grid": "29088d32d92fb7915320f20c22916399b78a6166e9368f68923691a4412b0f2d",
-        "thm41_vortex": "05b5813f356f2a0896deb5ed94befc4389131b40a51e20e65c6f020c148751cc",
+        "thm41_vortex": "9331f74152cb51c374c0704175ae019a951b5f6f6f8870f07da9f51d170b5828",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
