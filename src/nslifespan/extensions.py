@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 from .constants import ExponentPair, beta_fn, heat_kernel_grad_norm, heat_kernel_norm, young_constant
 from .errors import DomainError, InfeasibleExponentError
-from .lifespan import KatoBoundState, KatoEvaluator, LifespanCertificate, theorem41_bound
+from .lifespan import KatoBoundState, LifespanCertificate, theorem41_bound
 
 __all__ = [
     "ForceNorm",
@@ -216,13 +216,7 @@ def forced_lifespan(
                 f"force contribution to {label} infeasible: {', '.join(failed)}"
             )
     assert c1.coefficient is not None and c2.coefficient is not None
-    aug = replace(
-        state,
-        k0=KatoEvaluator(lambda T, base=state.k0, c=c1.coefficient: base(T) + c, state.k0.finite_at_infinity),
-        k0_prime=KatoEvaluator(
-            lambda T, base=state.k0_prime, c=c2.coefficient: base(T) + c, state.k0_prime.finite_at_infinity
-        ),
-    )
+    aug = replace(state, k0=state.k0.shifted(c1.coefficient), k0_prime=state.k0_prime.shifted(c2.coefficient))
     cert = theorem41_bound(aug)
     inter = dict(cert.intermediate)
     inter["force_k0_coefficient"] = c1.coefficient

@@ -30,7 +30,8 @@ is proportional to t^{(1-delta)/2} (sigma^2 + 2t)^{-(d+1-delta)/2}, which
 rises up to t* = (1 - delta) sigma^2 / (2d) and falls after it, so
 K0(T) is the weighted norm at min(T, t*). The gradient weight is the same
 function at delta = 0, so K0'(T) is its value at min(T, sigma^2 / (2d)).
-Both vanish as T -> 0+ and saturate at their peak as T -> infinity.
+Both vanish as T -> 0+ and saturate at their peak as T -> infinity, and
+``k0_root``/``k0_prime_root`` invert them by Newton's method in log T.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ __all__ = [
     "grad_norm",
     "k0_exact",
     "k0_prime_exact",
+    "k0_root",
+    "k0_prime_root",
     "check_theta",
     "k0_bound_from_norms",
     "k0_prime_bound_from_norms",
@@ -62,6 +65,9 @@ __all__ = [
 
 # nodes per axis of the product Gauss-Laguerre rule for the gradient constant
 _GAUSS_NODES = 150
+# Newton steps of the Kato-norm inversion; from the power-law start it
+# converges in a handful
+_NEWTON_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -262,6 +268,51 @@ def k0_prime_exact(data: VortexGaussian, T: float) -> float:
         raise DomainError(f"horizon T must be positive, got {T}")
     t = min(T, data.sigma**2 / (2.0 * data.d))
     return math.sqrt(t) * grad_norm(data.evolve(t))
+
+
+def _weighted_norm_root(norm0: float, a: float, b: float, s2: float, y: float) -> float:
+    """Approximate largest T with norm0 t^a (1 + 2t/s2)^{-b} <= y, t = min(T, t*).
+
+    That is K0 (a = (1-delta)/2, b = (d+1-delta)/2) or K0' (delta = 0), with
+    norm0 the norm at t = 0 and t* = a s2 / (2 (b - a)) the peak. Returns
+    0.0 when y <= 0 and inf when y is at or above the peak value. The log
+    of the weighted norm is concave and increasing in u = log t below t*,
+    and the small-T power-law root (y / norm0)^{1/a} lies below the root,
+    so Newton in u rises monotonically to it. An underflowing root is
+    returned as the smallest positive double.
+    """
+    if norm0 == 0.0:
+        return math.inf if y >= 0.0 else 0.0
+    if y <= 0.0:
+        return 0.0
+    log_ratio = math.log(y) - math.log(norm0)
+    u_peak = math.log(a * s2 / (2.0 * (b - a)))
+    if log_ratio >= a * u_peak - b * math.log1p(2.0 * math.exp(u_peak) / s2):
+        return math.inf
+    u = min(log_ratio / a, u_peak)
+    for _ in range(_NEWTON_STEPS):
+        x = 2.0 * math.exp(u) / s2
+        slope = a - b * x / (1.0 + x)
+        if slope <= 0.0:
+            break
+        step = (log_ratio - a * u + b * math.log1p(x)) / slope
+        u = min(u + step, u_peak)
+        if abs(step) <= 1e-15 * max(1.0, abs(u)):
+            break
+    return max(math.exp(u), math.ulp(0.0))
+
+
+def k0_root(data: VortexGaussian, delta: float, y: float) -> float:
+    """Approximate largest T with k0_exact(data, delta, T) <= y; no evaluator calls."""
+    d = data.d
+    return _weighted_norm_root(
+        lp_norm(data, d / delta), (1.0 - delta) / 2.0, (d + 1.0 - delta) / 2.0, data.sigma**2, y
+    )
+
+
+def k0_prime_root(data: VortexGaussian, y: float) -> float:
+    """Approximate largest T with k0_prime_exact(data, T) <= y; no evaluator calls."""
+    return _weighted_norm_root(grad_norm(data), 0.5, (data.d + 1.0) / 2.0, data.sigma**2, y)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,11 @@ is reported in the notes. The envelope route collapses the system to one
 variable: max(K0(T), K0'(T)) <= 3/(16 Jbar) = C2/d^2 certifies T and bounds
 every Picard iterate by 3/(4 Jbar) = C3/d^2. K0 and K0' are nondecreasing in
 T, so one exact bisection over the doubles finds the largest T that passes.
+Where the evaluators can be inverted (``KatoEvaluator.root``), the inverses
+at threshold (1 -+ eps) bracket that T within a few thousand ulps; once a
+probe at each end confirms the bracket, the bisection probes only the
+binding evaluator inside it, and returns the same double as the
+unbracketed one.
 
 A certificate records the producing inequalities with their evaluated sides;
 ``replay_certificate`` re-derives every intermediate from the stored values
@@ -57,6 +62,11 @@ _DEFAULT_MARGIN = 1e-9  # absolute slack certifying strict inequalities
 _MAX_BISECTIONS = 60  # stops the bisection when tol is below the float spacing
 _DOUBLE = struct.Struct("<d")  # with _INT64, maps a double to its bit pattern and back
 _INT64 = struct.Struct("<q")
+# Relative half-width of the inversion bracket around the envelope threshold.
+# Every answer the bracket gives without a probe is the one a probe would
+# give while the evaluators' relative error stays below _BRACKET_EPS / 4;
+# the vortex evaluators stay below 4e-15 (tests/test_lifespan.py, mpmath).
+_BRACKET_EPS = 1e-13
 _EXPLICIT_SHRINK = 1.0 - 1e-12  # keeps closed-form replay margins nonnegative
 _EXPLICIT_CAP = 1e300  # horizon cap for the closed-form inversion
 _TINY = 1e-300
@@ -68,16 +78,33 @@ class KatoEvaluator:
 
     ``finite_at_infinity`` declares whether the T -> infinity limit is a
     finite number; the infinity branch of the solvers is only attempted when
-    both evaluators of a state declare it.
+    both evaluators of a state declare it. The optional ``root(y)``
+    approximates the largest T with fn(T) <= y: inf when y is at or above
+    the supremum, and 0.0 only when fn exceeds y (up to rounding) at every
+    positive T. Searches confirm any other answer by a probe.
     """
 
     fn: Callable[[float], float]
     finite_at_infinity: bool
+    root: Callable[[float], float] | None = None
 
     def __call__(self, t: float) -> float:
         if math.isinf(t) and not self.finite_at_infinity:
             return math.inf
         return self.fn(t)
+
+    def shifted(self, c: float) -> "KatoEvaluator":
+        """The evaluator T -> fn(T) + c for a constant c >= 0.
+
+        For y < c the root is 0.0 (from the base root at y - c < 0), which
+        is exact: fl(fn(T) + c) >= c > y.
+        """
+        base_fn, base_root = self.fn, self.root
+        return KatoEvaluator(
+            lambda T: base_fn(T) + c,
+            self.finite_at_infinity,
+            None if base_root is None else lambda y: base_root(y - c),
+        )
 
 
 @dataclass(frozen=True)
@@ -98,8 +125,12 @@ def state_from_vortex(data: idmod.VortexGaussian, delta: float) -> KatoBoundStat
     return KatoBoundState(
         d=data.d,
         delta=delta,
-        k0=KatoEvaluator(lambda T: idmod.k0_exact(data, delta, T), True),
-        k0_prime=KatoEvaluator(lambda T: idmod.k0_prime_exact(data, T), True),
+        k0=KatoEvaluator(
+            lambda T: idmod.k0_exact(data, delta, T), True, lambda y: idmod.k0_root(data, delta, y)
+        ),
+        k0_prime=KatoEvaluator(
+            lambda T: idmod.k0_prime_exact(data, T), True, lambda y: idmod.k0_prime_root(data, y)
+        ),
         constants=constants,
         notes=(f"vortex_gaussian d={data.d} sigma={data.sigma} amplitude={data.amplitude}",),
     )
@@ -120,10 +151,12 @@ def state_from_norms(bundle: idmod.NormBundle, d: int, delta: float) -> KatoBoun
     a_d = bundle.lp_norms.get(float(d))
 
     k0_parts: list[Callable[[float], float]] = []
+    k0_roots: list[Callable[[float], float]] = []
     k0_finite_at_inf = False
     if a_d is not None:
         cap = constants.s1 * a_d
         k0_parts.append(lambda T, cap=cap: cap)
+        k0_roots.append(_cap_root(cap))
         k0_finite_at_inf = True
         notes.append("k0 bound includes the T-uniform envelope S1*|a|_d")
     if bundle.theta is not None:
@@ -139,19 +172,23 @@ def state_from_norms(bundle: idmod.NormBundle, d: int, delta: float) -> KatoBoun
             notes.append("k0 power bound uses the crude coefficient 2^{d+theta}")
         power = theta * delta / (2.0 * d)
         k0_parts.append(lambda T, coef=coef, power=power: coef * T**power if T > 0 else 0.0)
+        k0_roots.append(_power_root(coef, power))
     if not k0_parts:
         raise UnavailableBoundError("bundle supports no K0 bound (need |a|_d or a theta norm)")
 
     k0p_parts: list[Callable[[float], float]] = []
+    k0p_roots: list[Callable[[float], float]] = []
     k0p_finite_at_inf = False
     if a_d is not None:
         cap2 = constants.s2 * a_d
         k0p_parts.append(lambda T, cap2=cap2: cap2)
+        k0p_roots.append(_cap_root(cap2))
         k0p_finite_at_inf = True
         notes.append("k0' bound includes the T-uniform envelope S2*|a|_d")
     if bundle.grad_d_norm is not None:
         grad = bundle.grad_d_norm
         k0p_parts.append(lambda T, grad=grad: math.sqrt(T) * grad if T > 0 else 0.0)
+        k0p_roots.append(_power_root(grad, 0.5))
         notes.append("k0' bound includes sqrt(T)*|grad a|_d")
     if not k0p_parts:
         raise UnavailableBoundError("bundle supports no K0' bound (need |a|_d or the gradient norm)")
@@ -162,14 +199,31 @@ def state_from_norms(bundle: idmod.NormBundle, d: int, delta: float) -> KatoBoun
     def k0p_fn(T: float, parts=tuple(k0p_parts)) -> float:
         return min(p(T) for p in parts)
 
+    # min(parts) <= y exactly where some part is, so the root is the largest part root
+    def k0_root(y: float, roots=tuple(k0_roots)) -> float:
+        return max(r(y) for r in roots)
+
+    def k0p_root(y: float, roots=tuple(k0p_roots)) -> float:
+        return max(r(y) for r in roots)
+
     return KatoBoundState(
         d=d,
         delta=delta,
-        k0=KatoEvaluator(k0_fn, k0_finite_at_inf),
-        k0_prime=KatoEvaluator(k0p_fn, k0p_finite_at_inf),
+        k0=KatoEvaluator(k0_fn, k0_finite_at_inf, k0_root),
+        k0_prime=KatoEvaluator(k0p_fn, k0p_finite_at_inf, k0p_root),
         constants=constants,
         notes=tuple(notes),
     )
+
+
+def _cap_root(cap: float) -> Callable[[float], float]:
+    """Root of the constant part T -> cap: every T or none."""
+    return lambda y: math.inf if cap <= y else 0.0
+
+
+def _power_root(coef: float, power: float) -> Callable[[float], float]:
+    """Root of the part T -> coef T^power: (y/coef)^(1/power), at least the smallest double."""
+    return lambda y: 0.0 if y <= 0.0 else max(_inverted_power(y, coef, 1.0 / power)[0], math.ulp(0.0))
 
 
 @dataclass(frozen=True)
@@ -367,22 +421,46 @@ def _largest_feasible(probe, t_lo: float, t_hi: float, tol: float):
     return lo, detail, notes
 
 
-def _largest_double(ok: Callable[[float], bool]) -> float:
+def _largest_double(ok: Callable[[float], bool], bracket: tuple[float, float] = (0.0, math.inf)) -> float:
     """Largest positive double T with ok(T), or 0.0 when none passes.
 
     ok must hold on an interval (0, T*] of the doubles and fail above it.
     Positive doubles sort like their int64 bit patterns, so bisecting the
     patterns between 0.0 (taken to pass) and +inf (taken to fail) ends on
-    two adjacent doubles after at most 63 probes.
+    two adjacent doubles after 63 halvings. The bracket (lo, hi) must hold
+    T* in [lo, hi): a midpoint at or below lo is taken to pass and one at
+    or above hi to fail, without a probe, so only the midpoints strictly
+    inside the bracket are probed and the result is the same double.
     """
+    below, above = (_INT64.unpack(_DOUBLE.pack(t))[0] for t in bracket)
     lo, hi = 0, 0x7FF0000000000000  # the bit patterns of 0.0 and +inf
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if ok(_DOUBLE.unpack(_INT64.pack(mid))[0]):
+        if mid <= below or (mid < above and ok(_DOUBLE.unpack(_INT64.pack(mid))[0])):
             lo = mid
         else:
             hi = mid
     return _DOUBLE.unpack(_INT64.pack(lo))[0]
+
+
+def _bracket_hi(evaluators: Sequence[KatoEvaluator], threshold: float) -> float:
+    """Smallest root at threshold (1 + eps), kept if its evaluator is >= threshold (1 + eps/2) there.
+
+    Otherwise (a rejected, infinite or NaN root) +inf. A root of 0.0 is
+    kept without a probe: that evaluator exceeds threshold (1 + eps) at
+    every T, far more than rounding above the threshold.
+    """
+    his = [e.root(threshold * (1.0 + _BRACKET_EPS)) for e in evaluators]
+    hi = min(his)
+    if hi == 0.0 or (hi < math.inf and evaluators[his.index(hi)](hi) >= threshold * (1.0 + _BRACKET_EPS / 2.0)):
+        return hi
+    return math.inf
+
+
+def _bracket_lo(e: KatoEvaluator, threshold: float) -> float:
+    """The root at threshold (1 - eps), kept if e is <= threshold (1 - eps/2) there, else 0.0."""
+    lo = e.root(threshold * (1.0 - _BRACKET_EPS))
+    return lo if lo > 0.0 and e(lo) <= threshold * (1.0 - _BRACKET_EPS / 2.0) else 0.0
 
 
 def _infeasible_certificate(state, theorem, detail, notes):
@@ -454,27 +532,49 @@ def _build_thm31_cert(t0, state, detail, margin, notes):
 def theorem41_bound(state: KatoBoundState) -> LifespanCertificate:
     """Largest horizon with max(K0(T), K0'(T)) <= 3/(16 Jbar) = C2/d^2.
 
-    T = infinity is tried first; otherwise t0 is the largest passing double
-    (the maximum is nondecreasing in T), and t0 = 0 is infeasible. The
-    certificate stores the Picard iterate bound 3/(4 Jbar) = C3/d^2 and
+    T = infinity is tried first, unless a finite T is already known to
+    fail; otherwise t0 is the largest passing double (the maximum is
+    nondecreasing in T), and t0 = 0 is infeasible.
+
+    When both evaluators have a root, the exact bisection over the doubles
+    runs in an inversion bracket, eps = _BRACKET_EPS. Its hi is the smaller
+    root at threshold (1 + eps) (``_bracket_hi``); each evaluator E has a lo,
+    its root at threshold (1 - eps) (``_bracket_lo``), and is probed only
+    above it; the bracket's lo is the smaller one. One probe confirms each
+    end, and an end that its probe rejects falls back to 0.0 or +inf. With
+    the evaluators' relative error below eps/4, every midpoint at or below a
+    lo passes and every one at or above hi fails, just as a probe finds, so
+    t0 is the same double as without the bracket, found by probing only the
+    evaluator that binds, a few thousand ulps around its root. Without roots
+    the bisection probes K0' and K0 at all 63 levels.
+
+    The certificate stores the Picard iterate bound 3/(4 Jbar) = C3/d^2 and
     carries the c3 reference-discrepancy note.
     """
+    cs = state.constants
     notes = ()
-    if state.constants.j > state.constants.j_bar:
+    if not (cs.delta0 <= state.delta <= 1.0 - cs.delta0):
         notes = (
             "envelope max(j_up1, j_up2) at this delta exceeds the critical-point "
             "envelope Jbar; the threshold is certified against Jbar, which is "
             "only a valid product-constant majorant for delta in "
             "[delta0, 1 - delta0]",
         )
-    k0, k0p, threshold = state.k0, state.k0_prime, state.constants.threshold
-    if k0.finite_at_infinity and k0p.finite_at_infinity:
+    threshold = cs.threshold
+    evaluators = (state.k0_prime, state.k0)  # K0' first: on vortex data it is the cheaper evaluator
+    inverted = all(e.root is not None for e in evaluators)
+    hi = _bracket_hi(evaluators, threshold) if inverted else math.inf
+    # a finite hi fails, and so does T = infinity
+    if hi == math.inf and all(e.finite_at_infinity for e in evaluators):
         ok, detail = _envelope_probe(state, math.inf)
         if ok:
             notes = ("threshold holds at T = infinity; solution is global", *notes)
             return _build_thm41_cert(math.inf, state, detail, notes)
-    # K0' first: on vortex data it is the cheaper evaluator
-    t0 = _largest_double(lambda T: k0p(T) <= threshold and k0(T) <= threshold)
+    los = [_bracket_lo(e, threshold) if inverted and hi > 0.0 else 0.0 for e in evaluators]
+    # each evaluator passes without a probe at T <= its lo
+    t0 = _largest_double(
+        lambda T: all(T <= lo or e(T) <= threshold for e, lo in zip(evaluators, los)), (min(los), hi)
+    )
     if t0 > 0.0:
         return _build_thm41_cert(t0, state, _envelope_probe(state, t0)[1], notes)
     notes = ("no positive double passes max(K0, K0') <= threshold; intermediates at T = 5e-324", *notes)

@@ -176,6 +176,36 @@ def brute_force_weighted_sup(fn, T: float, n: int = 20001) -> float:
     return float(vals.max())
 
 
+def kato_norms_mpmath(data: VortexGaussian, delta: float, T: float, grad_unit: float) -> tuple[float, float]:
+    """(K0(T), K0'(T)) of the vortex in 120-bit arithmetic, as mpmath numbers.
+
+    This is the closed form of ``k0_exact``/``k0_prime_exact`` (which the
+    quadrature oracles above validate) evaluated without rounding error, so
+    it measures the rounding error of the double evaluators. The gradient
+    unit constant ``grad_unit`` is taken as exact: the evaluators and their
+    roots share it, so its own error scales both alike.
+    """
+    import mpmath
+
+    with mpmath.workprec(120):
+        d, dl = data.d, mpmath.mpf(delta)
+        s2, amp = mpmath.mpf(data.sigma) ** 2, mpmath.mpf(data.amplitude)
+        p = d / dl
+
+        def evolved(t):
+            w = s2 + 2 * t
+            return w, amp * (s2 / w) ** (mpmath.mpf(d + 2) / 2)
+
+        t = min(mpmath.mpf(T), (1 - dl) * s2 / (2 * d))
+        w, amp_t = evolved(t)
+        pp = (2 * mpmath.pi * w / p) ** (mpmath.mpf(d - 2) / 2) * mpmath.pi * mpmath.gamma(p / 2 + 1) * (2 * w / p) ** ((p + 2) / 2)
+        k0 = t ** ((1 - dl) / 2) * amp_t * pp ** (1 / p)
+        t = min(mpmath.mpf(T), s2 / (2 * d))
+        w, amp_t = evolved(t)
+        k0_prime = mpmath.sqrt(t) * amp_t * mpmath.sqrt(w) * mpmath.mpf(grad_unit)
+        return +k0, +k0_prime
+
+
 def canonical_dumps_recursive(obj: Any) -> str:
     """Reference for `nslifespan.jsonio.canonical_dumps`: the recursive encoder.
 

@@ -470,12 +470,12 @@ class TestGoldenReports:
     DIGESTS = {
         "abstract_parabolic": "1ad32bc0c17d0c1cfed55dd8e410cfbd52ddff90dc85c39ec4c72e8b207e6a0c",
         "explicit_from_norms": "584325e0e35579e6064712ce57f60f8d48e2977d58086c1c187b3f300aef4cb0",
-        "forced_small": "91c1f4bb1c529e935293361402a6aa5d7e1284212131323d8a0ca6c4f3ca7965",
+        "forced_small": "adca006068c50778e298fe0cdd55e1cd32abd8ddf6bdae9feb3e4e19bb2b775e",
         "global_large_data": "1c4d3f663827bab13455740fd8f9df04b35c2b422aa0068fc0250b92d10ebfc5",
         "global_small_data": "2d32fd68dd8e2b7bd711a54636ec3ac324ad5a1822ff1bedb26299bf7992e2e5",
         "mixed_norms_demo": "71589c64844faaf7e89f7d037cd13f6399d94834098e674a8a461b478af9f69c",
         "thm31_delta_grid": "29088d32d92fb7915320f20c22916399b78a6166e9368f68923691a4412b0f2d",
-        "thm41_vortex": "9331f74152cb51c374c0704175ae019a951b5f6f6f8870f07da9f51d170b5828",
+        "thm41_vortex": "84903f3d0ee59c2587868dff8165a2f88e43b9f2081c346e4dc08961ff67d638",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))

@@ -16,6 +16,8 @@ from nslifespan.initial_data import (
     k0_exact,
     k0_prime_bound_from_norms,
     k0_prime_exact,
+    k0_prime_root,
+    k0_root,
     lp_norm,
     norm_bundle_from_vortex,
 )
@@ -231,6 +233,29 @@ class TestWeightedSup:
                 k0_exact(data, 0.3, T)
             with pytest.raises(DomainError):
                 k0_prime_exact(data, T)
+
+    @pytest.mark.parametrize("d, sigma, amplitude, delta", [
+        (3, 1.0, 1.0, 0.3), (4, 0.01, 1e3, 0.001), (5, 5.0, 1e-4, 0.97), (3, 0.2, 25.0, DELTA0),
+    ])
+    def test_roots_invert_the_evaluators(self, d, sigma, amplitude, delta):
+        data = VortexGaussian(d, sigma, amplitude)
+        evaluators = ((lambda T: k0_exact(data, delta, T), lambda y: k0_root(data, delta, y)),
+                      (lambda T: k0_prime_exact(data, T), lambda y: k0_prime_root(data, y)))
+        for fn, root in evaluators:
+            peak = fn(math.inf)
+            for fraction in (1e-12, 1e-3, 0.5, 0.999999):
+                T = root(fraction * peak)
+                if T == math.ulp(0.0):  # the root lies below every positive double
+                    assert fn(T) > fraction * peak
+                else:
+                    assert fn(T) == pytest.approx(fraction * peak, rel=1e-13)
+            assert root(peak * (1.0 + 1e-12)) == math.inf
+            assert root(0.0) == 0.0 and root(-1.0) == 0.0
+
+    def test_roots_of_zero_data(self):
+        data = VortexGaussian(3, 1.0, 0.0)
+        assert k0_root(data, 0.3, 0.0) == math.inf and k0_prime_root(data, 1e-9) == math.inf
+        assert k0_root(data, 0.3, -1e-9) == 0.0 and k0_prime_root(data, -1.0) == 0.0
 
     def test_brute_force_grid_agrees(self):
         data = VortexGaussian(3, 1.0, 1.0)

@@ -2,16 +2,27 @@ import math
 import sys
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nslifespan.constants import DELTA0, composite_constants
+import oracle_utils as oracle
+from nslifespan.constants import DELTA0, composite_constants, default_delta_grid
 from nslifespan.errors import DomainError, UnavailableBoundError
 from nslifespan.extensions import ForceNorm, forced_lifespan, matching_lambda_k0, matching_lambda_k0_prime
-from nslifespan.initial_data import NormBundle, VortexGaussian, lp_norm, norm_bundle_from_vortex
+from nslifespan.initial_data import (
+    NormBundle,
+    VortexGaussian,
+    _grad_unit_constant,
+    k0_exact,
+    k0_prime_exact,
+    lp_norm,
+    norm_bundle_from_vortex,
+)
 from nslifespan.lifespan import (
+    _BRACKET_EPS,
     _largest_double,
     _largest_feasible,
     InequalityCheck,
@@ -103,6 +114,13 @@ class TestTheorem41:
         state = state_from_vortex(vortex_with_a3(0.5 * eps3), 0.05)
         cert = theorem41_bound(state)
         assert any("critical-point envelope" in note for note in cert.notes)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("delta", [DELTA0, 1.0 - DELTA0])
+    def test_no_validity_note_at_the_window_ends(self, d, delta):
+        # j exceeds j_bar by one rounding at delta0 for d = 3 and 5
+        cert = theorem41_bound(state_from_vortex(VortexGaussian(d, 1.0, 1.0), delta))
+        assert not any("critical-point envelope" in note for note in cert.notes)
 
 
 class TestTheorem31:
@@ -272,9 +290,37 @@ class TestLargestDouble:
     def test_nothing_passes(self):
         assert _largest_double(lambda T: False) == 0.0
 
+    @pytest.mark.parametrize("x", [1e-310, 1e-12, 1.0, 1e300])
+    @pytest.mark.parametrize("ulps", [0, 1, 1000])
+    def test_bracket_probes_only_inside(self, x, ulps):
+        lo, hi = x, math.nextafter(x, math.inf)
+        for _ in range(ulps):
+            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+        probes = []
+
+        def ok(T):
+            probes.append(T)
+            return T <= x
+
+        assert _largest_double(ok, (lo, hi)) == x
+        assert all(lo < T < hi for T in probes)
+        assert len(probes) <= max(1, math.ceil(math.log2(2 * ulps + 1)) + 1)
+
+    def test_empty_bracket_at_zero_probes_nothing(self):
+        assert _largest_double(lambda T: pytest.fail("probed"), (0.0, 0.0)) == 0.0
+
 
 def _vortex(d, log_sigma, log_amplitude):
     return VortexGaussian(d, 10.0**log_sigma, 10.0**log_amplitude)
+
+
+def _forces(d, delta, u1, u2, value1, value2):
+    # theta1 in (d/(1+delta), d) and theta2 in (d/2, d) give admissible
+    # force exponents for the matching lambdas
+    theta1 = d / (1.0 + delta) + u1 * (d - d / (1.0 + delta))
+    theta2 = d / 2.0 + u2 * d / 2.0
+    return (ForceNorm(theta1, matching_lambda_k0(d, delta, theta1), value1),
+            ForceNorm(theta2, matching_lambda_k0_prime(d, theta2), value2))
 
 
 def _shifted(state, cert):
@@ -318,12 +364,7 @@ class TestEnvelopeHorizonIsLargestDouble:
     @given(**VORTEX_DRAWS, u1=st.floats(0.1, 0.9), u2=st.floats(0.1, 0.9),
            log_f1=st.floats(-10.0, -3.0), log_f2=st.floats(-10.0, -3.0))
     def test_forced_vortex(self, d, log_sigma, log_amplitude, delta, u1, u2, log_f1, log_f2):
-        # theta1 in (d/(1+delta), d) and theta2 in (d/2, d) give admissible
-        # force exponents for the matching lambdas
-        theta1 = d / (1.0 + delta) + u1 * (d - d / (1.0 + delta))
-        theta2 = d / 2.0 + u2 * d / 2.0
-        f1 = ForceNorm(theta1, matching_lambda_k0(d, delta, theta1), 10.0**log_f1)
-        f2 = ForceNorm(theta2, matching_lambda_k0_prime(d, theta2), 10.0**log_f2)
+        f1, f2 = _forces(d, delta, u1, u2, 10.0**log_f1, 10.0**log_f2)
         state = state_from_vortex(_vortex(d, log_sigma, log_amplitude), delta)
         cert = forced_lifespan(state, f1, f2)
         _assert_largest_passing_double(_shifted(state, cert), cert)
@@ -373,6 +414,151 @@ class TestEnvelopeHorizonIsLargestDouble:
         for cert in (theorem41_bound(state), forced_lifespan(state, f1, f2)):
             assert cert.feasible and 0.0 < cert.t0 < math.inf
             assert replay_certificate(cert).all_passed
+
+
+def _rootless(state):
+    """The state with the roots removed: theorem41_bound then bisects all 63 levels unbracketed."""
+    return replace(
+        state,
+        k0=KatoEvaluator(state.k0.fn, state.k0.finite_at_infinity),
+        k0_prime=KatoEvaluator(state.k0_prime.fn, state.k0_prime.finite_at_infinity),
+    )
+
+
+def _evaluations(monkeypatch, certify):
+    """The horizons of every evaluator call made by certify()."""
+    calls = []
+    call = KatoEvaluator.__call__
+
+    def counted(evaluator, t):
+        calls.append(t)
+        return call(evaluator, t)
+
+    monkeypatch.setattr(KatoEvaluator, "__call__", counted)
+    certify()
+    monkeypatch.setattr(KatoEvaluator, "__call__", call)
+    return calls
+
+
+GRID_END_DELTAS = (default_delta_grid()[0], DELTA0, default_delta_grid()[-1])
+BRACKET_DRAWS = dict(
+    d=st.integers(3, 5),
+    log_sigma=st.floats(math.log10(0.005), math.log10(5.0)),
+    log_invariant=st.floats(-3.0, 1.0),
+    delta=st.floats(1e-6, 1.0 - 1e-6) | st.sampled_from(GRID_END_DELTAS),
+)
+
+
+def _vortex_by_invariant(d, log_sigma, log_invariant):
+    # amplitude * sigma^2 is the Navier-Stokes scale invariant of the family
+    sigma = 10.0**log_sigma
+    return VortexGaussian(d, sigma, 10.0**log_invariant / sigma**2)
+
+
+class TestInversionBracket:
+    """The bracketed envelope search certifies what the unbracketed bisection does, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(**BRACKET_DRAWS)
+    def test_thm41_vortex(self, d, log_sigma, log_invariant, delta):
+        state = state_from_vortex(_vortex_by_invariant(d, log_sigma, log_invariant), delta)
+        cert = theorem41_bound(state)
+        assert cert.to_dict() == theorem41_bound(_rootless(state)).to_dict()
+        if math.isfinite(cert.t0):
+            threshold = state.constants.threshold
+            assert cert.t0 == _largest_double(lambda T: max(state.k0(T), state.k0_prime(T)) <= threshold)
+
+    @settings(max_examples=150, deadline=None)
+    @given(**BRACKET_DRAWS, u1=st.floats(0.1, 0.9), u2=st.floats(0.1, 0.9),
+           log_f1=st.floats(-12.0, 1.0), log_f2=st.floats(-12.0, 1.0))
+    def test_forced_vortex(self, d, log_sigma, log_invariant, delta, u1, u2, log_f1, log_f2):
+        # force values up to 10 include force-dominated runs (coefficient above the threshold)
+        f1, f2 = _forces(d, delta, u1, u2, 10.0**log_f1, 10.0**log_f2)
+        state = state_from_vortex(_vortex_by_invariant(d, log_sigma, log_invariant), delta)
+        cert = forced_lifespan(state, f1, f2)
+        assert cert.to_dict() == forced_lifespan(_rootless(state), f1, f2).to_dict()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(3, 5),
+        delta=st.floats(0.05, 0.95),
+        log_a_d=st.none() | st.floats(-8.0, -1.0),
+        log_grad=st.none() | st.floats(-6.0, 2.0),
+        theta=st.none() | st.floats(0.05, 1.0),
+        log_theta_norm=st.floats(-8.0, 1.0),
+        log_f=st.none() | st.floats(-12.0, 1.0),
+    )
+    def test_norm_bundle(self, d, delta, log_a_d, log_grad, theta, log_theta_norm, log_f):
+        assume(log_a_d is not None or (theta is not None and log_grad is not None))
+        bundle = NormBundle(
+            lp_norms={} if log_a_d is None else {float(d): 10.0**log_a_d},
+            grad_d_norm=None if log_grad is None else 10.0**log_grad,
+            theta=theta,
+            norm_d_plus_theta=None if theta is None else 10.0**log_theta_norm,
+        )
+        state = state_from_norms(bundle, d, delta)
+        assert theorem41_bound(state).to_dict() == theorem41_bound(_rootless(state)).to_dict()
+        if log_f is not None:
+            f1, f2 = _forces(d, delta, 0.5, 0.5, 10.0**log_f, 10.0**log_f)
+            cert = forced_lifespan(state, f1, f2)
+            assert cert.to_dict() == forced_lifespan(_rootless(state), f1, f2).to_dict()
+
+    @settings(max_examples=200, deadline=None)
+    @given(**BRACKET_DRAWS, log_t=st.floats(-30.0, 2.0))
+    def test_evaluator_rounding_error_below_an_eighth_of_eps(self, d, log_sigma, log_invariant, delta, log_t):
+        # answers taken without a probe match a probe while the evaluators'
+        # relative error stays below eps/4; this keeps a factor 2 in hand
+        data = _vortex_by_invariant(d, log_sigma, log_invariant)
+        T = data.sigma**2 * 10.0**log_t
+        k0_ref, k0_prime_ref = oracle.kato_norms_mpmath(data, delta, T, _grad_unit_constant(d))
+        with mpmath.workprec(120):
+            assert abs(mpmath.mpf(k0_exact(data, delta, T)) / k0_ref - 1) < _BRACKET_EPS / 8
+            assert abs(mpmath.mpf(k0_prime_exact(data, T)) / k0_prime_ref - 1) < _BRACKET_EPS / 8
+
+
+class TestEnvelopeWorkCount:
+    """Evaluator calls per envelope certificate, counted at KatoEvaluator.__call__."""
+
+    @pytest.mark.parametrize("amplitude", [1e-3, 0.5, 5.0, 50.0])
+    def test_thm41_vortex_certificate_calls(self, monkeypatch, amplitude):
+        for delta in default_delta_grid():
+            state = state_from_vortex(VortexGaussian(3, 1.0, amplitude), delta)
+            assert len(_evaluations(monkeypatch, lambda: theorem41_bound(state))) <= 24, delta
+
+    def test_forced_evaluation_is_one_call(self, monkeypatch, eps3):
+        state = state_from_vortex(vortex_with_a3(1000.0 * eps3), DELTA0)
+        f1 = ForceNorm(2.7, matching_lambda_k0(3, DELTA0, 2.7), 0.0)
+        f2 = ForceNorm(2.0, matching_lambda_k0_prime(3, 2.0), 0.0)
+        forced = _evaluations(monkeypatch, lambda: forced_lifespan(state, f1, f2))
+        assert forced == _evaluations(monkeypatch, lambda: theorem41_bound(state))
+
+    def test_force_dominated_run_makes_no_search_probe(self, monkeypatch):
+        # forced_small with a k0 force of 1.0: its coefficient 35.55 exceeds
+        # threshold (1 + eps), so the shifted root is 0.0 and neither the
+        # infinity probe nor the bisection runs; the two calls are the
+        # certificate's intermediates at T = 5e-324
+        state = state_from_vortex(VortexGaussian(3, 1.0, 1e-6), DELTA0)
+        f1 = ForceNorm(2.7, matching_lambda_k0(3, DELTA0, 2.7), 1.0)
+        f2 = ForceNorm(2.0, matching_lambda_k0_prime(3, 2.0), 1e-7)
+        calls = _evaluations(monkeypatch, lambda: forced_lifespan(state, f1, f2))
+        assert calls == [math.ulp(0.0)] * 2
+
+    def test_state_without_roots_makes_the_unbracketed_probes(self, monkeypatch, eps3):
+        state = _rootless(state_from_vortex(vortex_with_a3(1000.0 * eps3), DELTA0))
+        threshold = state.constants.threshold
+        expected = [math.inf, math.inf]  # the infinity probe: K0, then K0'
+
+        def ok(T):
+            expected.append(T)
+            if state.k0_prime.fn(T) > threshold:
+                return False
+            expected.append(T)
+            return state.k0.fn(T) <= threshold
+
+        t0 = _largest_double(ok)
+        expected += [t0, t0]  # the intermediates at t0
+        assert _evaluations(monkeypatch, lambda: theorem41_bound(state)) == expected
+        assert len(expected) > 2 + 63
 
 
 @pytest.mark.xfail(
@@ -590,6 +776,15 @@ class TestNormBackedStates:
         cs = composite_constants(3, DELTA0)
         assert state.k0_prime(1e-6) == pytest.approx(math.sqrt(1e-6) * 0.2, rel=1e-12)
         assert state.k0_prime(1e12) == pytest.approx(cs.s2 * 0.1, rel=1e-12)
+
+    def test_root_is_max_of_part_roots(self):
+        bundle = NormBundle(lp_norms={3.0: 0.1}, grad_d_norm=0.2)
+        state = state_from_norms(bundle, 3, DELTA0)
+        cap = composite_constants(3, DELTA0).s2 * 0.1
+        assert state.k0_prime.root(0.5 * cap) == pytest.approx((0.5 * cap / 0.2) ** 2, rel=1e-12)
+        assert state.k0_prime.root(cap) == math.inf
+        assert state.k0_prime.root(-1.0) == 0.0
+        assert state.k0.root(0.5 * composite_constants(3, DELTA0).s1 * 0.1) == 0.0
 
 
 class TestRandomizedSweep:
