@@ -11,13 +11,14 @@ norms). The report bytes are stable across runs for identical input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import jsonschema
 
@@ -68,10 +69,6 @@ class ConfigError(ValueError):
     """Input-side failure: maps to exit code 1."""
 
 
-class InfeasibleResult(ValueError):
-    """Certification-side failure: maps to exit code 2."""
-
-
 def load_config(path: Path) -> dict:
     """Parse and schema-validate a problem configuration."""
     try:
@@ -111,78 +108,64 @@ def _resolve_deltas(config: Mapping) -> tuple[float, ...]:
     return (float(config.get("delta", DELTA0)),)
 
 
-def _data_objects(config: Mapping) -> tuple[VortexGaussian | None, NormBundle | None]:
+def _initial_data(config: Mapping) -> VortexGaussian | NormBundle:
     data = config["data"]
     if "family" in data:
-        return VortexGaussian(int(config["d"]), float(data["sigma"]), float(data["amplitude"])), None
-    return None, NormBundle.from_dict(data["norms"])
+        return VortexGaussian(int(config["d"]), float(data["sigma"]), float(data["amplitude"]))
+    return NormBundle.from_dict(data["norms"])
 
 
-def _make_state(config: Mapping, delta: float):
-    vortex, bundle = _data_objects(config)
-    if vortex is not None:
-        return state_from_vortex(vortex, delta)
-    return state_from_norms(bundle, int(config["d"]), delta)
-
-
-def _a_d_norm(config: Mapping) -> float:
-    d = int(config["d"])
-    vortex, bundle = _data_objects(config)
-    if vortex is not None:
-        return lp_norm(vortex, float(d))
-    value = bundle.lp_norms.get(float(d))
+def _a_d_norm(data: VortexGaussian | NormBundle, d: int) -> float:
+    if isinstance(data, VortexGaussian):
+        return lp_norm(data, float(d))
+    value = data.lp_norms.get(float(d))
     if value is None:
         raise ConfigError(f"norm bundle must contain |a|_d for d={d}")
     return value
 
 
-def _bundle_for_explicit(config: Mapping) -> NormBundle:
-    vortex, bundle = _data_objects(config)
-    if vortex is not None:
-        theta = float(config.get("theta", 0.5))
-        return norm_bundle_from_vortex(vortex, theta=theta)
-    return bundle
+def _certifier(config: Mapping) -> Callable[[float], LifespanCertificate]:
+    """The per-delta certifier of the config's mode.
 
-
-def _certificate_result(config: Mapping) -> tuple[dict, bool, list]:
+    The force and data blocks are parsed here, once per request. The force
+    block goes first, so a request with errors in both reports the force's.
+    """
     mode = config["mode"]
-    deltas = _resolve_deltas(config)
-    tol = float(config.get("tolerances", {}).get("rel_tol", _DEFAULT_TOL))
-    margin = float(config.get("tolerances", {}).get("margin", _DEFAULT_MARGIN))
-    search = (
-        float(config.get("search", {}).get("t_min", _DEFAULT_SEARCH[0])),
-        float(config.get("search", {}).get("t_max", _DEFAULT_SEARCH[1])),
-    )
+    d = int(config["d"])
+    if mode == "forced":
+        force = config["force"]
+        f1, f2 = (
+            ForceNorm(float(force[key]["theta"]), float(force[key]["lambda"]), float(force[key]["value"]))
+            for key in ("k0", "k0_prime")
+        )
+        halved = bool(force.get("halved_kernel_decay", False))
+    data = _initial_data(config)
+    if mode == "global_test":
+        a_d = _a_d_norm(data, d)
+        return lambda delta: global_certificate(a_d, d, delta)
+    if mode == "thm41_explicit":
+        if isinstance(data, VortexGaussian):
+            data = norm_bundle_from_vortex(data, theta=float(config.get("theta", 0.5)))
+        return lambda delta: theorem41_explicit(data, d, delta)
+    if isinstance(data, VortexGaussian):
+        state_at = functools.partial(state_from_vortex, data)
+    else:
+        state_at = functools.partial(state_from_norms, data, d)
+    if mode == "thm31":
+        tolerances, search = config.get("tolerances", {}), config.get("search", {})
+        tol = float(tolerances.get("rel_tol", _DEFAULT_TOL))
+        margin = float(tolerances.get("margin", _DEFAULT_MARGIN))
+        t_range = (float(search.get("t_min", _DEFAULT_SEARCH[0])), float(search.get("t_max", _DEFAULT_SEARCH[1])))
+        return lambda delta: theorem31_bound(state_at(delta), search=t_range, tol=tol, margin=margin)
+    if mode == "thm41":
+        return lambda delta: theorem41_bound(state_at(delta))
+    if mode == "forced":
+        return lambda delta: forced_lifespan(state_at(delta), f1, f2, halved_kernel_decay=halved)
+    raise ConfigError(f"unsupported certificate mode {mode}")
 
-    def certify(delta: float) -> LifespanCertificate:
-        if mode == "thm31":
-            return theorem31_bound(_make_state(config, delta), search=search, tol=tol, margin=margin)
-        if mode == "thm41":
-            return theorem41_bound(_make_state(config, delta))
-        if mode == "thm41_explicit":
-            return theorem41_explicit(_bundle_for_explicit(config), int(config["d"]), delta)
-        if mode == "forced":
-            force_cfg = config["force"]
-            f1 = ForceNorm(
-                float(force_cfg["k0"]["theta"]),
-                float(force_cfg["k0"]["lambda"]),
-                float(force_cfg["k0"]["value"]),
-            )
-            f2 = ForceNorm(
-                float(force_cfg["k0_prime"]["theta"]),
-                float(force_cfg["k0_prime"]["lambda"]),
-                float(force_cfg["k0_prime"]["value"]),
-            )
-            return forced_lifespan(
-                _make_state(config, delta),
-                f1,
-                f2,
-                halved_kernel_decay=bool(force_cfg.get("halved_kernel_decay", False)),
-            )
-        if mode == "global_test":
-            return global_certificate(_a_d_norm(config), int(config["d"]), delta)
-        raise ConfigError(f"unsupported certificate mode {mode}")
 
+def _certificate_result(config: Mapping, deltas: tuple[float, ...]) -> tuple[dict, bool, list]:
+    certify = _certifier(config)
     result: dict[str, Any] = {}
     if len(deltas) == 1:
         cert = certify(deltas[0])
@@ -192,17 +175,15 @@ def _certificate_result(config: Mapping) -> tuple[dict, bool, list]:
         result["delta_profile"] = [[dlt, t0, feas] for dlt, t0, feas in sweep.profile]
 
     result["certificate"] = cert.to_dict()
-    replay = replay_certificate(cert)
     replay_rows = [
         {"name": name, "passed": passed, "detail": detail}
-        for name, passed, detail in replay.results
+        for name, passed, detail in replay_certificate(cert).results
     ]
-    return result, cert.feasible and replay.all_passed, replay_rows
+    return result, cert.feasible, replay_rows
 
 
-def _mixed_norms_result(config: Mapping) -> tuple[dict, bool, list]:
+def _mixed_norms_result(config: Mapping, deltas: tuple[float, ...]) -> tuple[dict, bool, list]:
     d = int(config["d"])
-    deltas = _resolve_deltas(config)
     delta = deltas[0]
     q_grid = [float(q) for q in config["q_grid"]]
     sol = config.get("solution_norms", {})
@@ -210,7 +191,7 @@ def _mixed_norms_result(config: Mapping) -> tuple[dict, bool, list]:
     inputs = SolutionNormInputs(
         k_sup=float(sol.get("k_sup", cs.iterate_bound)),
         k_prime_sup=float(sol.get("k_prime_sup", cs.iterate_bound)),
-        a_d_norm=_a_d_norm(config),
+        a_d_norm=_a_d_norm(_initial_data(config), d),
     )
     psi_profile: list[list[float]] = []
     psi_errors: list[list] = []
@@ -267,20 +248,13 @@ def _mixed_norms_result(config: Mapping) -> tuple[dict, bool, list]:
             except DomainError as exc:
                 min_rows.append([q, None, str(exc)])
         result["psi_min"] = min_rows
-    all_passed = all(row["passed"] for row in replay_rows)
-    return result, feasible and all_passed, replay_rows
+    return result, feasible, replay_rows
 
 
-def _abstract_parabolic_result(config: Mapping) -> tuple[dict, bool, list]:
-    block = config["abstract_parabolic"]
+def _abstract_parabolic_result(block: Mapping) -> tuple[dict, bool, list]:
+    # the block's keys are the problem's field names
     problem = AbstractParabolicProblem(
-        gamma=float(block["gamma"]),
-        c_gamma=float(block["c_gamma"]),
-        alpha=float(block["alpha"]),
-        k1=float(block["k1"]),
-        k2=float(block["k2"]),
-        t1=float(block["t1"]),
-        t2=float(block["t2"]),
+        **{f.name: float(block[f.name]) for f in dataclasses.fields(AbstractParabolicProblem)}
     )
     res = abstract_parabolic_lifespan(problem)
     result = {"lifespan": res.t, "breakdown": res.breakdown()}
@@ -298,26 +272,27 @@ def _abstract_parabolic_result(config: Mapping) -> tuple[dict, bool, list]:
     ]
     if not res.t > 0.0:  # T3 or T4 underflowed: a zero horizon certifies nothing
         replay_rows.insert(0, {"name": "lifespan_positive", "passed": False, "detail": f"lifespan={res.t:.6g}"})
-    all_passed = all(row["passed"] for row in replay_rows)
-    return result, all_passed, replay_rows
+    return result, True, replay_rows
 
 
 def build_report(config: Mapping) -> tuple[dict, bool]:
     """Run the configured certification and assemble the full report.
 
     Returns (report, certified); `certified` means the result is feasible
-    and every replay row passed.
+    and every replay row passed. Each result builder returns (result,
+    feasible, replay rows).
     """
     mode = config["mode"]
     d = int(config["d"])
     deltas = _resolve_deltas(config)
 
     if mode == "mixed_norms":
-        result, certified, replay_rows = _mixed_norms_result(config)
+        result, feasible, replay_rows = _mixed_norms_result(config, deltas)
     elif mode == "abstract_parabolic":
-        result, certified, replay_rows = _abstract_parabolic_result(config)
+        result, feasible, replay_rows = _abstract_parabolic_result(config["abstract_parabolic"])
     else:
-        result, certified, replay_rows = _certificate_result(config)
+        result, feasible, replay_rows = _certificate_result(config, deltas)
+    all_passed = all(row["passed"] for row in replay_rows)
 
     constants_block: dict[str, Any] = {}
     if mode != "abstract_parabolic":
@@ -342,13 +317,13 @@ def build_report(config: Mapping) -> tuple[dict, bool]:
         "constants": constants_block,
         "result": result,
         "verification": {
-            "all_passed": all(row["passed"] for row in replay_rows) if replay_rows else True,
+            "all_passed": all_passed,
             "replay": replay_rows,
         },
         "fingerprint": "",
     }
     report["fingerprint"] = fingerprint({k: v for k, v in report.items() if k != "fingerprint"})
-    return report, certified
+    return report, feasible and all_passed
 
 
 def run(config_path: Path, output_path: Path, mode_override: str | None = None, verbose: bool = False) -> int:

@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _MATCH_TOL = 1e-12
+_STRICT_MARGIN = 0.01  # T3 backs off the strict Duhamel inequality by 1% of alpha/2
 
 
 @dataclass(frozen=True)
@@ -282,12 +283,10 @@ def _power_or_inf(base: float, exponent: float) -> float:
         return math.inf
 
 
-def abstract_parabolic_lifespan(
-    problem: AbstractParabolicProblem, strict_margin: float = 0.01
-) -> ParabolicLifespan:
+def abstract_parabolic_lifespan(problem: AbstractParabolicProblem) -> ParabolicLifespan:
     """Certified horizon min(T1, T2, T3, T4) for the abstract problem.
 
-    T3 solves K1 C(gamma) T^{1-gamma}/(1-gamma) = (1 - strict_margin) alpha/2
+    T3 solves K1 C(gamma) T^{1-gamma}/(1-gamma) = (1 - 0.01) alpha/2
     (the inequality is strict, so equality is backed off by the margin);
     T4 solves K2 C(gamma) T^{1-gamma}/(1-gamma) = 1/2 exactly. The rounded
     closed form of T4 can land above the root, so the returned T is stepped
@@ -296,11 +295,9 @@ def abstract_parabolic_lifespan(
     returned T the contraction factor is <= 1/2 and the Duhamel sup term
     stays strictly inside alpha/2.
     """
-    if not (0.0 <= strict_margin < 1.0):
-        raise DomainError(f"strict_margin must lie in [0, 1), got {strict_margin}")
     g = problem.gamma
     one_minus = 1.0 - g
-    t3 = _power_or_inf((1.0 - strict_margin) * problem.alpha * one_minus / (2.0 * problem.k1 * problem.c_gamma),
+    t3 = _power_or_inf((1.0 - _STRICT_MARGIN) * problem.alpha * one_minus / (2.0 * problem.k1 * problem.c_gamma),
                        1.0 / one_minus)
     t4 = _power_or_inf(one_minus / (2.0 * problem.k2 * problem.c_gamma), 1.0 / one_minus)
 

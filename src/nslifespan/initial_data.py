@@ -421,19 +421,14 @@ def sharp_k0_norm_coefficient(d: int, delta: float, theta: float) -> float | Non
     return young_constant(d, ExponentPair(r, float(d + theta))) * heat_kernel_norm(d, r)
 
 
-def norm_bundle_from_vortex(
-    data: VortexGaussian,
-    theta: float | None = None,
-    extra_exponents: tuple[float, ...] = (),
-) -> NormBundle:
+def norm_bundle_from_vortex(data: VortexGaussian, theta: float | None = None) -> NormBundle:
     """Evaluate the bundle of norms of a vortex field.
 
     Always includes |a|_d and the gradient norm; adds |a|_{d+theta} when a
-    theta is requested, plus any explicitly listed exponents.
+    theta is requested.
     """
     d = data.d
-    exponents = {float(d), *(float(p) for p in extra_exponents)}
-    lp = {p: lp_norm(data, p) for p in sorted(exponents)}
+    lp = {float(d): lp_norm(data, float(d))}
     kwargs: dict = {}
     if theta is not None:
         kwargs["theta"] = float(theta)

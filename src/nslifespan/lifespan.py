@@ -70,6 +70,7 @@ _BRACKET_EPS = 1e-13
 _EXPLICIT_SHRINK = 1.0 - 1e-12  # keeps closed-form replay margins nonnegative
 _EXPLICIT_CAP = 1e300  # horizon cap for the closed-form inversion
 _TINY = 1e-300
+_Part = tuple[Callable[[float], float], Callable[[float], float]]  # a bundle bound: (T -> bound, y -> its root)
 
 
 @dataclass(frozen=True)
@@ -150,14 +151,10 @@ def state_from_norms(bundle: idmod.NormBundle, d: int, delta: float) -> KatoBoun
     notes: list[str] = []
     a_d = bundle.lp_norms.get(float(d))
 
-    k0_parts: list[Callable[[float], float]] = []
-    k0_roots: list[Callable[[float], float]] = []
-    k0_finite_at_inf = False
+    k0_parts: list[_Part] = []
     if a_d is not None:
         cap = constants.s1 * a_d
-        k0_parts.append(lambda T, cap=cap: cap)
-        k0_roots.append(_cap_root(cap))
-        k0_finite_at_inf = True
+        k0_parts.append((lambda T: cap, _cap_root(cap)))
         notes.append("k0 bound includes the T-uniform envelope S1*|a|_d")
     if bundle.theta is not None:
         theta = bundle.theta
@@ -171,48 +168,42 @@ def state_from_norms(bundle: idmod.NormBundle, d: int, delta: float) -> KatoBoun
             coef = crude * bundle.norm_d_plus_theta
             notes.append("k0 power bound uses the crude coefficient 2^{d+theta}")
         power = theta * delta / (2.0 * d)
-        k0_parts.append(lambda T, coef=coef, power=power: coef * T**power if T > 0 else 0.0)
-        k0_roots.append(_power_root(coef, power))
+        k0_parts.append((lambda T: coef * T**power if T > 0 else 0.0, _power_root(coef, power)))
     if not k0_parts:
         raise UnavailableBoundError("bundle supports no K0 bound (need |a|_d or a theta norm)")
 
-    k0p_parts: list[Callable[[float], float]] = []
-    k0p_roots: list[Callable[[float], float]] = []
-    k0p_finite_at_inf = False
+    k0p_parts: list[_Part] = []
     if a_d is not None:
         cap2 = constants.s2 * a_d
-        k0p_parts.append(lambda T, cap2=cap2: cap2)
-        k0p_roots.append(_cap_root(cap2))
-        k0p_finite_at_inf = True
+        k0p_parts.append((lambda T: cap2, _cap_root(cap2)))
         notes.append("k0' bound includes the T-uniform envelope S2*|a|_d")
     if bundle.grad_d_norm is not None:
         grad = bundle.grad_d_norm
-        k0p_parts.append(lambda T, grad=grad: math.sqrt(T) * grad if T > 0 else 0.0)
-        k0p_roots.append(_power_root(grad, 0.5))
+        k0p_parts.append((lambda T: math.sqrt(T) * grad if T > 0 else 0.0, _power_root(grad, 0.5)))
         notes.append("k0' bound includes sqrt(T)*|grad a|_d")
     if not k0p_parts:
         raise UnavailableBoundError("bundle supports no K0' bound (need |a|_d or the gradient norm)")
 
-    def k0_fn(T: float, parts=tuple(k0_parts)) -> float:
-        return min(p(T) for p in parts)
-
-    def k0p_fn(T: float, parts=tuple(k0p_parts)) -> float:
-        return min(p(T) for p in parts)
-
-    # min(parts) <= y exactly where some part is, so the root is the largest part root
-    def k0_root(y: float, roots=tuple(k0_roots)) -> float:
-        return max(r(y) for r in roots)
-
-    def k0p_root(y: float, roots=tuple(k0p_roots)) -> float:
-        return max(r(y) for r in roots)
-
+    # only the constant envelope part stays finite as T -> infinity
     return KatoBoundState(
         d=d,
         delta=delta,
-        k0=KatoEvaluator(k0_fn, k0_finite_at_inf, k0_root),
-        k0_prime=KatoEvaluator(k0p_fn, k0p_finite_at_inf, k0p_root),
+        k0=_min_of_parts(k0_parts, a_d is not None),
+        k0_prime=_min_of_parts(k0p_parts, a_d is not None),
         constants=constants,
         notes=tuple(notes),
+    )
+
+
+def _min_of_parts(parts: Sequence[_Part], finite_at_infinity: bool) -> KatoEvaluator:
+    """The evaluator T -> min of the part bounds.
+
+    min(parts) <= y exactly where some part is, so its root is the largest part root.
+    """
+    fns = tuple(fn for fn, _ in parts)
+    roots = tuple(root for _, root in parts)
+    return KatoEvaluator(
+        lambda T: min(fn(T) for fn in fns), finite_at_infinity, lambda y: max(root(y) for root in roots)
     )
 
 
@@ -444,22 +435,24 @@ def _largest_double(ok: Callable[[float], bool], bracket: tuple[float, float] = 
 
 
 def _bracket_hi(evaluators: Sequence[KatoEvaluator], threshold: float) -> float:
-    """Smallest root at threshold (1 + eps), kept if its evaluator is >= threshold (1 + eps/2) there.
+    """Smallest root at threshold (1 + eps), one double up, kept if its evaluator is >= threshold (1 + eps/2) there.
 
-    Otherwise (a rejected, infinite or NaN root) +inf. A root of 0.0 is
-    kept without a probe: that evaluator exceeds threshold (1 + eps) at
-    every T, far more than rounding above the threshold.
+    Otherwise (a rejected, infinite or NaN root) +inf. The step keeps
+    subnormal roots, which round by more than eps. A root of 0.0 is kept
+    without a probe: that evaluator exceeds threshold (1 + eps) at every T,
+    far more than rounding above the threshold.
     """
     his = [e.root(threshold * (1.0 + _BRACKET_EPS)) for e in evaluators]
     hi = min(his)
-    if hi == 0.0 or (hi < math.inf and evaluators[his.index(hi)](hi) >= threshold * (1.0 + _BRACKET_EPS / 2.0)):
+    if hi == 0.0:
         return hi
-    return math.inf
+    e, hi = evaluators[his.index(hi)], math.nextafter(hi, math.inf)
+    return hi if hi < math.inf and e(hi) >= threshold * (1.0 + _BRACKET_EPS / 2.0) else math.inf
 
 
 def _bracket_lo(e: KatoEvaluator, threshold: float) -> float:
-    """The root at threshold (1 - eps), kept if e is <= threshold (1 - eps/2) there, else 0.0."""
-    lo = e.root(threshold * (1.0 - _BRACKET_EPS))
+    """The root at threshold (1 - eps), one double down, kept if e is <= threshold (1 - eps/2) there, else 0.0."""
+    lo = math.nextafter(e.root(threshold * (1.0 - _BRACKET_EPS)), 0.0)
     return lo if lo > 0.0 and e(lo) <= threshold * (1.0 - _BRACKET_EPS / 2.0) else 0.0
 
 
@@ -540,9 +533,10 @@ def theorem41_bound(state: KatoBoundState) -> LifespanCertificate:
     runs in an inversion bracket, eps = _BRACKET_EPS. Its hi is the smaller
     root at threshold (1 + eps) (``_bracket_hi``); each evaluator E has a lo,
     its root at threshold (1 - eps) (``_bracket_lo``), and is probed only
-    above it; the bracket's lo is the smaller one. One probe confirms each
-    end, and an end that its probe rejects falls back to 0.0 or +inf. With
-    the evaluators' relative error below eps/4, every midpoint at or below a
+    above it; the bracket's lo is the smaller one. Each root is stepped one
+    double outward, one probe confirms each end, and an end that its probe
+    rejects falls back to 0.0 or +inf. With the evaluators' relative error
+    below eps/4, every midpoint at or below a
     lo passes and every one at or above hi fails, just as a probe finds, so
     t0 is the same double as without the bracket, found by probing only the
     evaluator that binds, a few thousand ulps around its root. Without roots

@@ -138,22 +138,15 @@ class SolutionNormInputs:
                 raise DomainError(f"{name} must be finite and nonnegative, got {v}")
 
 
-def psi_bound(
-    d: int,
-    q: float,
-    delta: float,
-    inputs: SolutionNormInputs,
-    use_m1_variant: bool = False,
-) -> float:
+def psi_bound(d: int, q: float, delta: float, inputs: SolutionNormInputs) -> float:
     """Mixed-norm bound psi for the weighted solution norm.
 
     psi = K_BL(d; theta1, theta2) K K' K_R(d/delta) K_R(d) M(d, theta1)
           B((1-delta)/2 + d/(2q), delta/2)
           + 0.5 M(d, d^2/(d-1)) |a|_d.
 
-    The second summand's kernel exponent follows the mixed-norm display; the
-    M(d, 1) variant sits behind ``use_m1_variant``. Its convolution pairing
-    puts the kernel in L_1, where the sharp Young factor is exactly 1.
+    The second summand's kernel exponent d^2/(d-1) follows the mixed-norm
+    display.
     """
     th = ThetaExponents.create(d, q, delta)
     try:
@@ -172,8 +165,7 @@ def psi_bound(
         * heat_kernel_norm(d, th.theta1)
         * beta_fn((1.0 - delta) / 2.0 + d / (2.0 * q), delta / 2.0)
     )
-    kernel_exponent = 1.0 if use_m1_variant else d * d / (d - 1.0)
-    data_term = 0.5 * heat_kernel_norm(d, kernel_exponent) * inputs.a_d_norm
+    data_term = 0.5 * heat_kernel_norm(d, d * d / (d - 1.0)) * inputs.a_d_norm
     return quad_term + data_term
 
 
@@ -186,13 +178,7 @@ class PsiMin:
     profile: tuple[tuple[float, float], ...]  # (delta, psi) over admissible grid points
 
 
-def psi_min(
-    d: int,
-    q: float,
-    inputs: SolutionNormInputs,
-    delta_grid: Sequence[float] | None = None,
-    use_m1_variant: bool = False,
-) -> PsiMin:
+def psi_min(d: int, q: float, inputs: SolutionNormInputs, delta_grid: Sequence[float] | None = None) -> PsiMin:
     """Infimum of psi over the admissible deltas of a fixed grid.
 
     Inadmissible grid points (infeasible exponents) are skipped; if every
@@ -204,7 +190,7 @@ def psi_min(
     profile: list[tuple[float, float]] = []
     for dlt in grid:
         try:
-            value = psi_bound(d, q, dlt, inputs, use_m1_variant=use_m1_variant)
+            value = psi_bound(d, q, dlt, inputs)
         except (InfeasibleExponentError, DomainError):
             continue
         profile.append((dlt, value))

@@ -114,8 +114,9 @@ class CoupledRecurrence:
 class HypothesisFailure:
     """A named hypothesis with the (nonpositive) margin by which it failed.
 
-    `margin` is the quantity that the hypothesis requires to be positive;
-    callers use it to steer searches toward the feasible region.
+    `margin` is the value of the quantity that the hypothesis requires to be
+    positive (a discriminant, a root, or a root minus the start value), as
+    evaluated when the check failed.
     """
 
     condition: str
@@ -145,10 +146,6 @@ class CoupledBound:
 
     x_bound: float | None
     y_bound: float | None
-    det1: float
-    det2: float
-    d1: float
-    d2: float
     failures: tuple[HypothesisFailure, ...]
 
     @property
@@ -207,13 +204,14 @@ def coupled_bound(rec: CoupledRecurrence) -> CoupledBound:
     (det1 - 1)^2 - 4 alpha1 beta2 = (det2 - 1)^2 - 4 alpha2 beta1 above
     4 |det1| >= 0, so the roots are then automatically real.
     """
+    d1, d2 = rec.d1, rec.d2
     failures: list[HypothesisFailure] = []
-    if rec.d1 <= 0:
-        failures.append(HypothesisFailure("d1_positive", rec.d1))
-    if rec.d2 <= 0:
-        failures.append(HypothesisFailure("d2_positive", rec.d2))
+    if d1 <= 0:
+        failures.append(HypothesisFailure("d1_positive", d1))
+    if d2 <= 0:
+        failures.append(HypothesisFailure("d2_positive", d2))
     if failures:
-        return CoupledBound(None, None, rec.det1, rec.det2, rec.d1, rec.d2, tuple(failures))
+        return CoupledBound(None, None, tuple(failures))
 
     zx = z_root(rec.alpha1, rec.det1, rec.beta2)
     zy = z_root(rec.alpha2, rec.det2, rec.beta1)
@@ -226,8 +224,8 @@ def coupled_bound(rec: CoupledRecurrence) -> CoupledBound:
     if not rec.y0 < zy:
         failures.append(HypothesisFailure("y_start_below_root", zy - rec.y0))
     if failures:
-        return CoupledBound(None, None, rec.det1, rec.det2, rec.d1, rec.d2, tuple(failures))
-    return CoupledBound(zx, zy, rec.det1, rec.det2, rec.d1, rec.d2, ())
+        return CoupledBound(None, None, tuple(failures))
+    return CoupledBound(zx, zy, ())
 
 
 @dataclass(frozen=True)

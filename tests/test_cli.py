@@ -485,6 +485,45 @@ class TestGoldenReports:
         assert hashlib.sha256(canonical_dumps(report).encode("utf-8")).hexdigest() == self.DIGESTS[name]
 
 
+class TestGoldenBundleReports:
+    """sha256 of canonical_dumps(build_report(config)) for thm31, thm41 and forced on norm bundles.
+
+    The example corpus has no such report. The bundles carry |a|_d, theta
+    and the gradient norm; theta and the gradient norm with an lp norm other
+    than |a|_d; and |a|_d alone.
+    """
+
+    BUNDLES = {
+        "full": {"lp_norms": {"3.0": 0.01}, "theta": 0.5, "norm_d_plus_theta": 0.0001, "grad_d_norm": 0.05},
+        "no_a_d": {"lp_norms": {"6.0": 0.01}, "theta": 0.5, "norm_d_plus_theta": 0.0001, "grad_d_norm": 0.05},
+        "a_d_only": {"lp_norms": {"3.0": 0.0001}},
+    }
+    FORCE = {
+        "k0": {"theta": 2.7, "lambda": -0.9444444444444446, "value": 1e-07},
+        "k0_prime": {"theta": 2.0, "lambda": -0.7499999999999999, "value": 1e-07},
+    }
+    DIGESTS = {
+        ("thm31", "full"): "9ac5d88f9dc51abdf1f77506e8b134d3042129959cba82cc38827f8c11944f2c",
+        ("thm31", "no_a_d"): "fb9c09992d862435db893ea41f5bf4dd7f116752e54f51a0f5966bed0d737661",
+        ("thm31", "a_d_only"): "7673c654812276a714445f503dc8ed58b57caaf5b001e9b997f006b3a57c1390",
+        ("thm41", "full"): "1f325ca44030fae286839fd9b2a4de969a4faaa0478cfc4fa7a078ad0b4bb040",
+        ("thm41", "no_a_d"): "7a975d883760d1e0f31604fd661856b073705334d376ad65340093eabc60ea37",
+        ("thm41", "a_d_only"): "de101f21019e752dec98c58e7290f61424f1451badb5d96845bc4d9885b6ee30",
+        ("forced", "full"): "b63eb1b53d32c38f6a49f222190c4b3055720f89bd4a20ede7b851dc725818cf",
+        ("forced", "no_a_d"): "2001c89db45a344b50927d29c3acdb4bd0ec64f6edeb5c3b02351e675d6fb0d0",
+        ("forced", "a_d_only"): "6db5d7ce6f0a6c310c9001eded8788660f7da4b3a41f193da06567c6bc9b1e7e",
+    }
+
+    @pytest.mark.parametrize("mode, bundle", sorted(DIGESTS))
+    def test_report_digest(self, mode, bundle):
+        config = {"d": 3, "mode": mode, "delta": 0.28257742392949414, "data": {"norms": self.BUNDLES[bundle]}}
+        if mode == "forced":
+            config["force"] = self.FORCE
+        validate_config(config)
+        report, _ = build_report(config)
+        assert hashlib.sha256(canonical_dumps(report).encode("utf-8")).hexdigest() == self.DIGESTS[mode, bundle]
+
+
 class TestPrintConstants:
     def test_table_values(self):
         result = run_cli("--print-constants", "3", "0.5")

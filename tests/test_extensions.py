@@ -260,6 +260,3 @@ class TestAbstractParabolic:
             AbstractParabolicProblem(gamma=1.2, c_gamma=1.0, alpha=1.0, k1=1.0, k2=1.0, t1=1.0, t2=1.0)
         with pytest.raises(DomainError):
             AbstractParabolicProblem(gamma=0.5, c_gamma=0.0, alpha=1.0, k1=1.0, k2=1.0, t1=1.0, t2=1.0)
-        problem = AbstractParabolicProblem(gamma=0.5, c_gamma=1.0, alpha=1.0, k1=1.0, k2=1.0, t1=1.0, t2=1.0)
-        with pytest.raises(DomainError):
-            abstract_parabolic_lifespan(problem, strict_margin=1.0)

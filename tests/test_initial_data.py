@@ -280,7 +280,7 @@ class TestNormBundle:
 
     def test_from_vortex(self):
         data = VortexGaussian(3, 1.0, 1.0)
-        bundle = norm_bundle_from_vortex(data, theta=1.0, extra_exponents=(4.0,))
+        bundle = norm_bundle_from_vortex(data, theta=1.0)
         assert bundle.lp_norms[3.0] == pytest.approx(lp_norm(data, 3.0))
         assert bundle.norm_d_plus_theta == pytest.approx(lp_norm(data, 4.0))
         assert bundle.grad_d_norm == pytest.approx(grad_norm(data))

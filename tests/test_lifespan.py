@@ -525,6 +525,17 @@ class TestEnvelopeWorkCount:
             state = state_from_vortex(VortexGaussian(3, 1.0, amplitude), delta)
             assert len(_evaluations(monkeypatch, lambda: theorem41_bound(state))) <= 24, delta
 
+    @pytest.mark.parametrize("amplitude", [1e75, 1e77])
+    def test_subnormal_horizon_keeps_the_bracket(self, monkeypatch, amplitude):
+        # t0 = 4.86e-314 and 4.84e-322: the spacing of subnormal doubles is
+        # wider than the bracket's relative eps
+        state = state_from_vortex(VortexGaussian(3, 1.0, amplitude), 0.5)
+        calls = _evaluations(monkeypatch, lambda: theorem41_bound(state))
+        cert = theorem41_bound(state)
+        assert 0.0 < cert.t0 < sys.float_info.min
+        assert len(calls) <= 24
+        assert cert.t0 == theorem41_bound(_rootless(state)).t0
+
     def test_forced_evaluation_is_one_call(self, monkeypatch, eps3):
         state = state_from_vortex(vortex_with_a3(1000.0 * eps3), DELTA0)
         f1 = ForceNorm(2.7, matching_lambda_k0(3, DELTA0, 2.7), 0.0)
@@ -860,6 +871,27 @@ class TestCertificatePlumbing:
         cert = theorem31_bound(state_from_vortex(vortex_with_a3(1000 * eps3), DELTA0))
         data = cert.to_dict()
         data["intermediate"]["v1"] = data["intermediate"]["v1"] * 1.5
+        assert not replay_certificate(data).all_passed
+
+    # both terms present; the theta term binds in the first, the gradient term in the second
+    THETA_BINDS = NormBundle(lp_norms={3.0: 1e-4}, grad_d_norm=0.05, theta=0.5, norm_d_plus_theta=1e-4)
+    GRAD_BINDS = NormBundle(lp_norms={3.0: 1e-4}, grad_d_norm=0.05, theta=0.5, norm_d_plus_theta=1e-12)
+
+    @pytest.mark.parametrize("bundle, value", [
+        (THETA_BINDS, "t0"), (GRAD_BINDS, "t0"), (THETA_BINDS, "norm_d_plus_theta"), (GRAD_BINDS, "grad_d_norm"),
+    ])
+    def test_replay_detects_doubled_explicit_value(self, bundle, value):
+        data = theorem41_explicit(bundle, 3, DELTA0).to_dict()
+        assert replay_certificate(data).all_passed
+        (data if value == "t0" else data["intermediate"])[value] *= 2.0
+        assert not replay_certificate(data).all_passed
+
+    def test_replay_detects_global_norm_above_epsilon(self):
+        data = global_certificate(1e-6, 3, DELTA0).to_dict()
+        assert replay_certificate(data).all_passed
+        a_d_norm = 2.0 * data["intermediate"]["epsilon"]
+        data["intermediate"]["a_d_norm"] = a_d_norm
+        data["checks"][0]["lhs"] = a_d_norm  # the check a_norm_below_epsilon states the same norm
         assert not replay_certificate(data).all_passed
 
     def test_replay_records_tampering_with_no_real_root(self, eps3):

@@ -93,11 +93,6 @@ class TestPsi:
         term2 = 0.5 * heat_kernel_norm(d, d * d / (d - 1.0)) * inputs.a_d_norm
         assert value == pytest.approx(term1 + term2, rel=1e-12)
 
-    def test_m1_variant_flag(self):
-        base = psi_bound(3, 4.0, DELTA0, demo_inputs())
-        variant = psi_bound(3, 4.0, DELTA0, demo_inputs(), use_m1_variant=True)
-        assert variant > base  # M(d, 1) = 2^d dominates M(d, d^2/(d-1))
-
     def test_monotone_in_inputs(self):
         lo = psi_bound(3, 4.0, DELTA0, SolutionNormInputs(1e-3, 1e-3, 0.5))
         hi = psi_bound(3, 4.0, DELTA0, SolutionNormInputs(2e-3, 1e-3, 0.5))
