@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .constants import ExponentPair, beta_fn, heat_kernel_grad_norm, heat_kernel_norm, young_constant
+from .constants import ExponentPair, _check_delta, beta_fn, heat_kernel_grad_norm, heat_kernel_norm, young_constant
 from .errors import DomainError, InfeasibleExponentError
 from .lifespan import KatoBoundState, LifespanCertificate, theorem41_bound
 
@@ -132,8 +132,7 @@ def force_contribution_k0(
     (requires d(1 - 1/r1) < 2). A zero-valued force contributes 0 with a
     trivially feasible report.
     """
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     if force.value == 0.0:
         return ForceContribution(0.0, (), notes=("zero force: contribution 0",))
     r1 = _r_from_theta(1.0 + delta / d, force.theta, "k0 force route")

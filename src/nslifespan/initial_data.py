@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping
 
-from .constants import ExponentPair, heat_kernel_norm, log_gamma, young_constant
+from .constants import ExponentPair, _check_delta, _check_dimension, heat_kernel_norm, log_gamma, young_constant
 from .errors import DomainError, UnavailableBoundError
 
 if TYPE_CHECKING:  # numpy is imported where arrays are built, off the CLI's import path
@@ -79,8 +79,7 @@ class VortexGaussian:
     amplitude: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 3:
-            raise DomainError(f"dimension must be an integer >= 3, got {self.d!r}")
+        _check_dimension(self.d)
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
         if self.amplitude < 0 or not math.isfinite(self.amplitude):
@@ -250,8 +249,7 @@ def k0_exact(data: VortexGaussian, delta: float, T: float) -> float:
     docstring), so the supremum is its value at min(T, t*). T = infinity
     is allowed.
     """
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     if data.amplitude == 0:
         return 0.0
     if not T > 0:
@@ -354,7 +352,12 @@ class NormBundle:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "NormBundle":
-        lp = {float(k): float(v) for k, v in dict(data.get("lp_norms", {})).items()}
+        lp: dict[float, float] = {}
+        for key, value in dict(data.get("lp_norms", {})).items():
+            p = float(key)
+            if p in lp:
+                raise DomainError(f"lp_norms gives the exponent {p} twice; the key {key!r} repeats it")
+            lp[p] = float(value)
         return cls(
             lp_norms=lp,
             grad_d_norm=data.get("grad_d_norm"),
@@ -383,8 +386,7 @@ def k0_bound_from_norms(norms: NormBundle, d: int, delta: float, T: float) -> fl
     `sharp_k0_norm_coefficient` provides the sharp alternative with the
     same T power.
     """
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     if norms.theta is None or norms.norm_d_plus_theta is None:
         raise UnavailableBoundError("bundle carries no (theta, |a|_{d+theta}) pair")
     theta = norms.theta
@@ -410,8 +412,7 @@ def sharp_k0_norm_coefficient(d: int, delta: float, theta: float) -> float | Non
     1 + delta/d = 1/r + 1/(d+theta). Returns None when that exponent falls
     below 1 (large delta), in which case only the crude constant applies.
     """
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     if theta <= 0:
         raise DomainError(f"theta must be positive, got {theta}")
     inv_r = 1.0 + delta / d - 1.0 / (d + theta)

@@ -16,10 +16,14 @@ probe at each end confirms the bracket, the bisection probes only the
 binding evaluator inside it, and returns the same double as the
 unbracketed one.
 
-A certificate records the producing inequalities with their evaluated sides;
-``replay_certificate`` re-derives every intermediate from the stored values
-and re-checks each inequality, so a report can be re-validated in a process
-that never constructs the original evaluators.
+A certificate records the producing inequalities with their evaluated
+sides. ``_derived_checks`` derives them from t0, delta_used and the
+intermediates; every certifier builds its checks with it, and
+``replay_certificate`` calls it again on the stored values, so a stored
+check that does not restate its intermediates fails replay. The coupled
+quantities come from one function, ``_coupled_quantities``, in the search
+and in replay. Replay needs only the stored numbers, so a report can be
+re-validated in a process that never constructs the original evaluators.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 from . import initial_data as idmod
 from .constants import C3_DISCREPANCY_NOTE, ConstantSet, composite_constants, default_delta_grid
 from .errors import DomainError, UnavailableBoundError
-from .recurrence import CoupledRecurrence, coupled_bound, z_root
+from .recurrence import CoupledRecurrence, coupled_bound
 
 __all__ = [
     "KatoEvaluator",
@@ -296,21 +300,18 @@ class DeltaSweep:
 # ---------------------------------------------------------------------------
 
 
-def _coupled_probe(state: KatoBoundState, T: float, margin: float):
-    """Feasibility of the coupled fixed-point hypotheses at horizon T."""
-    k0 = state.k0(T)
-    k0p = state.k0_prime(T)
-    j1, j2 = state.constants.j1, state.constants.j2
-    rec = CoupledRecurrence(
-        alpha1=max(k0, _TINY),
-        alpha2=max(k0p, _TINY),
-        beta1=j1,
-        beta2=j2,
-        x0=max(k0, _TINY),
-        y0=max(k0p, _TINY),
-    )
+def _coupled_quantities(k0: float, k0p: float, j1: float, j2: float) -> dict[str, float]:
+    """The coupled route's intermediates at (K0, K0') = (k0, k0p), for the search and for replay.
+
+    (k0, k0p), floored at _TINY, fills both the offset and the start slots
+    of the ``CoupledRecurrence`` with the constants (J1, J2); s1, s2, d1, d2
+    are its det1, det2, d1, d2, and v1, v2 the bounds of ``coupled_bound``,
+    present only when its hypotheses hold.
+    """
+    x0, y0 = max(k0, _TINY), max(k0p, _TINY)
+    rec = CoupledRecurrence(alpha1=x0, alpha2=y0, beta1=j1, beta2=j2, x0=x0, y0=y0)
     res = coupled_bound(rec)
-    detail = {
+    quantities = {
         "k0_at_t0": k0,
         "k0_prime_at_t0": k0p,
         "j1": j1,
@@ -320,19 +321,21 @@ def _coupled_probe(state: KatoBoundState, T: float, margin: float):
         "d1": rec.d1,
         "d2": rec.d2,
     }
-    if not res.ok:
-        return False, detail
-    v1, v2 = res.x_bound, res.y_bound
-    detail["v1"] = v1
-    detail["v2"] = v2
-    feasible = (v1 - k0 > margin) and (v2 - k0p > margin)
-    return feasible, detail
+    if res.ok:
+        quantities["v1"], quantities["v2"] = res.x_bound, res.y_bound
+    return quantities
+
+
+def _coupled_probe(state: KatoBoundState, T: float, margin: float) -> tuple[bool, dict[str, float]]:
+    """Feasibility of the coupled fixed-point hypotheses at horizon T, with the intermediates there."""
+    k0, k0p = state.k0(T), state.k0_prime(T)
+    q = _coupled_quantities(k0, k0p, state.constants.j1, state.constants.j2)
+    return "v1" in q and q["v1"] - k0 > margin and q["v2"] - k0p > margin, q
 
 
 def thm31_feasible_at(state: KatoBoundState, T: float, margin: float = _DEFAULT_MARGIN) -> bool:
     """Whether the coupled-route inequalities hold at horizon T."""
-    ok, _ = _coupled_probe(state, T, margin)
-    return ok
+    return _coupled_probe(state, T, margin)[0]
 
 
 def _envelope_probe(state: KatoBoundState, T: float):
@@ -360,10 +363,10 @@ def thm41_feasible_at(state: KatoBoundState, T: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _largest_feasible(probe, t_lo: float, t_hi: float, tol: float):
+def _largest_feasible(feasible: Callable[[float], bool], t_lo: float, t_hi: float, tol: float):
     """Largest feasible T found by downward scan plus geometric bisection.
 
-    Returns (t_best, detail, scan_notes) with t_best = None when nothing in
+    Returns (t_best, scan_notes) with t_best = None when nothing in
     [t_lo, t_hi] is feasible. The scan steps down by factors of 8 to the
     first feasible seed, then probes up to three more points below it: an
     infeasible one there means feasibility is non-monotone, which is
@@ -372,18 +375,16 @@ def _largest_feasible(probe, t_lo: float, t_hi: float, tol: float):
     """
     if not (0 < t_lo < t_hi):
         raise DomainError(f"search range must satisfy 0 < t_lo < t_hi, got ({t_lo}, {t_hi})")
-    ok, detail = probe(t_hi)
-    if ok:
-        return t_hi, detail, ["feasible at the search-range end; larger horizons were not explored"]
+    if feasible(t_hi):
+        return t_hi, ["feasible at the search-range end; larger horizons were not explored"]
 
     hi = t_hi
     while True:
         lo = max(hi / 8.0, t_lo)
-        ok, detail = probe(lo)
-        if ok:
+        if feasible(lo):
             break
         if lo == t_lo:
-            return None, detail, [
+            return None, [
                 f"no feasible horizon found down to the search floor {t_lo}; "
                 "the tolerance floor was hit"
             ]
@@ -395,7 +396,7 @@ def _largest_feasible(probe, t_lo: float, t_hi: float, tol: float):
         if t == t_lo:
             break
         t = max(t / 8.0, t_lo)
-        monotone &= probe(t)[0]
+        monotone &= feasible(t)
     notes = [] if monotone else [
         "feasibility was non-monotone in the scan; certifying the largest feasible prefix"
     ]
@@ -404,12 +405,11 @@ def _largest_feasible(probe, t_lo: float, t_hi: float, tol: float):
         if hi - lo <= tol * lo:
             break
         mid = math.sqrt(lo * hi)
-        ok, det = probe(mid)
-        if ok:
-            lo, detail = mid, det
+        if feasible(mid):
+            lo = mid
         else:
             hi = mid
-    return lo, detail, notes
+    return lo, notes
 
 
 def _largest_double(ok: Callable[[float], bool], bracket: tuple[float, float] = (0.0, math.inf)) -> float:
@@ -456,22 +456,54 @@ def _bracket_lo(e: KatoEvaluator, threshold: float) -> float:
     return lo if lo > 0.0 and e(lo) <= threshold * (1.0 - _BRACKET_EPS / 2.0) else 0.0
 
 
-def _infeasible_certificate(state, theorem, detail, notes):
-    return LifespanCertificate(
-        t0=0.0,
-        theorem=theorem,
-        delta_used=state.delta,
-        intermediate=dict(detail),
-        iterate_bound=None,
-        feasible=False,
-        checks=(),
-        notes=(*notes, *state.notes),
-    )
-
-
 # ---------------------------------------------------------------------------
 # certifiers
 # ---------------------------------------------------------------------------
+
+
+def _derived_checks(theorem: str, t0: float, delta: float, inter: Mapping) -> tuple[InequalityCheck, ...]:
+    """The inequalities of a feasible certificate, from its t0, delta_used and intermediates.
+
+    Every certifier builds its checks here, and ``replay_certificate``
+    derives them again from the stored values, so a stored check can only
+    restate its intermediates. thm31 and thm41 restate the probe at t0 and
+    global the smallness test; thm41-explicit evaluates at t0 the norm bound
+    of each term it stores (none at t0 = infinity).
+    """
+    if theorem == "thm31":
+        return (
+            InequalityCheck("k0_below_v1", inter["k0_at_t0"], "<", inter["v1"]),
+            InequalityCheck("k0_prime_below_v2", inter["k0_prime_at_t0"], "<", inter["v2"]),
+            InequalityCheck("d1_positive", 0.0, "<", inter["d1"]),
+            InequalityCheck("d2_positive", 0.0, "<", inter["d2"]),
+        )
+    if theorem == "thm41":
+        return (InequalityCheck("k_zero_below_threshold", inter["k_zero_sup"], "<=", inter["threshold"]),)
+    if theorem == "global":
+        return (InequalityCheck("a_norm_below_epsilon", inter["a_d_norm"], "<=", inter["epsilon"]),)
+    if theorem != "thm41-explicit":
+        raise DomainError(f"unknown theorem {theorem!r}")
+    if not math.isfinite(t0):
+        return ()
+    d, threshold = int(inter["d"]), inter["threshold"]
+    checks = []
+    if "term_theta" in inter:
+        norms = idmod.NormBundle({}, theta=inter["theta"], norm_d_plus_theta=inter["norm_d_plus_theta"])
+        bound = idmod.k0_bound_from_norms(norms, d, delta, t0)
+        checks.append(InequalityCheck("k0_norm_bound_at_t0", bound, "<=", threshold))
+    if "term_grad" in inter:
+        bound = idmod.k0_prime_bound_from_norms(idmod.NormBundle({}, grad_d_norm=inter["grad_d_norm"]), t0)
+        checks.append(InequalityCheck("k0_prime_norm_bound_at_t0", bound, "<=", threshold))
+    return tuple(checks)
+
+
+def _feasible_certificate(theorem, t0, delta, intermediate, iterate_bound, notes) -> LifespanCertificate:
+    checks = _derived_checks(theorem, t0, delta, intermediate)
+    return LifespanCertificate(t0, theorem, delta, intermediate, iterate_bound, True, checks, tuple(notes))
+
+
+def _infeasible_certificate(theorem, delta, intermediate, notes) -> LifespanCertificate:
+    return LifespanCertificate(0.0, theorem, delta, intermediate, None, False, (), tuple(notes))
 
 
 def theorem31_bound(
@@ -487,38 +519,21 @@ def theorem31_bound(
     strictness is certified with an absolute margin so floating-point
     equality can never produce a false certificate. If the inequalities hold
     at T = infinity (declared-finite evaluators only) the infinite branch is
-    certified directly.
+    certified directly. The search sees only feasibility; the intermediates
+    are evaluated once, at the certified T, or at the search floor when no
+    T in the range is feasible.
     """
-    probe = lambda T: _coupled_probe(state, T, margin)
-    if state.k0.finite_at_infinity and state.k0_prime.finite_at_infinity:
-        ok, detail = probe(math.inf)
-        if ok:
-            notes = ("inequalities hold at T = infinity; solution is global",)
-            return _build_thm31_cert(math.inf, state, detail, margin, notes)
-    t_best, detail, notes = _largest_feasible(probe, search[0], search[1], tol)
-    if t_best is None:
-        return _infeasible_certificate(state, "thm31", detail, notes)
-    return _build_thm31_cert(t_best, state, detail, margin, notes)
-
-
-def _build_thm31_cert(t0, state, detail, margin, notes):
-    checks = (
-        InequalityCheck("k0_below_v1", detail["k0_at_t0"], "<", detail["v1"]),
-        InequalityCheck("k0_prime_below_v2", detail["k0_prime_at_t0"], "<", detail["v2"]),
-        InequalityCheck("d1_positive", 0.0, "<", detail["d1"]),
-        InequalityCheck("d2_positive", 0.0, "<", detail["d2"]),
-    )
-    detail = dict(detail)
-    detail["margin"] = margin
-    return LifespanCertificate(
-        t0=t0,
-        theorem="thm31",
-        delta_used=state.delta,
-        intermediate=detail,
-        iterate_bound=max(detail["v1"], detail["v2"]),
-        feasible=True,
-        checks=checks,
-        notes=tuple(notes) + state.notes,
+    feasible = lambda T: _coupled_probe(state, T, margin)[0]
+    if state.k0.finite_at_infinity and state.k0_prime.finite_at_infinity and feasible(math.inf):
+        t0, notes = math.inf, ["inequalities hold at T = infinity; solution is global"]
+    else:
+        t0, notes = _largest_feasible(feasible, search[0], search[1], tol)
+    _, q = _coupled_probe(state, search[0] if t0 is None else t0, margin)
+    if t0 is None:
+        return _infeasible_certificate("thm31", state.delta, q, (*notes, *state.notes))
+    intermediate = {**q, "margin": margin}
+    return _feasible_certificate(
+        "thm31", t0, state.delta, intermediate, max(q["v1"], q["v2"]), (*notes, *state.notes)
     )
 
 
@@ -563,36 +578,24 @@ def theorem41_bound(state: KatoBoundState) -> LifespanCertificate:
         ok, detail = _envelope_probe(state, math.inf)
         if ok:
             notes = ("threshold holds at T = infinity; solution is global", *notes)
-            return _build_thm41_cert(math.inf, state, detail, notes)
+            return _thm41_certificate(math.inf, state, detail, notes)
     los = [_bracket_lo(e, threshold) if inverted and hi > 0.0 else 0.0 for e in evaluators]
     # each evaluator passes without a probe at T <= its lo
     t0 = _largest_double(
         lambda T: all(T <= lo or e(T) <= threshold for e, lo in zip(evaluators, los)), (min(los), hi)
     )
     if t0 > 0.0:
-        return _build_thm41_cert(t0, state, _envelope_probe(state, t0)[1], notes)
+        return _thm41_certificate(t0, state, _envelope_probe(state, t0)[1], notes)
     notes = ("no positive double passes max(K0, K0') <= threshold; intermediates at T = 5e-324", *notes)
-    return _infeasible_certificate(state, "thm41", _envelope_probe(state, math.ulp(0.0))[1], notes)
+    detail = _envelope_probe(state, math.ulp(0.0))[1]
+    return _infeasible_certificate("thm41", state.delta, detail, (*notes, *state.notes))
 
 
-def _build_thm41_cert(t0, state, detail, notes):
+def _thm41_certificate(t0, state, detail, notes):
     cs = state.constants
-    checks = (
-        InequalityCheck("k_zero_below_threshold", detail["k_zero_sup"], "<=", detail["threshold"]),
-    )
-    detail = dict(detail)
-    detail["c2_over_d2"] = cs.c2 / (cs.d * cs.d)
-    detail["iterate_bound"] = cs.iterate_bound
-    return LifespanCertificate(
-        t0=t0,
-        theorem="thm41",
-        delta_used=state.delta,
-        intermediate=detail,
-        iterate_bound=cs.iterate_bound,
-        feasible=True,
-        checks=checks,
-        notes=tuple(notes) + (C3_DISCREPANCY_NOTE,) + state.notes,
-    )
+    intermediate = {**detail, "c2_over_d2": cs.c2 / (cs.d * cs.d), "iterate_bound": cs.iterate_bound}
+    notes = (*notes, C3_DISCREPANCY_NOTE, *state.notes)
+    return _feasible_certificate("thm41", t0, state.delta, intermediate, cs.iterate_bound, notes)
 
 
 def _inverted_power(threshold: float, denom: float, exponent: float) -> tuple[float, bool]:
@@ -648,37 +651,13 @@ def theorem41_explicit(norms: idmod.NormBundle, d: int, delta: float) -> Lifespa
         t0 *= _EXPLICIT_SHRINK
 
     intermediate: dict[str, float] = {"threshold": threshold, "d": float(d), **terms}
-    checks: list[InequalityCheck] = []
-    if "term_theta" in terms and math.isfinite(t0):
-        intermediate["theta"] = norms.theta
-        intermediate["norm_d_plus_theta"] = norms.norm_d_plus_theta
-        checks.append(
-            InequalityCheck(
-                "k0_norm_bound_at_t0",
-                idmod.k0_bound_from_norms(norms, d, delta, t0),
-                "<=",
-                threshold,
-            )
-        )
-    if "term_grad" in terms and math.isfinite(t0):
-        intermediate["grad_d_norm"] = norms.grad_d_norm
-        checks.append(
-            InequalityCheck(
-                "k0_prime_norm_bound_at_t0",
-                idmod.k0_prime_bound_from_norms(norms, t0),
-                "<=",
-                threshold,
-            )
-        )
-    return LifespanCertificate(
-        t0=t0,
-        theorem="thm41-explicit",
-        delta_used=delta,
-        intermediate=intermediate,
-        iterate_bound=cs.iterate_bound,
-        feasible=True,
-        checks=tuple(checks),
-        notes=tuple(notes) + (C3_DISCREPANCY_NOTE,),
+    if math.isfinite(t0):  # the norms that the checks at t0 read
+        if norms.theta is not None:
+            intermediate.update(theta=norms.theta, norm_d_plus_theta=norms.norm_d_plus_theta)
+        if norms.grad_d_norm is not None:
+            intermediate["grad_d_norm"] = norms.grad_d_norm
+    return _feasible_certificate(
+        "thm41-explicit", t0, delta, intermediate, cs.iterate_bound, (*notes, C3_DISCREPANCY_NOTE)
     )
 
 
@@ -726,7 +705,6 @@ def global_certificate(a_d_norm: float, d: int, delta: float) -> LifespanCertifi
         raise DomainError(f"|a|_d must be finite and nonnegative, got {a_d_norm}")
     cs = composite_constants(d, delta)
     eps = global_smallness_threshold(d, delta)
-    feasible = a_d_norm <= eps
     intermediate = {
         "a_d_norm": a_d_norm,
         "epsilon": eps,
@@ -734,20 +712,10 @@ def global_certificate(a_d_norm: float, d: int, delta: float) -> LifespanCertifi
         "s2": cs.s2,
         "threshold": cs.threshold,
     }
-    checks = (InequalityCheck("a_norm_below_epsilon", a_d_norm, "<=", eps),) if feasible else ()
-    notes = () if feasible else (
-        f"|a|_d exceeds the global-smallness threshold by the factor {a_d_norm / eps:.6g}",
-    )
-    return LifespanCertificate(
-        t0=math.inf if feasible else 0.0,
-        theorem="global",
-        delta_used=delta,
-        intermediate=intermediate,
-        iterate_bound=cs.iterate_bound if feasible else None,
-        feasible=feasible,
-        checks=checks,
-        notes=notes,
-    )
+    if a_d_norm <= eps:
+        return _feasible_certificate("global", math.inf, delta, intermediate, cs.iterate_bound, ())
+    note = f"|a|_d exceeds the global-smallness threshold by the factor {a_d_norm / eps:.6g}"
+    return _infeasible_certificate("global", delta, intermediate, (note,))
 
 
 # ---------------------------------------------------------------------------
@@ -763,15 +731,47 @@ class ReplayReport:
     results: tuple[tuple[str, bool, str], ...]
 
 
+# the intermediates that every feasible certificate of a theorem stores; a
+# thm41-explicit certificate also stores its terms and the norms its checks read
+_STORED_INTERMEDIATES = {
+    "thm31": ("k0_at_t0", "k0_prime_at_t0", "j1", "j2", "s1", "s2", "d1", "d2", "v1", "v2", "margin"),
+    "thm41": ("k0_at_t0", "k0_prime_at_t0", "k_zero_sup", "threshold", "j_bar", "c2_over_d2", "iterate_bound"),
+    "thm41-explicit": ("threshold", "d"),
+    "global": ("a_d_norm", "epsilon", "s1", "s2", "threshold"),
+}
+# the replayed thm31 quantities, in row order, with the identity each row states
+_COUPLED_IDENTITIES = (
+    ("s1", "s1 = j1*k0' - j2*k0"),
+    ("s2", "s2 = -s1"),
+    ("v1", "v1 = Z(k0, s1, j2)"),
+    ("v2", "v2 = Z(k0', s2, j1)"),
+    ("d1", "d1 from (s1+1)^2 - 4 k0 j2"),
+    ("d2", "d2 from (s2+1)^2 - 4 k0' j1"),
+)
+
+
 def replay_certificate(cert: LifespanCertificate | Mapping) -> ReplayReport:
-    """Re-derive every intermediate and re-check every inequality.
+    """Re-check every stored inequality and re-derive it from the intermediates.
+
+    Each stored check is re-checked from its own sides. The checks are then
+    derived again from t0, delta_used and the intermediates, by the function
+    that built them, and stored checks that differ from the derived ones add
+    the failing row ``derived:checks``. The identity rows tie the
+    intermediates together: thm31 recomputes s1, s2, v1, v2, d1 and d2 from
+    (k0, k0', j1, j2) as its search did, and thm41-explicit re-evaluates its
+    norm bounds at t0. A missing or non-numeric stored value is a failing
+    row, never an exception.
 
     Works from the stored numbers alone (plus the closed-form constant
     identities), so a consumer that cannot rebuild the original evaluators
-    can still validate the certificate.
+    can still validate the certificate; nothing ties the numbers to (d,
+    delta) or to the data.
     """
     if not isinstance(cert, LifespanCertificate):
-        cert = LifespanCertificate.from_dict(cert)
+        try:
+            cert = LifespanCertificate.from_dict(cert)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            return ReplayReport(False, (("certificate", False, f"unreadable certificate: {exc!r}"),))
     results: list[tuple[str, bool, str]] = []
 
     def record(name: str, passed: bool, detail: str = "") -> None:
@@ -790,57 +790,46 @@ def replay_certificate(cert: LifespanCertificate | Mapping) -> ReplayReport:
     for check in cert.checks:
         record(f"check:{check.name}", check.passed, f"margin={check.margin:.6g}")
 
-    if cert.theorem == "thm31":
-        s1 = inter["j1"] * inter["k0_prime_at_t0"] - inter["j2"] * inter["k0_at_t0"]
-        record("identity:s1", close(s1, inter["s1"]), "s1 = j1*k0' - j2*k0")
-        record("identity:s2", close(-s1, inter["s2"]), "s2 = -s1")
-        for name, args, formula in (
-            ("v1", (inter["k0_at_t0"], inter["s1"], inter["j2"]), "Z(k0, s1, j2)"),
-            ("v2", (inter["k0_prime_at_t0"], inter["s2"], inter["j1"]), "Z(k0', s2, j1)"),
-        ):
-            try:
-                passed = close(z_root(*args), inter[name])
-            except DomainError:  # tampered numbers can leave no real root
-                passed = False
-            record(f"identity:{name}", passed, f"{name} = {formula}")
-        d1 = (inter["s1"] + 1.0) ** 2 - 4.0 * inter["k0_at_t0"] * inter["j2"]
-        d2 = (inter["s2"] + 1.0) ** 2 - 4.0 * inter["k0_prime_at_t0"] * inter["j1"]
-        record("identity:d1", close(d1, inter["d1"]), "d1 from (s1+1)^2 - 4 k0 j2")
-        record("identity:d2", close(d2, inter["d2"]), "d2 from (s2+1)^2 - 4 k0' j1")
-    elif cert.theorem == "thm41":
-        record(
-            "identity:threshold",
-            close(inter["threshold"], 3.0 / (16.0 * inter["j_bar"])),
-            "threshold = 3/(16 j_bar)",
-        )
-        record(
-            "identity:iterate_bound",
-            cert.iterate_bound is not None and close(cert.iterate_bound, 4.0 * inter["threshold"]),
-            "iterate bound = 4 * threshold = 3/(4 j_bar)",
-        )
-        record(
-            "identity:k_zero_sup",
-            close(inter["k_zero_sup"], max(inter["k0_at_t0"], inter["k0_prime_at_t0"])),
-            "k_zero_sup = max(k0, k0')",
-        )
-    elif cert.theorem == "thm41-explicit":
-        d = int(inter["d"])
-        if "term_theta" in inter and math.isfinite(cert.t0):
-            lhs = (
-                cert.t0 ** (inter["theta"] * cert.delta_used / (2.0 * d))
-                * 2.0 ** (d + inter["theta"])
-                * inter["norm_d_plus_theta"]
+    names = {*_STORED_INTERMEDIATES.get(cert.theorem, ()), *inter}
+    unusable = sorted(k for k in names if not isinstance(inter.get(k), (int, float)))
+    if unusable:
+        record("intermediates", False, f"missing or not a number: {', '.join(unusable)}")
+        return ReplayReport(False, tuple(results))
+    try:
+        derived = _derived_checks(cert.theorem, cert.t0, cert.delta_used, inter)
+        if derived != tuple(cert.checks):
+            record("derived:checks", False, "stored checks differ from those the intermediates give")
+        if cert.theorem == "thm31":
+            q = _coupled_quantities(inter["k0_at_t0"], inter["k0_prime_at_t0"], inter["j1"], inter["j2"])
+            for name, formula in _COUPLED_IDENTITIES:
+                record(f"identity:{name}", name in q and close(q[name], inter[name]), formula)
+        elif cert.theorem == "thm41":
+            record(
+                "identity:threshold",
+                close(inter["threshold"], 3.0 / (16.0 * inter["j_bar"])),
+                "threshold = 3/(16 j_bar)",
             )
-            record("reevaluate:k0_norm_bound", lhs <= inter["threshold"], f"lhs={lhs:.6g}")
-        if "term_grad" in inter and math.isfinite(cert.t0):
-            lhs = math.sqrt(cert.t0) * inter["grad_d_norm"]
-            record("reevaluate:k0_prime_norm_bound", lhs <= inter["threshold"], f"lhs={lhs:.6g}")
-    elif cert.theorem == "global":
-        record(
-            "identity:epsilon",
-            close(inter["epsilon"], inter["threshold"] / max(inter["s1"], inter["s2"])),
-            "epsilon = threshold / max(s1, s2)",
-        )
+            record(
+                "identity:iterate_bound",
+                cert.iterate_bound is not None and close(cert.iterate_bound, 4.0 * inter["threshold"]),
+                "iterate bound = 4 * threshold = 3/(4 j_bar)",
+            )
+            record(
+                "identity:k_zero_sup",
+                close(inter["k_zero_sup"], max(inter["k0_at_t0"], inter["k0_prime_at_t0"])),
+                "k_zero_sup = max(k0, k0')",
+            )
+        elif cert.theorem == "thm41-explicit":
+            for check in derived:
+                record(f"reevaluate:{check.name.removesuffix('_at_t0')}", check.passed, f"lhs={check.lhs:.6g}")
+        elif cert.theorem == "global":
+            record(
+                "identity:epsilon",
+                close(inter["epsilon"], inter["threshold"] / max(inter["s1"], inter["s2"])),
+                "epsilon = threshold / max(s1, s2)",
+            )
+    except (KeyError, TypeError, ValueError, ArithmeticError, DomainError, UnavailableBoundError) as exc:
+        record("intermediates", False, f"cannot derive the checks from the intermediates: {exc!r}")
 
     all_passed = all(p for _, p, _ in results)
     return ReplayReport(all_passed, tuple(results))

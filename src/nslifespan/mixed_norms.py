@@ -22,6 +22,8 @@ from typing import Sequence
 
 from .constants import (
     ExponentPair,
+    _check_delta,
+    _check_dimension,
     beta_fn,
     default_delta_grid,
     heat_kernel_grad_norm,
@@ -71,12 +73,10 @@ class ThetaExponents:
 
     @classmethod
     def create(cls, d: int, q: float, delta: float) -> "ThetaExponents":
-        if not isinstance(d, int) or isinstance(d, bool) or d < 3:
-            raise DomainError(f"dimension must be an integer >= 3, got {d!r}")
+        _check_dimension(d)
         if q < d:
             raise DomainError(f"q must be >= d, got q={q}, d={d}")
-        if not (0.0 < delta < 1.0):
-            raise DomainError(f"delta must lie in (0, 1), got {delta}")
+        _check_delta(delta)
         denom1 = d * (q + 1.0) - q * (delta + 1.0)
         if denom1 <= 0:
             raise InfeasibleExponentError(

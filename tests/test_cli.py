@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -335,6 +336,14 @@ class TestRuns:
         path = write_config(tmp_path, cfg)
         assert main(["--config", str(path), "--out", str(tmp_path / "report.json")]) == 1
 
+    @pytest.mark.parametrize("keys", [("3", "3.0"), ("3.0", "3")])
+    def test_repeated_lp_norm_exponent_is_input_error(self, tmp_path, capsys, keys):
+        # '3' and '3.0' name one exponent; in either order neither value may silently win
+        cfg = {"d": 3, "mode": "global_test", "data": {"norms": {"lp_norms": dict(zip(keys, (1e-6, 0.01)))}}}
+        path = write_config(tmp_path, cfg)
+        assert main(["--config", str(path), "--out", str(tmp_path / "report.json")]) == 1
+        assert "exponent 3.0 twice" in capsys.readouterr().err
+
     def test_abstract_parabolic_mode(self, tmp_path):
         cfg = {
             "d": 3,
@@ -522,6 +531,129 @@ class TestGoldenBundleReports:
         validate_config(config)
         report, _ = build_report(config)
         assert hashlib.sha256(canonical_dumps(report).encode("utf-8")).hexdigest() == self.DIGESTS[mode, bundle]
+
+
+def _golden_corpus() -> list:
+    """About 200 seeded configs: every mode, d 3-5, vortex and bundle data, grids and invalid inputs."""
+    rng = random.Random(2013)
+
+    def log_uniform(lo: float, hi: float) -> float:
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    def vortex() -> dict:
+        return {"family": "vortex_gaussian", "sigma": log_uniform(0.1, 10.0), "amplitude": log_uniform(1e-8, 10.0)}
+
+    def bundle(d: int, with_a_d: bool) -> dict:
+        norms: dict = {"lp_norms": {repr(float(d)): log_uniform(1e-7, 1e-1)} if with_a_d else {}}
+        if rng.random() < 0.3:
+            norms["lp_norms"][repr(float(d + 2))] = log_uniform(1e-7, 1e-1)
+        if not with_a_d or rng.random() < 0.8:
+            norms["grad_d_norm"] = log_uniform(1e-6, 1.0)
+        if not with_a_d or rng.random() < 0.7:
+            norms["theta"] = rng.uniform(0.1, 1.0)
+            norms["norm_d_plus_theta"] = log_uniform(1e-7, 1e-1)
+        return {"norms": norms}
+
+    def force(d: int, delta: float) -> dict:
+        # theta1 above d/(1+delta) keeps the kernel decay below 1; both lambdas match the Kato weights
+        theta1 = d / (1.0 + delta) + rng.uniform(0.1, 0.9) * (d - d / (1.0 + delta))
+        theta2 = d / 2.0 + rng.uniform(0.1, 0.9) * d / 2.0
+        block = {
+            "k0": {"theta": theta1, "lambda": d / (2.0 * theta1) - 1.5, "value": log_uniform(1e-12, 1e-6)},
+            "k0_prime": {"theta": theta2, "lambda": d / (2.0 * theta2) - 1.5, "value": log_uniform(1e-12, 1e-6)},
+        }
+        if rng.random() < 0.3:
+            block["halved_kernel_decay"] = True
+        return block
+
+    configs: list = []
+    for d in (3, 4, 5):
+        for mode in ("thm31", "thm41", "forced", "global_test", "thm41_explicit", "mixed_norms"):
+            for data in ("vortex", "bundle"):
+                for shape in ("single", "grid", "default", "single", "grid"):
+                    config: dict = {"d": d, "mode": mode}
+                    deltas = sorted(rng.uniform(0.05, 0.9) for _ in range(3 if shape == "grid" else 1))
+                    if shape == "grid":
+                        config["delta_grid"] = deltas
+                    elif shape == "single":
+                        config["delta"] = deltas[0]
+                    else:
+                        deltas = [DELTA0]
+                    needs_a_d = mode in ("global_test", "mixed_norms") or rng.random() < 0.5
+                    config["data"] = vortex() if data == "vortex" else bundle(d, needs_a_d)
+                    if mode == "forced":
+                        config["force"] = force(d, deltas[0])
+                    if mode == "mixed_norms":
+                        q_max = min(d / deltas[-1], 1.5 * d)
+                        config["q_grid"] = sorted(rng.uniform(d, q_max + 1.0) for _ in range(3))
+                    if mode == "thm41_explicit" and data == "vortex" and rng.random() < 0.5:
+                        config["theta"] = rng.uniform(0.1, 1.0)
+                    if mode == "thm31" and rng.random() < 0.3:
+                        config["search"] = {"t_min": log_uniform(1e-14, 1e-8), "t_max": log_uniform(1e2, 1e8)}
+                        config["tolerances"] = {"rel_tol": log_uniform(1e-12, 1e-6), "margin": log_uniform(1e-14, 1e-8)}
+                    configs.append(config)
+    for _ in range(8):
+        block = {key: log_uniform(0.05, 20.0) for key in ("c_gamma", "alpha", "k1", "k2", "t1", "t2")}
+        block["gamma"] = rng.uniform(0.05, 0.999)
+        configs.append({"d": rng.choice((3, 4, 5)), "mode": "abstract_parabolic", "abstract_parabolic": block})
+
+    valid = configs[0]
+    bundle_thm41 = {"d": 4, "mode": "thm41", "data": bundle(4, True)}
+    configs += [
+        {**valid, "d": 2},
+        {**valid, "delta": 1.5},
+        {**valid, "delta_grid": []},
+        {**valid, "extra": 1},
+        {**valid, "mode": "forced"},
+        {**valid, "mode": "mixed_norms"},
+        {"d": 3, "mode": "abstract_parabolic"},
+        {"d": 3, "mode": "thm41"},
+        {**bundle_thm41, "data": {"norms": {"lp_norms": {"4.0": -1.0}}}},
+        {**bundle_thm41, "data": {"norms": {"lp_norms": {"0.5": 1.0}}}},
+        {**bundle_thm41, "data": {"norms": {"lp_norms": {}, "grad_d_norm": 0.1}}},
+        {**bundle_thm41, "data": {"norms": {"lp_norms": {}, "theta": 0.5, "norm_d_plus_theta": 0.1}}},
+        {**bundle_thm41, "data": {"norms": {"lp_norms": {"4.0": 0.1}, "theta": 0.5}}},
+        {**bundle_thm41, "data": {"norms": {"lp_norms": {}, "theta": 1.5, "norm_d_plus_theta": 0.1}}},
+        {**bundle_thm41, "mode": "global_test", "data": {"norms": {"lp_norms": {"5.0": 0.1}}}},
+        {**bundle_thm41, "mode": "thm41_explicit", "data": {"norms": {"lp_norms": {"4.0": 0.1}}}},
+        {**bundle_thm41, "mode": "forced", "force": {
+            "k0": {"theta": 1.5, "lambda": -0.2, "value": 1e-8},
+            "k0_prime": {"theta": 3.0, "lambda": -0.8333333333333334, "value": 1e-8},
+        }},
+        {**bundle_thm41, "mode": "thm31", "search": {"t_min": 10.0, "t_max": 1.0}},
+        {"d": 3, "mode": "thm41_explicit", "theta": 2.5, "data": vortex()},
+        {"d": 3, "mode": "mixed_norms", "q_grid": [2.0, 12.0], "data": vortex()},
+    ]
+    return configs
+
+
+class TestGoldenCorpus:
+    """One sha256 over the outcomes of the seeded corpus of ``_golden_corpus``.
+
+    An outcome is canonical_dumps(build_report(config)) with the certified
+    flag, or the class and message of the error the config raises. The
+    digest stays fixed while the mathematics and the error messages are
+    unchanged; a change that alters it says why and records the new digest.
+    """
+
+    DIGEST = "8c84c71ba521575c5de3513a283a764e2ca1c949938c6e62527fe3d415c5265d"
+
+    @staticmethod
+    def outcome(config: dict) -> str:
+        try:
+            validate_config(config)
+            report, certified = build_report(config)
+        except Exception as exc:  # the error class and message are part of the outcome
+            return f"{type(exc).__name__}: {exc}"
+        return f"{certified} {canonical_dumps(report)}"
+
+    def test_corpus_digest(self):
+        corpus = _golden_corpus()
+        assert len(corpus) == 208
+        digest = hashlib.sha256()
+        for config in corpus:
+            digest.update(self.outcome(config).encode("utf-8") + b"\n")
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestPrintConstants:

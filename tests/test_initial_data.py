@@ -278,6 +278,11 @@ class TestNormBundle:
         with pytest.raises(DomainError):
             NormBundle(lp_norms={3.0: 1.0}, grad_d_norm=-1.0)
 
+    @pytest.mark.parametrize("keys", [("3", "3.0"), ("3.0", "3"), ("3.0", "3e0")])
+    def test_repeated_exponent_rejected(self, keys):
+        with pytest.raises(DomainError, match="exponent 3.0 twice"):
+            NormBundle.from_dict({"lp_norms": dict(zip(keys, (1e-6, 0.01)))})
+
     def test_from_vortex(self):
         data = VortexGaussian(3, 1.0, 1.0)
         bundle = norm_bundle_from_vortex(data, theta=1.0)

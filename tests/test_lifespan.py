@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from dataclasses import replace
@@ -21,8 +22,10 @@ from nslifespan.initial_data import (
     lp_norm,
     norm_bundle_from_vortex,
 )
+from nslifespan.jsonio import canonical_dumps, decode_infinities
 from nslifespan.lifespan import (
     _BRACKET_EPS,
+    _derived_checks,
     _largest_double,
     _largest_feasible,
     InequalityCheck,
@@ -259,17 +262,16 @@ class TestLargestFeasible:
 
         def probe(T):
             probes.append(T)
-            return feasible(T), {"T": T}
+            return feasible(T)
 
-        t0, detail, notes = _largest_feasible(probe, t_lo, 1e3, 0.5)
+        t0, notes = _largest_feasible(probe, t_lo, 1e3, 0.5)
         assert t0 == expected_t0
-        assert detail == {"T": t_lo if t0 is None else t0}
         assert list(notes) == expected_notes
         assert probes == expected_probes
 
     def test_search_range_must_be_ordered(self):
         with pytest.raises(DomainError):
-            _largest_feasible(lambda T: (True, {}), 1.0, 1.0, 1e-9)
+            _largest_feasible(lambda T: True, 1.0, 1.0, 1e-9)
 
 
 class TestLargestDouble:
@@ -913,3 +915,99 @@ class TestCertificatePlumbing:
         )
         report = replay_certificate(cert)
         assert not report.all_passed
+
+
+THEOREMS = ("thm31", "thm41", "thm41-explicit", "global")
+
+
+@pytest.fixture(scope="module")
+def feasible_certificates(eps3):
+    return {
+        "thm31": theorem31_bound(state_from_vortex(vortex_with_a3(1000 * eps3), DELTA0)),
+        "thm41": theorem41_bound(state_from_vortex(vortex_with_a3(100 * eps3), DELTA0)),
+        "thm41-explicit": theorem41_explicit(TestCertificatePlumbing.THETA_BINDS, 3, DELTA0),
+        "global": global_certificate(1e-6, 3, DELTA0),
+    }
+
+
+class TestReplayMutations:
+    """Tampered or incomplete certificates fail replay, by a failing row and never by an exception."""
+
+    def test_global_norm_set_to_one(self, feasible_certificates):
+        data = feasible_certificates["global"].to_dict()
+        data["intermediate"]["a_d_norm"] = 1.0
+        assert not replay_certificate(data).all_passed
+
+    def test_envelope_values_at_twice_the_threshold(self, feasible_certificates):
+        data = feasible_certificates["thm41"].to_dict()
+        inter = data["intermediate"]
+        inter["k0_at_t0"] = inter["k_zero_sup"] = 2.0 * inter["threshold"]
+        assert not replay_certificate(data).all_passed
+
+    def test_halved_coupled_check_side(self, feasible_certificates):
+        data = feasible_certificates["thm31"].to_dict()
+        assert data["checks"][0]["name"] == "k0_below_v1"
+        data["checks"][0]["lhs"] /= 2.0
+        assert not replay_certificate(data).all_passed
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_deleted_check(self, feasible_certificates, theorem):
+        cert = feasible_certificates[theorem]
+        assert cert.checks
+        for i in range(len(cert.checks)):
+            data = cert.to_dict()
+            del data["checks"][i]
+            assert not replay_certificate(data).all_passed, cert.checks[i].name
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_deleted_or_non_numeric_intermediate(self, feasible_certificates, theorem):
+        cert = feasible_certificates[theorem]
+        for name in cert.intermediate:
+            data = cert.to_dict()
+            del data["intermediate"][name]
+            assert not replay_certificate(data).all_passed, name
+            data = cert.to_dict()
+            data["intermediate"][name] = "not a number"
+            assert not replay_certificate(data).all_passed, name
+            stored = replace(cert, intermediate={**cert.intermediate, name: None})
+            assert not replay_certificate(stored).all_passed, name
+
+
+def _certificate(theorem: str, data: VortexGaussian, delta: float, bundle: bool) -> LifespanCertificate:
+    d = data.d
+    norms = norm_bundle_from_vortex(data, theta=0.5)
+    if theorem == "global":
+        return global_certificate(norms.lp_norms[float(d)], d, delta)
+    if theorem == "thm41-explicit":
+        return theorem41_explicit(norms, d, delta)
+    state = state_from_norms(norms, d, delta) if bundle else state_from_vortex(data, delta)
+    if theorem == "thm31":
+        return theorem31_bound(state)
+    if theorem == "thm41":
+        return theorem41_bound(state)
+    # forced: exponents inside the feasible window, lambdas matching the Kato weights
+    theta1 = d / (1.0 + delta) + 0.5 * (d - d / (1.0 + delta))
+    f1 = ForceNorm(theta1, matching_lambda_k0(d, delta, theta1), 1e-9)
+    f2 = ForceNorm(0.75 * d, matching_lambda_k0_prime(d, 0.75 * d), 1e-9)
+    return forced_lifespan(state, f1, f2)
+
+
+class TestDerivedChecks:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        theorem=st.sampled_from((*THEOREMS, "forced")),
+        d=st.integers(3, 5),
+        delta=st.floats(0.05, 0.9),
+        log_sigma=st.floats(-1.0, 1.0),
+        log_amplitude=st.floats(-8.0, 1.0),
+        bundle=st.booleans(),
+    )
+    def test_stored_checks_equal_derived_checks(self, theorem, d, delta, log_sigma, log_amplitude, bundle):
+        # after the report's JSON round trip, replay derives exactly the stored checks
+        data = VortexGaussian(d, 10.0**log_sigma, 10.0**log_amplitude)
+        cert = _certificate(theorem, data, delta, bundle)
+        stored = LifespanCertificate.from_dict(decode_infinities(json.loads(canonical_dumps(cert.to_dict()))))
+        if not stored.feasible:
+            return
+        assert stored.checks == _derived_checks(stored.theorem, stored.t0, stored.delta_used, stored.intermediate)
+        assert "derived:checks" not in [name for name, _, _ in replay_certificate(stored).results]
