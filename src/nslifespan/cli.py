@@ -34,9 +34,7 @@ from .extensions import (
 from .initial_data import NormBundle, VortexGaussian, lp_norm, norm_bundle_from_vortex
 from .jsonio import canonical_dumps, fingerprint
 from .lifespan import (
-    _DEFAULT_MARGIN,
     _DEFAULT_SEARCH,
-    _DEFAULT_TOL,
     LifespanCertificate,
     global_certificate,
     optimize_delta,
@@ -152,11 +150,9 @@ def _certifier(config: Mapping) -> Callable[[float], LifespanCertificate]:
     else:
         state_at = functools.partial(state_from_norms, data, d)
     if mode == "thm31":
-        tolerances, search = config.get("tolerances", {}), config.get("search", {})
-        tol = float(tolerances.get("rel_tol", _DEFAULT_TOL))
-        margin = float(tolerances.get("margin", _DEFAULT_MARGIN))
+        search = config.get("search", {})
         t_range = (float(search.get("t_min", _DEFAULT_SEARCH[0])), float(search.get("t_max", _DEFAULT_SEARCH[1])))
-        return lambda delta: theorem31_bound(state_at(delta), search=t_range, tol=tol, margin=margin)
+        return lambda delta: theorem31_bound(state_at(delta), search=t_range)
     if mode == "thm41":
         return lambda delta: theorem41_bound(state_at(delta))
     if mode == "forced":

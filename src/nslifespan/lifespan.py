@@ -3,18 +3,20 @@ systems close, emitted as replayable certificates.
 
 Two routes are implemented, each with one search over T. The coupled route
 keeps the sharp product constants J1(d, delta), J2(d, delta) and certifies
-the largest T where the coupled fixed-point hypotheses hold with K0(T),
-K0'(T) in both the offset and the start slots; that feasibility need not be
-monotone in T, so a scan of a search range seeds a bisection and a floor hit
-is reported in the notes. The envelope route collapses the system to one
-variable: max(K0(T), K0'(T)) <= 3/(16 Jbar) = C2/d^2 certifies T and bounds
-every Picard iterate by 3/(4 Jbar) = C3/d^2. K0 and K0' are nondecreasing in
-T, so one exact bisection over the doubles finds the largest T that passes.
-Where the evaluators can be inverted (``KatoEvaluator.root``), the inverses
-at threshold (1 -+ eps) bracket that T within a few thousand ulps; once a
-probe at each end confirms the bracket, the bisection probes only the
-binding evaluator inside it, and returns the same double as the
-unbracketed one.
+a T where the coupled fixed-point hypotheses hold with K0(T), K0'(T) in both
+the offset and the start slots: a downward scan of the search range by
+factors of 8 seeds a geometric bisection to relative width 1e-9, and a floor
+hit is reported in the notes. That feasibility need not be monotone in T,
+and a feasible island above an infeasible scan point is not looked for.
+The search range is the route's only setting. The envelope route collapses
+the system to one variable: max(K0(T), K0'(T)) <= 3/(16 Jbar) = C2/d^2
+certifies T and bounds every Picard iterate by 3/(4 Jbar) = C3/d^2. K0 and
+K0' are nondecreasing in T, so one exact bisection over the doubles finds
+the largest T that passes. Where the evaluators can be inverted
+(``KatoEvaluator.root``), the inverses at threshold (1 -+ eps) bracket that
+T within a few thousand ulps; once a probe at each end confirms the
+bracket, the bisection probes only the binding evaluator inside it, and
+returns the same double as the unbracketed one.
 
 A certificate records the producing inequalities with their evaluated
 sides. ``_derived_checks`` derives them from t0, delta_used and the
@@ -61,9 +63,9 @@ __all__ = [
 ]
 
 _DEFAULT_SEARCH = (1e-12, 1e12)
-_DEFAULT_TOL = 1e-9  # relative width of the final bisection bracket
-_DEFAULT_MARGIN = 1e-9  # absolute slack certifying strict inequalities
-_MAX_BISECTIONS = 60  # stops the bisection when tol is below the float spacing
+_COUPLED_TOL = 1e-9  # relative width of the coupled route's final bisection bracket
+_COUPLED_MARGIN = 1e-9  # absolute slack of the coupled route's v1 - k0 and v2 - k0'
+_MAX_BISECTIONS = 60  # stops the bisection when the tolerance is below the float spacing
 _DOUBLE = struct.Struct("<d")  # with _INT64, maps a double to its bit pattern and back
 _INT64 = struct.Struct("<q")
 # Relative half-width of the inversion bracket around the envelope threshold.
@@ -306,36 +308,32 @@ def _coupled_quantities(k0: float, k0p: float, j1: float, j2: float) -> dict[str
     (k0, k0p), floored at _TINY, fills both the offset and the start slots
     of the ``CoupledRecurrence`` with the constants (J1, J2); s1, s2, d1, d2
     are its det1, det2, d1, d2, and v1, v2 the bounds of ``coupled_bound``,
-    present only when its hypotheses hold.
+    present only when its hypotheses hold. d1 and d2 are left out when they
+    overflow the doubles, which fails those hypotheses.
     """
     x0, y0 = max(k0, _TINY), max(k0p, _TINY)
     rec = CoupledRecurrence(alpha1=x0, alpha2=y0, beta1=j1, beta2=j2, x0=x0, y0=y0)
     res = coupled_bound(rec)
-    quantities = {
-        "k0_at_t0": k0,
-        "k0_prime_at_t0": k0p,
-        "j1": j1,
-        "j2": j2,
-        "s1": rec.det1,
-        "s2": rec.det2,
-        "d1": rec.d1,
-        "d2": rec.d2,
-    }
+    quantities = {"k0_at_t0": k0, "k0_prime_at_t0": k0p, "j1": j1, "j2": j2, "s1": rec.det1, "s2": rec.det2}
+    try:
+        quantities.update(d1=rec.d1, d2=rec.d2)
+    except OverflowError:
+        pass
     if res.ok:
         quantities["v1"], quantities["v2"] = res.x_bound, res.y_bound
     return quantities
 
 
-def _coupled_probe(state: KatoBoundState, T: float, margin: float) -> tuple[bool, dict[str, float]]:
+def _coupled_probe(state: KatoBoundState, T: float) -> tuple[bool, dict[str, float]]:
     """Feasibility of the coupled fixed-point hypotheses at horizon T, with the intermediates there."""
     k0, k0p = state.k0(T), state.k0_prime(T)
     q = _coupled_quantities(k0, k0p, state.constants.j1, state.constants.j2)
-    return "v1" in q and q["v1"] - k0 > margin and q["v2"] - k0p > margin, q
+    return "v1" in q and q["v1"] - k0 > _COUPLED_MARGIN and q["v2"] - k0p > _COUPLED_MARGIN, q
 
 
-def thm31_feasible_at(state: KatoBoundState, T: float, margin: float = _DEFAULT_MARGIN) -> bool:
+def thm31_feasible_at(state: KatoBoundState, T: float) -> bool:
     """Whether the coupled-route inequalities hold at horizon T."""
-    return _coupled_probe(state, T, margin)[0]
+    return _coupled_probe(state, T)[0]
 
 
 def _envelope_probe(state: KatoBoundState, T: float):
@@ -364,14 +362,14 @@ def thm41_feasible_at(state: KatoBoundState, T: float) -> bool:
 
 
 def _largest_feasible(feasible: Callable[[float], bool], t_lo: float, t_hi: float, tol: float):
-    """Largest feasible T found by downward scan plus geometric bisection.
+    """A feasible T found by downward scan plus geometric bisection.
 
     Returns (t_best, scan_notes) with t_best = None when nothing in
     [t_lo, t_hi] is feasible. The scan steps down by factors of 8 to the
-    first feasible seed, then probes up to three more points below it: an
-    infeasible one there means feasibility is non-monotone, which is
-    reported rather than silently assumed away. Bisection runs between the
-    seed and the last infeasible scan point.
+    first feasible seed. Bisection then runs between the seed and the last
+    infeasible scan point until the bracket's relative width is at most
+    tol, and returns its feasible end. Feasibility below the seed is not
+    probed, and one above the last infeasible scan point is not looked for.
     """
     if not (0 < t_lo < t_hi):
         raise DomainError(f"search range must satisfy 0 < t_lo < t_hi, got ({t_lo}, {t_hi})")
@@ -390,26 +388,17 @@ def _largest_feasible(feasible: Callable[[float], bool], t_lo: float, t_hi: floa
             ]
         hi = lo
 
-    monotone = True
-    t = lo
-    for _ in range(3):
-        if t == t_lo:
-            break
-        t = max(t / 8.0, t_lo)
-        monotone &= feasible(t)
-    notes = [] if monotone else [
-        "feasibility was non-monotone in the scan; certifying the largest feasible prefix"
-    ]
-
     for _ in range(_MAX_BISECTIONS):
         if hi - lo <= tol * lo:
             break
         mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:  # the product under- or overflowed
+            mid = math.sqrt(lo) * math.sqrt(hi)
         if feasible(mid):
             lo = mid
         else:
             hi = mid
-    return lo, notes
+    return lo, []
 
 
 def _largest_double(ok: Callable[[float], bool], bracket: tuple[float, float] = (0.0, math.inf)) -> float:
@@ -506,32 +495,27 @@ def _infeasible_certificate(theorem, delta, intermediate, notes) -> LifespanCert
     return LifespanCertificate(0.0, theorem, delta, intermediate, None, False, (), tuple(notes))
 
 
-def theorem31_bound(
-    state: KatoBoundState,
-    search: tuple[float, float] = _DEFAULT_SEARCH,
-    tol: float = _DEFAULT_TOL,
-    margin: float = _DEFAULT_MARGIN,
-) -> LifespanCertificate:
+def theorem31_bound(state: KatoBoundState, search: tuple[float, float] = _DEFAULT_SEARCH) -> LifespanCertificate:
     """Largest certifiable horizon via the coupled fixed-point route.
 
     At a feasible T the pair (K0(T), K0'(T)) sits strictly below the coupled
-    bounds (V1, V2) built from itself with the sharp constants J1, J2; the
-    strictness is certified with an absolute margin so floating-point
-    equality can never produce a false certificate. If the inequalities hold
+    bounds (V1, V2) built from itself with the sharp constants J1, J2, by
+    more than the absolute margin 1e-9, which the certificate stores; d1 > 0
+    and d2 > 0 are certified with no margin. If the inequalities hold
     at T = infinity (declared-finite evaluators only) the infinite branch is
     certified directly. The search sees only feasibility; the intermediates
     are evaluated once, at the certified T, or at the search floor when no
     T in the range is feasible.
     """
-    feasible = lambda T: _coupled_probe(state, T, margin)[0]
+    feasible = lambda T: _coupled_probe(state, T)[0]
     if state.k0.finite_at_infinity and state.k0_prime.finite_at_infinity and feasible(math.inf):
         t0, notes = math.inf, ["inequalities hold at T = infinity; solution is global"]
     else:
-        t0, notes = _largest_feasible(feasible, search[0], search[1], tol)
-    _, q = _coupled_probe(state, search[0] if t0 is None else t0, margin)
+        t0, notes = _largest_feasible(feasible, search[0], search[1], _COUPLED_TOL)
+    _, q = _coupled_probe(state, search[0] if t0 is None else t0)
     if t0 is None:
         return _infeasible_certificate("thm31", state.delta, q, (*notes, *state.notes))
-    intermediate = {**q, "margin": margin}
+    intermediate = {**q, "margin": _COUPLED_MARGIN}
     return _feasible_certificate(
         "thm31", t0, state.delta, intermediate, max(q["v1"], q["v2"]), (*notes, *state.notes)
     )

@@ -116,7 +116,8 @@ class HypothesisFailure:
 
     `margin` is the value of the quantity that the hypothesis requires to be
     positive (a discriminant, a root, or a root minus the start value), as
-    evaluated when the check failed.
+    evaluated when the check failed; it is NaN for ``quadratics_finite``,
+    whose quantities overflow the doubles.
     """
 
     condition: str
@@ -202,9 +203,14 @@ def coupled_bound(rec: CoupledRecurrence) -> CoupledBound:
     and z(alpha2, det2, beta1) positive, and the start values below them.
     d1 > 0 and d2 > 0 together force the shared reduced discriminant
     (det1 - 1)^2 - 4 alpha1 beta2 = (det2 - 1)^2 - 4 alpha2 beta1 above
-    4 |det1| >= 0, so the roots are then automatically real.
+    4 |det1| >= 0, so the roots are then automatically real. When d1 or d2
+    overflows the doubles, nothing is certified: the single failure is
+    ``quadratics_finite``.
     """
-    d1, d2 = rec.d1, rec.d2
+    try:
+        d1, d2 = rec.d1, rec.d2
+    except OverflowError:
+        return CoupledBound(None, None, (HypothesisFailure("quadratics_finite", math.nan),))
     failures: list[HypothesisFailure] = []
     if d1 <= 0:
         failures.append(HypothesisFailure("d1_positive", d1))

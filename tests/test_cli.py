@@ -65,6 +65,7 @@ SCHEMA_VIOLATIONS = {
         },
     },
     "config_not_object": [THM41_CONFIG],
+    "tolerances_block": {**THM41_CONFIG, "mode": "thm31", "tolerances": {"rel_tol": 1e-16}},
 }
 
 
@@ -394,6 +395,34 @@ class TestRuns:
         assert report["result"]["lifespan"] == 0.0
         assert report["verification"]["all_passed"] is False
 
+    def test_thm31_subnormal_search_floor(self, tmp_path):
+        # the bisection bracket reaches below 1e-300, where lo * hi underflows
+        cfg = {
+            "d": 3, "mode": "thm31", "delta": 0.05,
+            "data": {"family": "vortex_gaussian", "sigma": 1.0, "amplitude": 1e140},
+            "search": {"t_min": 1e-320},
+        }
+        out = tmp_path / "report.json"
+        assert main(["--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        cert = json.loads(out.read_text(encoding="utf-8"))["result"]["certificate"]
+        assert cert["feasible"] is True and 0.0 < cert["t0"] < 1e-300
+
+    @pytest.mark.parametrize(
+        "data, delta",
+        [
+            ({"norms": {"lp_norms": {"3.0": 1e160}, "grad_d_norm": 1.0}}, 0.3),
+            ({"family": "vortex_gaussian", "sigma": 1.0, "amplitude": 1e152}, 0.05),
+        ],
+        ids=["bundle", "vortex"],
+    )
+    def test_thm31_overflowing_quadratic_is_infeasible(self, tmp_path, data, delta):
+        # (det1 + 1)^2 overflows the doubles at the search's first probes
+        cfg = {"d": 3, "mode": "thm31", "delta": delta, "data": data}
+        out = tmp_path / "report.json"
+        assert main(["--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        cert = json.loads(out.read_text(encoding="utf-8"))["result"]["certificate"]
+        assert cert["theorem"] == "thm31" and cert["feasible"] is False and cert["t0"] == 0.0
+
     def test_force_dominated_forced_run_is_infeasible(self, tmp_path):
         # forced_small with a k0 force of 1.0: its coefficient 35.55 exceeds
         # the threshold 3.7e-4 at every horizon, so no positive double passes
@@ -590,7 +619,7 @@ def _golden_corpus() -> list:
                         config["theta"] = rng.uniform(0.1, 1.0)
                     if mode == "thm31" and rng.random() < 0.3:
                         config["search"] = {"t_min": log_uniform(1e-14, 1e-8), "t_max": log_uniform(1e2, 1e8)}
-                        config["tolerances"] = {"rel_tol": log_uniform(1e-12, 1e-6), "margin": log_uniform(1e-14, 1e-8)}
+                        rng.random(), rng.random()  # unused draws that keep the later entries as recorded
                     configs.append(config)
     for _ in range(8):
         block = {key: log_uniform(0.05, 20.0) for key in ("c_gamma", "alpha", "k1", "k2", "t1", "t2")}
@@ -633,10 +662,35 @@ class TestGoldenCorpus:
     An outcome is canonical_dumps(build_report(config)) with the certified
     flag, or the class and message of the error the config raises. The
     digest stays fixed while the mathematics and the error messages are
-    unchanged; a change that alters it says why and records the new digest.
+    unchanged; a change that alters it says why and records the new digest
+    and entry prefixes. A mismatch names the entries whose outcome changed.
     """
 
-    DIGEST = "8c84c71ba521575c5de3513a283a764e2ca1c949938c6e62527fe3d415c5265d"
+    DIGEST = "2f96a302fd5baa27fe2566744ca98ea5646f94880ce22d011bae25bc40f6f854"
+    # the first 8 hex digits of each entry's outcome sha256, in corpus order
+    ENTRY_PREFIXES = """
+        bf4dfc3a 5b766852 0757c832 2660679e 53047cce 9aad093e f0a1fe6a c18dc9dd bae3a8d3 fce1153e
+        ff3aa034 46bf9951 056ca303 8eb4ab2a f8b8b33f b54892d7 bc4a886e 02d23d9b 2920cf75 78294111
+        d8adfde8 94576657 811774b2 d6914a9f b0fdf61a 2920cc0d 5d04f33d 64aa9321 e03f59db fcdab490
+        c37c592e 6facf8ad 93085fec 92b6f496 2ab8713c 4567950e 6e27fb49 fd11a20e 4a0e2797 f589a496
+        77a1ae52 26e2e9c0 5759a174 4dfc9725 cb2b9452 8a6343ff f3d7b765 9ee05ad9 4efb39a0 592de540
+        6e2bd025 b2753958 12a8ca04 d13f2328 7c36ba1b a78b769a 52bfc565 728c5953 742cf805 f0a40824
+        cae6215a faad0fac cc0a7976 df021609 fc53a51b 743ec3e0 49eb52d7 b78ab7a3 4297caba 414cebe5
+        58c26530 df1d1f16 879e0335 7bdb2cda fd6f17dc 8de44b86 13a6f8c5 7b207755 27b421eb d69a699c
+        807de45e 06404b56 5f98aae5 913fed71 3706e6f0 50ca8660 3ae0634d 1d17ad6d 6ab3d6b2 4e65a92c
+        bcfab2fe 1ea45cbd 832a67cf c1243aeb 5ba11a22 2f0a8ca9 040c99b4 ebd42eea d85af6b6 b0fb6f4f
+        e2a93bc3 c9ebf938 e40c7df9 ba97e37e c9001b80 45a6e4bd 8bcce51a 9285bb9e 8c071e1e 37f7557a
+        8565f499 d0a06608 ba14fd47 6cc97db8 12502915 06a1d186 eef4028a 336b661e e829f573 2b6418cd
+        0451b85b c1c7011a 2d0a01df 3b3b6587 130449b4 f55b25dd bded9aa3 c296b4a8 f766c0f2 a7b59db9
+        e33f3854 1f7adbbc 57159d69 2af29072 955b3c9b 99531bbf c77e6e98 99d3a5b2 8719abba 9549322a
+        c46499f3 f32d6f7f 211a43dd 46716fa8 3ca79a0e ebce354d 912ec54d d7be5cbe c62550e6 0eb9a33c
+        ad95853a 8a725a92 87a844fd 4967d35b 3d88749f c3fefcc7 b04d6182 2d17eedb 276b6f26 e401871e
+        29ddccf3 bc6c3c47 22a1798b ba0c64ff a38feedf 9e6d54c4 f70c0c53 340a1d33 3ff92d46 39e709e6
+        c4ee14df e5245b15 d756276d 78bb5c05 dd5e11bf 1a147dc8 c6d0313f 83fa64bb 6a25aca5 1ea776a9
+        1c49603e 29789918 4470cb37 e6bb9084 30de0d95 4fbab212 81bd4f08 fbc92445 3d991b0c b9a63653
+        28f4ba8a bffad326 a2764166 bcdfa1db 3f72c501 4d567754 d78709b4 93b7d915 e5005423 3819f15e
+        8ae662f5 976c9e04 88fe97fa 9bbe3893 25c019eb 9161a8a1 326d1a60 2d45edbe
+    """.split()
 
     @staticmethod
     def outcome(config: dict) -> str:
@@ -649,11 +703,15 @@ class TestGoldenCorpus:
 
     def test_corpus_digest(self):
         corpus = _golden_corpus()
-        assert len(corpus) == 208
-        digest = hashlib.sha256()
-        for config in corpus:
-            digest.update(self.outcome(config).encode("utf-8") + b"\n")
-        assert digest.hexdigest() == self.DIGEST
+        assert len(corpus) == len(self.ENTRY_PREFIXES) == 208
+        outcomes = [self.outcome(config).encode("utf-8") for config in corpus]
+        changed = [
+            f"#{i} ({config['mode']})"
+            for i, (config, outcome, prefix) in enumerate(zip(corpus, outcomes, self.ENTRY_PREFIXES))
+            if hashlib.sha256(outcome).hexdigest()[:8] != prefix
+        ]
+        assert not changed, f"outcomes changed for corpus entries {', '.join(changed)}"
+        assert hashlib.sha256(b"".join(o + b"\n" for o in outcomes)).hexdigest() == self.DIGEST
 
 
 class TestPrintConstants:

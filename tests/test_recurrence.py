@@ -166,6 +166,14 @@ class TestCoupledBound:
         }
         assert res.value is None
 
+    @pytest.mark.parametrize("big", [1e160, 1e300])
+    def test_overflowing_quadratic_fails(self, big):
+        # det1 = 1 - big, so (det1 + 1)^2 lies beyond the largest double
+        res = coupled_bound(CoupledRecurrence(big, 1.0, 1.0, 1.0, big, 1.0))
+        assert not res.ok and res.value is None
+        assert [f.condition for f in res.failures] == ["quadratics_finite"]
+        assert math.isnan(res.failures[0].margin)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             CoupledRecurrence(0.0, 1.0, 1.0, 1.0, 0.1, 0.1)
