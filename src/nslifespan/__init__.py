@@ -66,10 +66,4 @@ from .mixed_norms import (
     psi_bound,
     psi_min,
 )
-from .recurrence import (
-    CoupledRecurrence,
-    ScalarRecurrence,
-    coupled_bound,
-    fixed_point_bound,
-    iterate_worst_case,
-)
+from .recurrence import CoupledRecurrence, coupled_bound

@@ -20,8 +20,6 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-import jsonschema
-
 from . import __version__
 from .constants import DELTA0, composite_constants
 from .errors import DomainError, InfeasibleExponentError, UnavailableBoundError
@@ -46,21 +44,10 @@ from .lifespan import (
     theorem41_explicit,
 )
 from .mixed_norms import SolutionNormInputs, ThetaExponents, grand_lebesgue_norm, nu_bound, psi_bound, psi_min
+from .validation import best_error
 
 SCHEMA: dict = json.loads(Path(__file__).with_name("schema.json").read_text(encoding="utf-8"))
 MODES = tuple(SCHEMA["properties"]["mode"]["enum"])
-
-
-@functools.cache
-def _validator() -> jsonschema.protocols.Validator:
-    """Validator of SCHEMA, built on first use.
-
-    Building it costs far more than validating one config, so a process
-    pays for it once; importing the module does not pay for it. SCHEMA is
-    package data, so its check against the metaschema is a test, not a
-    per-process step.
-    """
-    return jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
 
 
 class ConfigError(ValueError):
@@ -74,19 +61,28 @@ def load_config(path: Path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        config = json.loads(text)
+        config = json.loads(text, parse_constant=_reject_nan)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     validate_config(config)
     return config
 
 
+def _reject_nan(name: str) -> float:
+    # json accepts the non-standard literals NaN and +-Infinity; a NaN would
+    # pass every bound of the schema, so it is rejected here
+    if name == "NaN":
+        raise ConfigError("NaN is not a valid number in a config")
+    return float(name)
+
+
 def validate_config(config: Mapping) -> None:
-    # best_match over iter_errors is the error jsonschema.validate raises
-    exc = jsonschema.exceptions.best_match(_validator().iter_errors(config))
-    if exc is not None:
-        field = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field '{field}': {exc.message}") from exc
+    # best_error picks the error jsonschema.validate would raise, and its message
+    error = best_error(config, SCHEMA)
+    if error is not None:
+        path, message = error
+        field = "/".join(str(p) for p in path) or "<root>"
+        raise ConfigError(f"config field '{field}': {message}")
     mode = config["mode"]
     if mode == "abstract_parabolic":
         if "abstract_parabolic" not in config:

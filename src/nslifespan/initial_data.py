@@ -85,40 +85,6 @@ class VortexGaussian:
         if self.amplitude < 0 or not math.isfinite(self.amplitude):
             raise DomainError(f"amplitude must be nonnegative, got {self.amplitude}")
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Field values at points x of shape (..., d)."""
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.d:
-            raise DomainError(f"points must have last dimension {self.d}, got {x.shape}")
-        g = np.exp(-np.sum(x * x, axis=-1) / (2.0 * self.sigma**2))
-        out = np.zeros_like(x)
-        out[..., 0] = -x[..., 1]
-        out[..., 1] = x[..., 0]
-        return self.amplitude * out * g[..., None]
-
-    def magnitude(self, x: np.ndarray) -> np.ndarray:
-        """Pointwise Euclidean magnitude |a(x)|."""
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        rho = np.hypot(x[..., 0], x[..., 1])
-        g = np.exp(-np.sum(x * x, axis=-1) / (2.0 * self.sigma**2))
-        return self.amplitude * rho * g
-
-    def gradient_frobenius(self, x: np.ndarray) -> np.ndarray:
-        """Pointwise Frobenius norm of the Jacobian of a."""
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        s2 = self.sigma**2
-        rho2 = x[..., 0] ** 2 + x[..., 1] ** 2
-        r2 = np.sum(x * x, axis=-1)
-        g = np.exp(-r2 / (2.0 * s2))
-        quad = 2.0 - 2.0 * rho2 / s2 + rho2 * r2 / (s2 * s2)
-        return self.amplitude * g * np.sqrt(quad)
-
     def evolve(self, t: float) -> "VortexGaussian":
         """Heat evolution e^{t Lap} a, exactly, inside the family."""
         if t < 0:
@@ -132,9 +98,6 @@ class VortexGaussian:
             sigma=math.sqrt(w2),
             amplitude=self.amplitude * (s2 / w2) ** ((self.d + 2) / 2.0),
         )
-
-    def scaled(self, factor: float) -> "VortexGaussian":
-        return VortexGaussian(self.d, self.sigma, self.amplitude * factor)
 
 
 def lp_norm(data: VortexGaussian, p: float) -> float:

@@ -1,9 +1,10 @@
-"""Fixed-point bounds for quadratic recurrence inequalities.
+"""Fixed-point bounds for the coupled quadratic recurrence inequalities.
 
 Scalar form: any nonnegative sequence with x_{n+1} <= alpha + beta x_n +
 gamma x_n^2 stays below the larger root Z of alpha + beta Z + gamma Z^2 = Z
 whenever the root is real and positive and x_0 starts below it (induction on
-n, using that the quadratic map is monotone on [0, Z]).
+n, using that the quadratic map is monotone on [0, Z]); ``z_root`` is that
+root.
 
 Coupled form: x_{n+1} <= alpha1 + beta1 x_n y_n, y_{n+1} <= alpha2 +
 beta2 x_n y_n. Along the equality dynamics the combination beta2 x - beta1 y
@@ -11,65 +12,23 @@ is conserved after one step, which reduces each component to a scalar
 recurrence with the cross-determinant det1 = alpha2 beta1 - alpha1 beta2 in
 the linear slot; the two reduced discriminants coincide identically.
 
-``iterate_worst_case`` runs the equality dynamics, which dominate every
-obedient sequence pointwise, and is the ground-truth oracle for the bounds;
-the *_batch variants vectorize it over parameter draws for the bulk
-property suites.
+The test suite's oracles (``tests/oracle_utils.py``) iterate the equality
+dynamics, which dominate every obedient sequence pointwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
 
 from .errors import DomainError
 
-if TYPE_CHECKING:  # numpy is imported where arrays are built, off the CLI's import path
-    import numpy as np
-
 __all__ = [
-    "ScalarRecurrence",
     "CoupledRecurrence",
     "HypothesisFailure",
-    "ScalarBound",
     "CoupledBound",
-    "fixed_point_bound",
     "coupled_bound",
-    "Trajectory",
-    "iterate_worst_case",
-    "iterate_scalar_batch",
-    "iterate_coupled_batch",
 ]
-
-# iterates beyond this are reported as divergence (not an overflow crash)
-_DIVERGENCE_CAP = 1e150
-
-
-@dataclass(frozen=True)
-class ScalarRecurrence:
-    """Coefficients of x_{n+1} <= alpha + beta x_n + gamma x_n^2, x_0 = x0.
-
-    gamma = 0 (the degenerate linear recurrence) is accepted here so the
-    worst-case iterator can exercise it; `fixed_point_bound` itself requires
-    gamma > 0.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-    x0: float
-
-    def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0 or self.x0 < 0:
-            raise DomainError(
-                f"recurrence coefficients must be nonnegative, got {self}"
-            )
-
-    @property
-    def discriminant(self) -> float:
-        """(beta - 1)^2 - 4 alpha gamma."""
-        return (self.beta - 1.0) ** 2 - 4.0 * self.alpha * self.gamma
 
 
 @dataclass(frozen=True)
@@ -125,23 +84,6 @@ class HypothesisFailure:
 
 
 @dataclass(frozen=True)
-class ScalarBound:
-    """Result of the scalar fixed-point bound."""
-
-    z: float | None
-    discriminant: float
-    failures: tuple[HypothesisFailure, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def value(self) -> float | None:
-        return self.z if self.ok else None
-
-
-@dataclass(frozen=True)
 class CoupledBound:
     """Result of the coupled fixed-point bound."""
 
@@ -173,27 +115,6 @@ def z_root(alpha: float, beta: float, gamma: float) -> float:
     if disc < 0:
         raise DomainError(f"z_root: discriminant {disc} < 0, no real root")
     return (1.0 - beta + math.sqrt(disc)) / (2.0 * gamma)
-
-
-def fixed_point_bound(rec: ScalarRecurrence) -> ScalarBound:
-    """Certified sup bound for sequences obeying the scalar recurrence.
-
-    Returns the larger quadratic root Z when the hypotheses (positive
-    discriminant, Z > 0, x0 < Z) all hold; otherwise the failures name each
-    violated condition with its margin. gamma <= 0 is a domain error.
-    """
-    if rec.gamma <= 0:
-        raise DomainError(f"fixed_point_bound requires gamma > 0, got {rec.gamma}")
-    disc = rec.discriminant
-    if disc <= 0:
-        return ScalarBound(None, disc, (HypothesisFailure("discriminant_positive", disc),))
-    z = z_root(rec.alpha, rec.beta, rec.gamma)
-    failures: list[HypothesisFailure] = []
-    if z <= 0:
-        failures.append(HypothesisFailure("root_positive", z))
-    if not rec.x0 < z:
-        failures.append(HypothesisFailure("start_below_root", z - rec.x0))
-    return ScalarBound(z, disc, tuple(failures))
 
 
 def coupled_bound(rec: CoupledRecurrence) -> CoupledBound:
@@ -232,106 +153,3 @@ def coupled_bound(rec: CoupledRecurrence) -> CoupledBound:
     if failures:
         return CoupledBound(None, None, tuple(failures))
     return CoupledBound(zx, zy, ())
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Equality-dynamics trajectory: values, supremum, divergence verdict.
-
-    For a coupled recurrence `values` has shape (n+1, 2) and `sup` is the
-    componentwise pair. A trajectory that crosses the divergence cap is cut
-    short and flagged instead of overflowing.
-    """
-
-    values: np.ndarray
-    sup: float | tuple[float, float]
-    diverged: bool
-
-
-def iterate_worst_case(
-    rec: Union[ScalarRecurrence, CoupledRecurrence], n_steps: int
-) -> Trajectory:
-    """Iterate the recurrence with equality (the extremal sequence)."""
-    import numpy as np
-
-    if n_steps < 1:
-        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
-    if isinstance(rec, ScalarRecurrence):
-        values = [rec.x0]
-        x = rec.x0
-        diverged = False
-        for _ in range(n_steps):
-            x = rec.alpha + rec.beta * x + rec.gamma * x * x
-            values.append(x)
-            if x > _DIVERGENCE_CAP:
-                diverged = True
-                break
-        arr = np.asarray(values)
-        return Trajectory(arr, float(arr.max()), diverged)
-    if isinstance(rec, CoupledRecurrence):
-        x, y = rec.x0, rec.y0
-        values = [(x, y)]
-        diverged = False
-        for _ in range(n_steps):
-            x, y = rec.alpha1 + rec.beta1 * x * y, rec.alpha2 + rec.beta2 * x * y
-            values.append((x, y))
-            if max(x, y) > _DIVERGENCE_CAP:
-                diverged = True
-                break
-        arr = np.asarray(values)
-        return Trajectory(arr, (float(arr[:, 0].max()), float(arr[:, 1].max())), diverged)
-    raise TypeError(f"unsupported recurrence type {type(rec)!r}")
-
-
-def iterate_scalar_batch(
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    gamma: np.ndarray,
-    x0: np.ndarray,
-    n_steps: int,
-) -> np.ndarray:
-    """Vectorized supremum of the scalar equality dynamics over draws.
-
-    Diverging entries saturate at inf rather than raising.
-    """
-    import numpy as np
-
-    x = np.array(x0, dtype=float)
-    sup = x.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
-            x = alpha + beta * x + gamma * x * x
-            x = np.where(np.isfinite(x), x, np.inf)
-            np.maximum(sup, x, out=sup)
-            if np.all(x > _DIVERGENCE_CAP):
-                sup[:] = np.inf
-                break
-    return sup
-
-
-def iterate_coupled_batch(
-    alpha1: np.ndarray,
-    alpha2: np.ndarray,
-    beta1: np.ndarray,
-    beta2: np.ndarray,
-    x0: np.ndarray,
-    y0: np.ndarray,
-    n_steps: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized componentwise suprema of the coupled equality dynamics."""
-    import numpy as np
-
-    x = np.array(x0, dtype=float)
-    y = np.array(y0, dtype=float)
-    sx = x.copy()
-    sy = y.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
-            prod = x * y
-            x = alpha1 + beta1 * prod
-            y = alpha2 + beta2 * prod
-            x = np.where(np.isfinite(x), x, np.inf)
-            y = np.where(np.isfinite(y), y, np.inf)
-            np.maximum(sx, x, out=sx)
-            np.maximum(sy, y, out=sy)
-    return sx, sy

@@ -5,19 +5,70 @@ integrated numerically (adaptive QUADPACK through a different reduction, or
 a plain tensor Simpson grid), the heat evolution is checked against direct
 convolution with the Gaussian kernel, and suprema are brute-forced on dense
 grids. The report encoder is checked against a plain recursive encoder.
+It also holds what only the tests use: the pointwise vortex field
+(``VortexGaussian``) and the worst-case iteration of the recurrences, the
+ground truth for their fixed-point bounds.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Union
 
 import numpy as np
 from scipy import integrate
 
-from nslifespan.initial_data import VortexGaussian
+from nslifespan import initial_data
+from nslifespan.errors import DomainError
+from nslifespan.recurrence import CoupledRecurrence, HypothesisFailure, z_root
+
+# iterates beyond this are reported as divergence (not an overflow crash)
+_DIVERGENCE_CAP = 1e150
+
+
+class VortexGaussian(initial_data.VortexGaussian):
+    """The package's vortex with its pointwise field, which only tests evaluate.
+
+    Heat evolution stays in this class, so an evolved vortex has the field too.
+    """
+
+    def evolve(self, t: float) -> "VortexGaussian":
+        evolved = super().evolve(t)
+        return evolved if evolved is self else VortexGaussian(evolved.d, evolved.sigma, evolved.amplitude)
+
+    def scaled(self, factor: float) -> "VortexGaussian":
+        return VortexGaussian(self.d, self.sigma, self.amplitude * factor)
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """Field values at points x of shape (..., d)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] != self.d:
+            raise DomainError(f"points must have last dimension {self.d}, got {x.shape}")
+        g = np.exp(-np.sum(x * x, axis=-1) / (2.0 * self.sigma**2))
+        out = np.zeros_like(x)
+        out[..., 0] = -x[..., 1]
+        out[..., 1] = x[..., 0]
+        return self.amplitude * out * g[..., None]
+
+    def magnitude(self, x: np.ndarray) -> np.ndarray:
+        """Pointwise Euclidean magnitude |a(x)|."""
+        x = np.asarray(x, dtype=float)
+        rho = np.hypot(x[..., 0], x[..., 1])
+        g = np.exp(-np.sum(x * x, axis=-1) / (2.0 * self.sigma**2))
+        return self.amplitude * rho * g
+
+    def gradient_frobenius(self, x: np.ndarray) -> np.ndarray:
+        """Pointwise Frobenius norm of the Jacobian of a."""
+        x = np.asarray(x, dtype=float)
+        s2 = self.sigma**2
+        rho2 = x[..., 0] ** 2 + x[..., 1] ** 2
+        r2 = np.sum(x * x, axis=-1)
+        g = np.exp(-r2 / (2.0 * s2))
+        quad = 2.0 - 2.0 * rho2 / s2 + rho2 * r2 / (s2 * s2)
+        return self.amplitude * g * np.sqrt(quad)
 
 
 def sphere_area(m: int) -> float:
@@ -253,3 +304,167 @@ def canonical_dumps_recursive(obj: Any) -> str:
         raise TypeError(f"unsupported type in report: {type(obj)!r}")
 
     return encode(obj, 0) + "\n"
+
+
+# -- recurrences --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ScalarRecurrence:
+    """Coefficients of x_{n+1} <= alpha + beta x_n + gamma x_n^2, x_0 = x0.
+
+    gamma = 0 (the degenerate linear recurrence) is accepted here so the
+    worst-case iterator can exercise it; `fixed_point_bound` itself requires
+    gamma > 0.
+    """
+
+    alpha: float
+    beta: float
+    gamma: float
+    x0: float
+
+    def __post_init__(self) -> None:
+        if self.alpha < 0 or self.beta < 0 or self.gamma < 0 or self.x0 < 0:
+            raise DomainError(
+                f"recurrence coefficients must be nonnegative, got {self}"
+            )
+
+    @property
+    def discriminant(self) -> float:
+        """(beta - 1)^2 - 4 alpha gamma."""
+        return (self.beta - 1.0) ** 2 - 4.0 * self.alpha * self.gamma
+
+
+@dataclass(frozen=True)
+class ScalarBound:
+    """Result of the scalar fixed-point bound."""
+
+    z: float | None
+    discriminant: float
+    failures: tuple[HypothesisFailure, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    @property
+    def value(self) -> float | None:
+        return self.z if self.ok else None
+
+
+def fixed_point_bound(rec: ScalarRecurrence) -> ScalarBound:
+    """Certified sup bound for sequences obeying the scalar recurrence.
+
+    Returns the larger quadratic root Z when the hypotheses (positive
+    discriminant, Z > 0, x0 < Z) all hold; otherwise the failures name each
+    violated condition with its margin. gamma <= 0 is a domain error.
+    """
+    if rec.gamma <= 0:
+        raise DomainError(f"fixed_point_bound requires gamma > 0, got {rec.gamma}")
+    disc = rec.discriminant
+    if disc <= 0:
+        return ScalarBound(None, disc, (HypothesisFailure("discriminant_positive", disc),))
+    z = z_root(rec.alpha, rec.beta, rec.gamma)
+    failures: list[HypothesisFailure] = []
+    if z <= 0:
+        failures.append(HypothesisFailure("root_positive", z))
+    if not rec.x0 < z:
+        failures.append(HypothesisFailure("start_below_root", z - rec.x0))
+    return ScalarBound(z, disc, tuple(failures))
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Equality-dynamics trajectory: values, supremum, divergence verdict.
+
+    For a coupled recurrence `values` has shape (n+1, 2) and `sup` is the
+    componentwise pair. A trajectory that crosses the divergence cap is cut
+    short and flagged instead of overflowing.
+    """
+
+    values: np.ndarray
+    sup: float | tuple[float, float]
+    diverged: bool
+
+
+def iterate_worst_case(
+    rec: Union[ScalarRecurrence, CoupledRecurrence], n_steps: int
+) -> Trajectory:
+    """Iterate the recurrence with equality (the extremal sequence)."""
+    if n_steps < 1:
+        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
+    if isinstance(rec, ScalarRecurrence):
+        values = [rec.x0]
+        x = rec.x0
+        diverged = False
+        for _ in range(n_steps):
+            x = rec.alpha + rec.beta * x + rec.gamma * x * x
+            values.append(x)
+            if x > _DIVERGENCE_CAP:
+                diverged = True
+                break
+        arr = np.asarray(values)
+        return Trajectory(arr, float(arr.max()), diverged)
+    if isinstance(rec, CoupledRecurrence):
+        x, y = rec.x0, rec.y0
+        values = [(x, y)]
+        diverged = False
+        for _ in range(n_steps):
+            x, y = rec.alpha1 + rec.beta1 * x * y, rec.alpha2 + rec.beta2 * x * y
+            values.append((x, y))
+            if max(x, y) > _DIVERGENCE_CAP:
+                diverged = True
+                break
+        arr = np.asarray(values)
+        return Trajectory(arr, (float(arr[:, 0].max()), float(arr[:, 1].max())), diverged)
+    raise TypeError(f"unsupported recurrence type {type(rec)!r}")
+
+
+def iterate_scalar_batch(
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    gamma: np.ndarray,
+    x0: np.ndarray,
+    n_steps: int,
+) -> np.ndarray:
+    """Vectorized supremum of the scalar equality dynamics over draws.
+
+    Diverging entries saturate at inf rather than raising.
+    """
+    x = np.array(x0, dtype=float)
+    sup = x.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            x = alpha + beta * x + gamma * x * x
+            x = np.where(np.isfinite(x), x, np.inf)
+            np.maximum(sup, x, out=sup)
+            if np.all(x > _DIVERGENCE_CAP):
+                sup[:] = np.inf
+                break
+    return sup
+
+
+def iterate_coupled_batch(
+    alpha1: np.ndarray,
+    alpha2: np.ndarray,
+    beta1: np.ndarray,
+    beta2: np.ndarray,
+    x0: np.ndarray,
+    y0: np.ndarray,
+    n_steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized componentwise suprema of the coupled equality dynamics."""
+    x = np.array(x0, dtype=float)
+    y = np.array(y0, dtype=float)
+    sx = x.copy()
+    sy = y.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            prod = x * y
+            x = alpha1 + beta1 * prod
+            y = alpha2 + beta2 * prod
+            x = np.where(np.isfinite(x), x, np.inf)
+            y = np.where(np.isfinite(y), y, np.inf)
+            np.maximum(sx, x, out=sx)
+            np.maximum(sy, y, out=sy)
+    return sx, sy

@@ -17,7 +17,6 @@ import pytest
 import oracle_utils as oracle
 from nslifespan.constants import DELTA0, composite_constants, riesz_constant
 from nslifespan.initial_data import (
-    VortexGaussian,
     grad_norm,
     k0_exact,
     k0_prime_exact,
@@ -37,8 +36,9 @@ from nslifespan.mixed_norms import (
     nu_bound,
     psi_bound,
 )
-from nslifespan.recurrence import (
+from oracle_utils import (
     ScalarRecurrence,
+    VortexGaussian,
     fixed_point_bound,
     iterate_coupled_batch,
     iterate_scalar_batch,

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 from nslifespan.cli import SCHEMA, ConfigError, build_report, load_config, main, validate_config
 from nslifespan.constants import DELTA0
 from nslifespan.jsonio import canonical_dumps, decode_infinities
+from nslifespan.validation import ANNOTATIONS, KEYWORDS, best_error
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -100,24 +102,17 @@ class TestConfigValidation:
     def test_missing_cli_arguments(self):
         assert main([]) == 1
 
-    def test_validator_built_once(self, monkeypatch):
-        validate_config(THM41_CONFIG)
-        checks = []
-        validator_cls = jsonschema.validators.validator_for(SCHEMA)
-        monkeypatch.setattr(
-            validator_cls, "check_schema", classmethod(lambda cls, schema, *a, **k: checks.append(schema))
+    def test_validation_never_loads_jsonschema(self):
+        code = (
+            "import sys; from nslifespan.cli import ConfigError, validate_config; "
+            f"validate_config({THM41_CONFIG!r})\n"
+            f"try: validate_config({SCHEMA_VIOLATIONS['d_below_3']!r})\n"
+            "except ConfigError: pass\n"
+            "else: raise AssertionError('d = 2 accepted')\n"
+            "assert 'jsonschema' not in sys.modules"
         )
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("validator rebuilt for one config")
-
-        monkeypatch.setattr(jsonschema, "validate", forbidden)
-        monkeypatch.setattr(jsonschema.validators, "validate", forbidden)
-        for _ in range(3):
-            validate_config(THM41_CONFIG)
-            with pytest.raises(ConfigError):
-                validate_config(SCHEMA_VIOLATIONS["d_below_3"])
-        assert checks == []
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize("name", sorted(SCHEMA_VIOLATIONS))
     def test_schema_error_message(self, name):
@@ -132,7 +127,86 @@ class TestConfigValidation:
     def test_schema_matches_metaschema(self):
         jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
 
-    @pytest.mark.parametrize("module", ["scipy", "numpy"])
+    def test_interpreter_covers_schema_keywords(self):
+        # a keyword the interpreter lacks would be ignored, not enforced
+        unknown = []
+
+        def walk(schema, where):
+            assert isinstance(schema, dict), where
+            for keyword, value in schema.items():
+                if keyword not in KEYWORDS and keyword not in ANNOTATIONS:
+                    unknown.append(f"{where}/{keyword}")
+                if keyword == "properties":
+                    for name, subschema in value.items():
+                        walk(subschema, f"{where}/properties/{name}")
+                elif keyword == "oneOf":
+                    for index, subschema in enumerate(value):
+                        walk(subschema, f"{where}/oneOf/{index}")
+                elif keyword in ("items", "propertyNames") or (keyword == "additionalProperties" and value is not False):
+                    walk(value, f"{where}/{keyword}")
+                elif keyword in ("const", "enum"):
+                    # the interpreter compares them with ==, jsonschema's equality for strings
+                    assert all(isinstance(v, str) for v in (value if keyword == "enum" else [value])), where
+
+        walk(SCHEMA, "#")
+        assert not unknown, f"schema keywords the interpreter does not implement: {unknown}"
+
+    def test_matches_jsonschema_on_mutants(self):
+        # seeded mutations of the golden corpus and of SCHEMA_VIOLATIONS: the
+        # interpreter rejects exactly what jsonschema rejects, with its best_match
+        validator = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+        rng = random.Random(11)
+        counts = {"accepted": 0, "rejected": 0}
+        for base in [*_golden_corpus(), *SCHEMA_VIOLATIONS.values()]:
+            for config in [base, *(_mutant(base, rng) for _ in range(8))]:
+                expected = jsonschema.exceptions.best_match(validator.iter_errors(config))
+                try:
+                    validate_config(config)
+                    got = None
+                except ConfigError as exc:
+                    got = str(exc)
+                if expected is None:
+                    # only the mode requirements, checked after the schema, may reject it
+                    assert got is None or not got.startswith("config field"), (config, got)
+                    counts["accepted"] += 1
+                else:
+                    field = "/".join(str(p) for p in expected.absolute_path) or "<root>"
+                    assert got == f"config field '{field}': {expected.message}", config
+                    counts["rejected"] += 1
+        assert counts["accepted"] > 200 and counts["rejected"] > 1000, counts
+
+    # Cases SCHEMA does not reach: its keys are sorted, and the branches of
+    # its one oneOf exclude each other and both need an object
+    UNREACHED_CASES = {
+        "schema_order_breaks_ties": ({"type": "object", "required": ["x"], "additionalProperties": False}, {"y": 1}),
+        "oneOf_loses_to_other_keywords": ({"oneOf": [{"type": "array"}, {"type": "array"}], "type": "object"}, 5),
+        "branch_of_matching_type_wins": ({"oneOf": [{"required": ["y"]}, {"type": "object", "required": ["x"]}]}, {}),
+        "two_valid_branches": ({"oneOf": [{"type": "object"}, {"required": []}]}, {}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNREACHED_CASES))
+    def test_unreached_cases_match_jsonschema(self, name):
+        schema, instance = self.UNREACHED_CASES[name]
+        expected = jsonschema.exceptions.best_match(jsonschema.Draft7Validator(schema).iter_errors(instance))
+        assert best_error(instance, schema) == (tuple(expected.absolute_path), expected.message)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"d": 3, "mode": "mixed_norms", "q_grid": [math.nan], "data": THM41_CONFIG["data"]},
+            {**THM41_CONFIG, "mode": "thm31", "search": {"t_min": math.nan}},
+        ],
+        ids=["mixed_norms_q_grid", "thm31_search"],
+    )
+    def test_nan_literal_is_input_error(self, tmp_path, config):
+        path = write_config(tmp_path, config)
+        assert "NaN" in path.read_text(encoding="utf-8")
+        result = run_cli("--config", str(path), "--out", str(tmp_path / "out.json"))
+        assert result.returncode == 1
+        assert "input error" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("module", ["scipy", "numpy", "jsonschema"])
     def test_import_leaves_out(self, module):
         code = f"import nslifespan.cli, sys; assert {module!r} not in sys.modules"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -560,6 +634,47 @@ class TestGoldenBundleReports:
         validate_config(config)
         report, _ = build_report(config)
         assert hashlib.sha256(canonical_dumps(report).encode("utf-8")).hexdigest() == self.DIGESTS[mode, bundle]
+
+
+_MUTANT_VALUES = [
+    None, True, False, 0, 1, -1, 2, 3, 3.0, 3.5, 0.0, 0.5, 1.0, 1.5, -0.5, 1e300, "x", "3", "3.0", "thm41",
+    "vortex_gaussian", [], [0.5], [0.3, 1.5], [True], ["a"], {}, {"a": 1}, {"3.0": 0.1}, {"abc": -1},
+]
+_MUTANT_KEYS = [
+    "d", "mode", "data", "family", "sigma", "amplitude", "norms", "lp_norms", "grad_d_norm", "theta",
+    "norm_d_plus_theta", "delta", "delta_grid", "q_grid", "force", "k0", "k0_prime", "lambda", "value",
+    "halved_kernel_decay", "search", "t_min", "t_max", "abstract_parabolic", "gamma", "x", "3", "1e5", "2.",
+]
+
+
+def _mutant(config, rng: random.Random):
+    """config after one to three random edits: a value replaced, a key or item dropped or added."""
+    config = copy.deepcopy(config)
+    for _ in range(rng.randint(1, 3)):
+        nodes, stack = [], [config]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (dict, list)):
+                nodes.append(node)
+                stack.extend(node.values() if isinstance(node, dict) else node)
+        if not nodes:
+            return copy.deepcopy(rng.choice(_MUTANT_VALUES))
+        node, op, value = rng.choice(nodes), rng.random(), copy.deepcopy(rng.choice(_MUTANT_VALUES))
+        if isinstance(node, dict):
+            keys = list(node)
+            if keys and op < 0.5:
+                node[rng.choice(keys)] = value
+            elif keys and op < 0.7:
+                del node[rng.choice(keys)]
+            else:
+                node[rng.choice(_MUTANT_KEYS)] = value
+        elif node and op < 0.6:
+            node[rng.randrange(len(node))] = value
+        elif node and op < 0.8:
+            node.pop(rng.randrange(len(node)))
+        else:
+            node.append(value)
+    return config
 
 
 def _golden_corpus() -> list:

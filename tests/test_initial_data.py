@@ -8,7 +8,6 @@ from nslifespan.constants import DELTA0, composite_constants
 from nslifespan.errors import DomainError, UnavailableBoundError
 from nslifespan.initial_data import (
     NormBundle,
-    VortexGaussian,
     _gauss_laguerre,
     _grad_unit_constant,
     grad_norm,
@@ -21,6 +20,7 @@ from nslifespan.initial_data import (
     lp_norm,
     norm_bundle_from_vortex,
 )
+from oracle_utils import VortexGaussian
 
 
 class TestField:

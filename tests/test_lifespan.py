@@ -44,12 +44,8 @@ from nslifespan.lifespan import (
     thm31_feasible_at,
     thm41_feasible_at,
 )
-from nslifespan.recurrence import (
-    CoupledRecurrence,
-    ScalarRecurrence,
-    fixed_point_bound,
-    iterate_worst_case,
-)
+from nslifespan.recurrence import CoupledRecurrence
+from oracle_utils import ScalarRecurrence, fixed_point_bound, iterate_worst_case
 
 
 def vortex_with_a3(target_a3: float, sigma: float = 1.0) -> VortexGaussian:

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from nslifespan.errors import DomainError
-from nslifespan.recurrence import (
-    CoupledRecurrence,
+from nslifespan.recurrence import CoupledRecurrence, coupled_bound
+from oracle_utils import (
     ScalarRecurrence,
-    coupled_bound,
     fixed_point_bound,
     iterate_coupled_batch,
     iterate_scalar_batch,
