@@ -2,7 +2,7 @@
 
 It interprets the draft-07 keywords that the schema uses, the keys of
 ``KEYWORDS``; ``ANNOTATIONS`` name the keywords that assert nothing. For an
-invalid instance it reports the error that jsonschema 4 reports: the same
+invalid instance it reports the error that jsonschema 4.26 reports: the same
 message, and the same choice among several errors as
 ``jsonschema.exceptions.best_match``. Each subschema's keywords are walked in
 the order the schema lists them, as jsonschema walks them, because that order

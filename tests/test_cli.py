@@ -142,7 +142,9 @@ class TestConfigValidation:
                 elif keyword == "oneOf":
                     for index, subschema in enumerate(value):
                         walk(subschema, f"{where}/oneOf/{index}")
-                elif keyword in ("items", "propertyNames") or (keyword == "additionalProperties" and value is not False):
+                elif keyword in ("items", "propertyNames") or (
+                    keyword == "additionalProperties" and not isinstance(value, bool)
+                ):
                     walk(value, f"{where}/{keyword}")
                 elif keyword in ("const", "enum"):
                     # the interpreter compares them with ==, jsonschema's equality for strings
