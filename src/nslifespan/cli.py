@@ -30,7 +30,7 @@ from .extensions import (
     forced_lifespan,
 )
 from .initial_data import NormBundle, VortexGaussian, lp_norm, norm_bundle_from_vortex
-from .jsonio import canonical_dumps, fingerprint
+from .jsonio import EncodedTable, canonical_dumps, fingerprint
 from .lifespan import (
     _DEFAULT_SEARCH,
     LifespanCertificate,
@@ -44,7 +44,7 @@ from .lifespan import (
     theorem41_explicit,
 )
 from .mixed_norms import SolutionNormInputs, ThetaExponents, grand_lebesgue_norm, nu_bound, psi_bound, psi_min
-from .validation import best_error
+from .validation import NAN_MESSAGE, best_error
 
 SCHEMA: dict = json.loads(Path(__file__).with_name("schema.json").read_text(encoding="utf-8"))
 MODES = tuple(SCHEMA["properties"]["mode"]["enum"])
@@ -72,7 +72,7 @@ def _reject_nan(name: str) -> float:
     # json accepts the non-standard literals NaN and +-Infinity; a NaN would
     # pass every bound of the schema, so it is rejected here
     if name == "NaN":
-        raise ConfigError("NaN is not a valid number in a config")
+        raise ConfigError(NAN_MESSAGE)
     return float(name)
 
 
@@ -296,10 +296,11 @@ def build_report(config: Mapping) -> tuple[dict, bool]:
         constants_block = {
             "d": d,
             "delta": delta_for_table,
-            "table": [
+            # encoded once, by the fingerprint below; later encodings reuse the text
+            "table": EncodedTable(
                 {"name": name, "value": value, "formula": formula}
                 for name, value, formula in cs.as_table()
-            ],
+            ),
         }
 
     report = {

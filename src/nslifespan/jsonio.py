@@ -6,41 +6,111 @@ back bit-identical doubles; infinities are encoded as the strings
 emitted sorted. The output is byte-stable across runs for identical input.
 
 The encoder makes one pass over the report and appends every piece to one
-list. It dispatches on the exact type of each value first (float, str,
-dict, list, None, bool: most of what reports are made of) and falls back
-to isinstance checks, in the order int, float, str, list/tuple, dict, for
-ints, tuples and subclasses such as numpy.float64. bool is an int
-subclass but cannot itself be subclassed, so the exact dispatch catches
-every bool before the int check.
+list. A container writes its float and str members itself, with the
+opening, separator and closing strings of its nesting level (built once per
+level), and hands any other member to `_encode`. That dispatches on the
+exact type of each value first (dict, list, None, bool, float, str, and an
+`EncodedTable`) and falls back to isinstance checks, in the order int,
+float, str, list/tuple, dict, for ints, tuples and subclasses such as
+numpy.float64. bool is an int subclass but cannot itself be subclassed, so
+the exact dispatch catches every bool before the int check.
+
+An `EncodedTable` is a list of rows that keeps its canonical text. The
+first encoding of the table stores on it the text, the nesting level it
+was written at, and a snapshot of the rows: the row dicts, the keys of each
+row in order, and every value of every row in order. A later encoding at
+the same level reuses the text when the table holds the same row dicts,
+each with the same keys in the same order, and every value is the same
+object as in the snapshot. Each row then maps the same keys to the same
+immutable values, which encode as before; -0.0 for 0.0, or True for 1.0,
+is a different object and is seen. Anything else (a row edited, added,
+dropped or replaced, or another level) is encoded afresh, and the new text
+replaces the stored one. Only a table whose rows are all dicts of str,
+float, int, bool or None values stores text. The text lives and dies with
+its table: nothing is kept across reports.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import is_
 from typing import Any
 
-__all__ = ["canonical_dumps", "decode_infinities", "fingerprint"]
+__all__ = ["EncodedTable", "canonical_dumps", "decode_infinities", "fingerprint"]
 
 _INDENT = 2
+_NONFINITE = {"inf": '"infinity"', "-inf": '"-infinity"'}
+_SCALARS = frozenset({str, float, int, bool, type(None)})
+
+
+class _Punctuation(dict):
+    """level -> (opening, separator, closing) of a container at that level."""
+
+    def __init__(self, brackets: str) -> None:
+        super().__init__()
+        self.brackets = brackets
+
+    def __missing__(self, level: int) -> tuple[str, str, str]:
+        pad = " " * (_INDENT * level)
+        sep = ",\n" + pad + " " * _INDENT
+        value = self[level] = (self.brackets[0] + sep[1:], sep, "\n" + pad + self.brackets[1])
+        return value
+
+
+_OBJECT = _Punctuation("{}")
+_ARRAY = _Punctuation("[]")
+
+
+class EncodedTable(list):
+    """A list of flat rows that keeps its canonical text between encodings."""
+
+    __slots__ = ("_level", "_text", "_rows", "_keys", "_values")
+
+    def __init__(self, rows: Any = ()) -> None:
+        super().__init__(rows)
+        self._level = -1
+        self._text = ""
+        self._rows: tuple = ()
+        self._keys: tuple = ()
+        self._values: tuple = ()
+
+
+def _encode_table(table: EncodedTable, level: int, out: list[str]) -> None:
+    rows = table._rows
+    if (
+        table._level == level
+        and len(table) == len(rows)
+        and all(map(is_, table, rows))
+        and tuple(map(tuple, rows)) == table._keys
+        and all(map(is_, chain.from_iterable(map(dict.values, rows)), table._values))
+    ):
+        out.append(table._text)
+        return
+    start = len(out)
+    _encode_items(table, level, out)
+    if all(type(row) is dict and _SCALARS.issuperset(map(type, row.values())) for row in table):
+        table._text = "".join(out[start:])
+        table._level = level
+        table._rows = tuple(table)
+        table._keys = tuple(map(tuple, table))
+        table._values = tuple(chain.from_iterable(map(dict.values, table)))
 
 
 def _format_float(x: float) -> str:
-    if math.isnan(x):
-        raise ValueError("NaN is not representable in a certificate report")
-    if math.isinf(x):
-        return '"infinity"' if x > 0 else '"-infinity"'
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    if text[-1] in "fn":  # "inf", "-inf" or "nan"
+        if text == "nan":
+            raise ValueError("NaN is not representable in a certificate report")
+        return _NONFINITE[text]
+    return text
 
 
 def _encode(obj: Any, level: int, out: list[str]) -> None:
     tp = type(obj)
-    if tp is float:
-        out.append(_format_float(obj))
-    elif tp is str:
-        out.append(encode_basestring_ascii(obj))
-    elif tp is dict:
+    if tp is dict:
         _encode_members(obj, level, out)
     elif tp is list:
         _encode_items(obj, level, out)
@@ -48,6 +118,12 @@ def _encode(obj: Any, level: int, out: list[str]) -> None:
         out.append("null")
     elif tp is bool:
         out.append("true" if obj else "false")
+    elif tp is float:
+        out.append(_format_float(obj))
+    elif tp is str:
+        out.append(encode_basestring_ascii(obj))
+    elif tp is EncodedTable:
+        _encode_table(obj, level, out)
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
@@ -66,31 +142,47 @@ def _encode_items(items: Any, level: int, out: list[str]) -> None:
     if not items:
         out.append("[]")
         return
-    sep = ",\n" + " " * (_INDENT * (level + 1))
-    out.append("[" + sep[1:])
-    for i, v in enumerate(items):
-        if i:
-            out.append(sep)
-        _encode(v, level + 1, out)
-    out.append("\n" + " " * (_INDENT * level) + "]")
+    lead, sep, closing = _ARRAY[level]
+    append = out.append
+    for value in items:
+        tp = type(value)
+        if tp is float:
+            text = format(value, ".17g")
+            if text[-1] in "fn":
+                text = _format_float(value)
+            append(f"{lead}{text}")
+        elif tp is str:
+            append(f"{lead}{encode_basestring_ascii(value)}")
+        else:
+            append(lead)
+            _encode(value, level + 1, out)
+        lead = sep
+    append(closing)
 
 
 def _encode_members(members: Any, level: int, out: list[str]) -> None:
     if not members:
         out.append("{}")
         return
-    keys = sorted(members)
-    if any(not isinstance(k, str) for k in keys):
-        raise TypeError("report keys must be strings")
-    sep = ",\n" + " " * (_INDENT * (level + 1))
-    out.append("{" + sep[1:])
-    for i, k in enumerate(keys):
-        if i:
-            out.append(sep)
-        out.append(encode_basestring_ascii(k))
-        out.append(": ")
-        _encode(members[k], level + 1, out)
-    out.append("\n" + " " * (_INDENT * level) + "}")
+    lead, sep, closing = _OBJECT[level]
+    append = out.append
+    for key in sorted(members):
+        if not isinstance(key, str):
+            raise TypeError("report keys must be strings")
+        value = members[key]
+        tp = type(value)
+        if tp is float:
+            text = format(value, ".17g")
+            if text[-1] in "fn":
+                text = _format_float(value)
+            append(f"{lead}{encode_basestring_ascii(key)}: {text}")
+        elif tp is str:
+            append(f"{lead}{encode_basestring_ascii(key)}: {encode_basestring_ascii(value)}")
+        else:
+            append(f"{lead}{encode_basestring_ascii(key)}: ")
+            _encode(value, level + 1, out)
+        lead = sep
+    append(closing)
 
 
 def canonical_dumps(obj: Any) -> str:

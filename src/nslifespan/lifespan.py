@@ -373,6 +373,8 @@ def _largest_feasible(feasible: Callable[[float], bool], t_lo: float, t_hi: floa
     """
     if not (0 < t_lo < t_hi):
         raise DomainError(f"search range must satisfy 0 < t_lo < t_hi, got ({t_lo}, {t_hi})")
+    if t_hi == math.inf:  # the downward scan from inf never leaves it
+        raise DomainError(f"search range must be finite, got ({t_lo}, {t_hi})")
     if feasible(t_hi):
         return t_hi, ["feasible at the search-range end; larger horizons were not explored"]
 

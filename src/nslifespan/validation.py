@@ -7,7 +7,9 @@ message, and the same choice among several errors as
 ``jsonschema.exceptions.best_match``. Each subschema's keywords are walked in
 the order the schema lists them, as jsonschema walks them, because that order
 breaks ties between errors. Numbers follow drafts 6 and later: a bool is never
-a number, and an integral float is an integer. The test suite checks the
+a number, and an integral float is an integer. Unlike jsonschema, ``type``
+rejects a NaN that has the schema's type, with ``NAN_MESSAGE``: NaN passes
+every bound, and a report cannot encode it. The test suite checks the
 interpreter against jsonschema and fails on a schema keyword it lacks.
 """
 
@@ -19,6 +21,7 @@ import re
 from typing import Any, Mapping
 
 ANNOTATIONS = frozenset({"$schema", "title", "description"})
+NAN_MESSAGE = "NaN is not a valid number in a config"
 
 
 class Violation:
@@ -65,6 +68,8 @@ def _is_type(instance: Any, types: str | list) -> bool:
 
 def _type(types, instance, schema, path, out):
     if _is_type(instance, types):
+        if isinstance(instance, float) and instance != instance:
+            return (NAN_MESSAGE,)
         return ()
     names = [types] if isinstance(types, str) else types
     return (f"{instance!r} is not of type {', '.join(repr(t) for t in names)}",)

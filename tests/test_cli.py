@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -15,6 +16,8 @@ from nslifespan.cli import SCHEMA, ConfigError, build_report, load_config, main,
 from nslifespan.constants import DELTA0
 from nslifespan.jsonio import canonical_dumps, decode_infinities
 from nslifespan.validation import ANNOTATIONS, KEYWORDS, best_error
+
+from oracle_utils import canonical_dumps_recursive
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -192,21 +195,39 @@ class TestConfigValidation:
         expected = jsonschema.exceptions.best_match(jsonschema.Draft7Validator(schema).iter_errors(instance))
         assert best_error(instance, schema) == (tuple(expected.absolute_path), expected.message)
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            {"d": 3, "mode": "mixed_norms", "q_grid": [math.nan], "data": THM41_CONFIG["data"]},
-            {**THM41_CONFIG, "mode": "thm31", "search": {"t_min": math.nan}},
-        ],
-        ids=["mixed_norms_q_grid", "thm31_search"],
-    )
-    def test_nan_literal_is_input_error(self, tmp_path, config):
-        path = write_config(tmp_path, config)
+    NAN_CONFIGS = {
+        "mixed_norms_q_grid": {"d": 3, "mode": "mixed_norms", "q_grid": [math.nan], "data": THM41_CONFIG["data"]},
+        "thm31_search": {**THM41_CONFIG, "mode": "thm31", "search": {"t_min": math.nan}},
+    }
+
+    @pytest.mark.parametrize("name", sorted(NAN_CONFIGS))
+    def test_nan_literal_is_input_error(self, tmp_path, name):
+        path = write_config(tmp_path, self.NAN_CONFIGS[name])
         assert "NaN" in path.read_text(encoding="utf-8")
         result = run_cli("--config", str(path), "--out", str(tmp_path / "out.json"))
         assert result.returncode == 1
         assert "input error" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("name", sorted(NAN_CONFIGS))
+    def test_nan_is_input_error_in_process(self, name):
+        # validate_config is all an in-process caller runs before build_report
+        field = {"mixed_norms_q_grid": "q_grid/0", "thm31_search": "search/t_min"}[name]
+        with pytest.raises(ConfigError, match=f"^config field '{field}': NaN is not a valid number in a config$"):
+            validate_config(self.NAN_CONFIGS[name])
+
+    def test_infinite_search_range_is_input_error(self, tmp_path):
+        # amplitude 0.05 is not global, so the search runs; its scan down from inf never ended
+        data = {**THM41_CONFIG["data"], "amplitude": 0.05}
+        config = {"d": 3, "mode": "thm31", "search": {"t_max": math.inf}, "data": data}
+        path = write_config(tmp_path, config)
+        assert "Infinity" in path.read_text(encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "nslifespan.cli", "--config", str(path), "--out", str(tmp_path / "out.json")],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 1
+        assert "input error: search range must be finite" in result.stderr
 
     @pytest.mark.parametrize("module", ["scipy", "numpy", "jsonschema"])
     def test_import_leaves_out(self, module):
@@ -829,6 +850,44 @@ class TestGoldenCorpus:
         ]
         assert not changed, f"outcomes changed for corpus entries {', '.join(changed)}"
         assert hashlib.sha256(b"".join(o + b"\n" for o in outcomes)).hexdigest() == self.DIGEST
+
+
+def _workload_block(workload: str, seed: int) -> list[dict]:
+    # the first request block of a benchmark workload's stream
+    spec = importlib.util.spec_from_file_location("workloads", REPO_ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return next(workloads.blocks(workload, seed, REPO_ROOT))
+
+
+class TestByteIdentity:
+    """Every report encodes to exactly the recursive reference encoder's text.
+
+    The reports keep their constants table's stored text, so each is encoded
+    twice after build_report: once reusing the text, once as a plain tree.
+    """
+
+    @staticmethod
+    def check(config: dict) -> bool:
+        try:
+            validate_config(config)
+            report, _ = build_report(config)
+        except Exception:  # rejected inputs have no report
+            return False
+        expected = canonical_dumps_recursive(report)
+        assert canonical_dumps(report) == expected, config
+        assert canonical_dumps(copy.deepcopy(report)) == expected, config
+        assert canonical_dumps(json.loads(json.dumps(report))) == expected, config
+        return True
+
+    def test_golden_corpus(self):
+        assert sum(self.check(config) for config in _golden_corpus()) == 190
+
+    @pytest.mark.parametrize("workload", ["vortex_sweep", "norms_mix"])
+    def test_workload_block(self, workload):
+        block = _workload_block(workload, seed=3)
+        reports = sum(self.check(request["config"]) for request in block)
+        assert reports == sum(request["expect"] is None for request in block) > 20
 
 
 class TestPrintConstants:
