@@ -43,6 +43,7 @@ __all__ = ["EncodedTable", "canonical_dumps", "decode_infinities", "fingerprint"
 
 _INDENT = 2
 _NONFINITE = {"inf": '"infinity"', "-inf": '"-infinity"'}
+_DICT = frozenset({dict})
 _SCALARS = frozenset({str, float, int, bool, type(None)})
 
 
@@ -91,12 +92,15 @@ def _encode_table(table: EncodedTable, level: int, out: list[str]) -> None:
         return
     start = len(out)
     _encode_items(table, level, out)
-    if all(type(row) is dict and _SCALARS.issuperset(map(type, row.values())) for row in table):
+    if not _DICT.issuperset(map(type, table)):
+        return
+    values = tuple(chain.from_iterable(map(dict.values, table)))
+    if _SCALARS.issuperset(map(type, values)):
         table._text = "".join(out[start:])
         table._level = level
         table._rows = tuple(table)
         table._keys = tuple(map(tuple, table))
-        table._values = tuple(chain.from_iterable(map(dict.values, table)))
+        table._values = values
 
 
 def _format_float(x: float) -> str:
