@@ -26,8 +26,9 @@ immutable values, which encode as before; -0.0 for 0.0, or True for 1.0,
 is a different object and is seen. Anything else (a row edited, added,
 dropped or replaced, or another level) is encoded afresh, and the new text
 replaces the stored one. Only a table whose rows are all dicts of str,
-float, int, bool or None values stores text. The text lives and dies with
-its table: nothing is kept across reports.
+float, int, bool or None values stores text. The snapshot is taken before
+the text is written, and the two are stored together in one slot. The text
+lives and dies with its table: nothing is kept across reports.
 """
 
 from __future__ import annotations
@@ -68,39 +69,44 @@ _ARRAY = _Punctuation("[]")
 class EncodedTable(list):
     """A list of flat rows that keeps its canonical text between encodings."""
 
-    __slots__ = ("_level", "_text", "_rows", "_keys", "_values")
+    __slots__ = ("_stored",)
 
     def __init__(self, rows: Any = ()) -> None:
         super().__init__(rows)
-        self._level = -1
-        self._text = ""
-        self._rows: tuple = ()
-        self._keys: tuple = ()
-        self._values: tuple = ()
+        # (level, text, rows, keys of each row, values of every row) of the
+        # last encoding; one attribute, so a reader sees a consistent set
+        self._stored: tuple | None = None
+
+
+def _snapshot(table: EncodedTable) -> tuple | None:
+    """(rows, keys of each row, values of every row), or None unless the rows are dicts of scalars."""
+    if not _DICT.issuperset(map(type, table)):
+        return None
+    values = tuple(chain.from_iterable(map(dict.values, table)))
+    if not _SCALARS.issuperset(map(type, values)):
+        return None
+    return tuple(table), tuple(map(tuple, table)), values
 
 
 def _encode_table(table: EncodedTable, level: int, out: list[str]) -> None:
-    rows = table._rows
-    if (
-        table._level == level
-        and len(table) == len(rows)
-        and all(map(is_, table, rows))
-        and tuple(map(tuple, rows)) == table._keys
-        and all(map(is_, chain.from_iterable(map(dict.values, rows)), table._values))
-    ):
-        out.append(table._text)
-        return
+    stored = table._stored
+    if stored is not None:
+        stored_level, text, rows, keys, values = stored
+        if (
+            stored_level == level
+            and len(table) == len(rows)
+            and all(map(is_, table, rows))
+            and tuple(map(tuple, rows)) == keys
+            and all(map(is_, chain.from_iterable(map(dict.values, rows)), values))
+        ):
+            out.append(text)
+            return
+    # taken before the text, so an edit made while encoding is seen next time
+    snapshot = _snapshot(table)
     start = len(out)
     _encode_items(table, level, out)
-    if not _DICT.issuperset(map(type, table)):
-        return
-    values = tuple(chain.from_iterable(map(dict.values, table)))
-    if _SCALARS.issuperset(map(type, values)):
-        table._text = "".join(out[start:])
-        table._level = level
-        table._rows = tuple(table)
-        table._keys = tuple(map(tuple, table))
-        table._values = values
+    if snapshot is not None:
+        table._stored = (level, "".join(out[start:]), *snapshot)
 
 
 def _format_float(x: float) -> str:

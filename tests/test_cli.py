@@ -217,7 +217,7 @@ class TestConfigValidation:
             validate_config(self.NAN_CONFIGS[name])
 
     def test_infinite_search_range_is_input_error(self, tmp_path):
-        # amplitude 0.05 is not global, so the search runs; its scan down from inf never ended
+        # amplitude 0.05 is not global, so the search runs; the timeout catches an endless scan from inf
         data = {**THM41_CONFIG["data"], "amplitude": 0.05}
         config = {"d": 3, "mode": "thm31", "search": {"t_max": math.inf}, "data": data}
         path = write_config(tmp_path, config)
@@ -863,8 +863,9 @@ def _workload_block(workload: str, seed: int) -> list[dict]:
 class TestByteIdentity:
     """Every report encodes to exactly the recursive reference encoder's text.
 
-    The reports keep their constants table's stored text, so each is encoded
-    twice after build_report: once reusing the text, once as a plain tree.
+    Each report is encoded after build_report reusing its table's stored
+    text, then as a deep copy, then as plain lists and dicts after a JSON
+    round trip.
     """
 
     @staticmethod

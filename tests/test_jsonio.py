@@ -46,9 +46,10 @@ def _refingerprint(report: dict) -> str:
 
 # the real constants block and table of one report, shared by every tree that
 # draws them, so one tree can hold the same table at several nesting levels
-TABLES = st.sampled_from(["constants", "table", "report"]).map(
-    lambda part: {"constants": _report()["constants"], "table": _report()["constants"]["table"],
-                  "report": _report()}[part]
+TABLES = st.one_of(
+    st.builds(_report),
+    st.builds(lambda: _report()["constants"]),
+    st.builds(lambda: _report()["constants"]["table"]),
 )
 TREES = st.recursive(
     st.one_of(SCALARS, TABLES),
@@ -81,6 +82,30 @@ class TestCanonicalDumps:
             assert canonical_dumps(tree) == expected
             assert canonical_dumps(tree) == expected
         assert canonical_dumps(report) == canonical_dumps_recursive(report)
+
+    def test_bool_and_int_kept_apart(self):
+        tree = {"a": [True, 1, False, 0], "b": {"t": True, "one": 1}, "e": [[], {}, ()]}
+        text = canonical_dumps(tree)
+        assert text == canonical_dumps_recursive(tree)
+        assert "true,\n    1,\n    false,\n    0" in text
+
+    def test_numpy_float64_encodes_like_float(self):
+        for x in (0.1, -0.0, 5e-324, 1.7e308, math.inf, -math.inf):
+            assert canonical_dumps([np.float64(x)]) == canonical_dumps([x])
+
+    @pytest.mark.parametrize("tree", [math.nan, [1.0, math.nan], {"x": np.float64("nan")}])
+    def test_nan_rejected(self, tree):
+        with pytest.raises(ValueError):
+            canonical_dumps(tree)
+
+    @pytest.mark.parametrize("tree", [{1: "a"}, {"a": {(1, 2): 0}}, {None: 1}])
+    def test_non_str_key_rejected(self, tree):
+        with pytest.raises(TypeError, match="report keys must be strings"):
+            canonical_dumps(tree)
+
+    def test_unsupported_type_rejected(self):
+        with pytest.raises(TypeError):
+            canonical_dumps({"s": {1, 2}})
 
 
 def _edit_value(table, encode):
@@ -200,27 +225,3 @@ class TestEncodedTable:
         table[0]["value"] = math.nan
         with pytest.raises(ValueError):
             canonical_dumps(table)
-
-    def test_bool_and_int_kept_apart(self):
-        tree = {"a": [True, 1, False, 0], "b": {"t": True, "one": 1}, "e": [[], {}, ()]}
-        text = canonical_dumps(tree)
-        assert text == canonical_dumps_recursive(tree)
-        assert "true,\n    1,\n    false,\n    0" in text
-
-    def test_numpy_float64_encodes_like_float(self):
-        for x in (0.1, -0.0, 5e-324, 1.7e308, math.inf, -math.inf):
-            assert canonical_dumps([np.float64(x)]) == canonical_dumps([x])
-
-    @pytest.mark.parametrize("tree", [math.nan, [1.0, math.nan], {"x": np.float64("nan")}])
-    def test_nan_rejected(self, tree):
-        with pytest.raises(ValueError):
-            canonical_dumps(tree)
-
-    @pytest.mark.parametrize("tree", [{1: "a"}, {"a": {(1, 2): 0}}, {None: 1}])
-    def test_non_str_key_rejected(self, tree):
-        with pytest.raises(TypeError, match="report keys must be strings"):
-            canonical_dumps(tree)
-
-    def test_unsupported_type_rejected(self):
-        with pytest.raises(TypeError):
-            canonical_dumps({"s": {1, 2}})
