@@ -27,7 +27,7 @@ is a different object and is seen. Anything else (a row edited, added,
 dropped or replaced, or another level) is encoded afresh, and the new text
 replaces the stored one. Only a table whose rows are all dicts of str,
 float, int, bool or None values stores text. The snapshot is taken before
-the text is written, and the two are stored together in one slot. The text
+the text is written, and the two are stored together in one attribute. The text
 lives and dies with its table: nothing is kept across reports.
 """
 
@@ -68,8 +68,6 @@ _ARRAY = _Punctuation("[]")
 
 class EncodedTable(list):
     """A list of flat rows that keeps its canonical text between encodings."""
-
-    __slots__ = ("_stored",)
 
     def __init__(self, rows: Any = ()) -> None:
         super().__init__(rows)

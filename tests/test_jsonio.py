@@ -1,6 +1,7 @@
 import copy
 import functools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -212,7 +213,9 @@ class TestEncodedTable:
     def test_copies_encode_alike(self):
         report = _fresh_report()
         text = canonical_dumps(report)
-        for clone in (copy.copy(report), copy.deepcopy(report)):
+        clones = [copy.copy(report), copy.deepcopy(report)]
+        clones += [pickle.loads(pickle.dumps(report, protocol)) for protocol in (0, pickle.HIGHEST_PROTOCOL)]
+        for clone in clones:
             assert canonical_dumps(clone) == text
         clone = copy.deepcopy(report)
         clone["constants"]["table"][0]["value"] = 7.0
