@@ -15,7 +15,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -383,10 +382,6 @@ def print_constants(d: int, delta: float) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # The one LAPACK call (the 150x150 eigensolve of the gradient rule) is
-    # slower on OpenBLAS's thread pool than on one thread, and starting the
-    # pool adds to numpy's import; numpy is not imported before this line.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = argparse.ArgumentParser(
         prog="nslifespan",
         description="Certified lifespan lower bounds from norms of the initial data.",

@@ -11,8 +11,8 @@ opening, separator and closing strings of its nesting level (built once per
 level), and hands any other member to `_encode`. That dispatches on the
 exact type of each value first (dict, list, None, bool, float, str, and an
 `EncodedTable`) and falls back to isinstance checks, in the order int,
-float, str, list/tuple, dict, for ints, tuples and subclasses such as
-numpy.float64. bool is an int subclass but cannot itself be subclassed, so
+float, str, list/tuple, dict, for ints, tuples and subclasses of the
+exact types. bool is an int subclass but cannot itself be subclassed, so
 the exact dispatch catches every bool before the int check.
 
 An `EncodedTable` is a list of rows that keeps its canonical text. The

@@ -370,11 +370,8 @@ def _largest_feasible(feasible: Callable[[float], bool], t_lo: float, t_hi: floa
     infeasible scan point until the bracket's relative width is at most
     tol, and returns its feasible end. Feasibility below the seed is not
     probed, and one above the last infeasible scan point is not looked for.
+    The caller checks 0 < t_lo < t_hi < inf.
     """
-    if not (0 < t_lo < t_hi):
-        raise DomainError(f"search range must satisfy 0 < t_lo < t_hi, got ({t_lo}, {t_hi})")
-    if t_hi == math.inf:  # the downward scan from inf never leaves it
-        raise DomainError(f"search range must be finite, got ({t_lo}, {t_hi})")
     if feasible(t_hi):
         return t_hi, ["feasible at the search-range end; larger horizons were not explored"]
 
@@ -507,14 +504,20 @@ def theorem31_bound(state: KatoBoundState, search: tuple[float, float] = _DEFAUL
     at T = infinity (declared-finite evaluators only) the infinite branch is
     certified directly. The search sees only feasibility; the intermediates
     are evaluated once, at the certified T, or at the search floor when no
-    T in the range is feasible.
+    T in the range is feasible. The search range is checked before any
+    probe, so a bad range is an error whatever the data.
     """
+    t_lo, t_hi = search
+    if not (0 < t_lo < t_hi):
+        raise DomainError(f"search range must satisfy 0 < t_lo < t_hi, got ({t_lo}, {t_hi})")
+    if t_hi == math.inf:  # the downward scan from inf never leaves it
+        raise DomainError(f"search range must be finite, got ({t_lo}, {t_hi})")
     feasible = lambda T: _coupled_probe(state, T)[0]
     if state.k0.finite_at_infinity and state.k0_prime.finite_at_infinity and feasible(math.inf):
         t0, notes = math.inf, ["inequalities hold at T = infinity; solution is global"]
     else:
-        t0, notes = _largest_feasible(feasible, search[0], search[1], _COUPLED_TOL)
-    _, q = _coupled_probe(state, search[0] if t0 is None else t0)
+        t0, notes = _largest_feasible(feasible, t_lo, t_hi, _COUPLED_TOL)
+    _, q = _coupled_probe(state, t_lo if t0 is None else t0)
     if t0 is None:
         return _infeasible_certificate("thm31", state.delta, q, (*notes, *state.notes))
     intermediate = {**q, "margin": _COUPLED_MARGIN}

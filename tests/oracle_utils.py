@@ -173,6 +173,47 @@ def grad_unit_constant_even_exact(d: int) -> float:
     return math.exp(log_value / d)
 
 
+def gauss_laguerre_golub_welsch(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the weight x^alpha e^{-x} / Gamma(alpha + 1), by an eigensolve.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    generalized Laguerre recurrence, polished by one Newton step on p_n
+    (eigvalsh gives the smallest nodes only to an absolute 1e-13). The
+    weight of node x is 1 / sum_k p_k(x)^2 over the orthonormal
+    polynomials, from the recurrence rather than the eigenvectors, whose
+    absolute 1e-32 loses the largest nodes' weights near 1e-250; the
+    weights are then scaled to their exact sum 1.
+    """
+    k = np.arange(n + 1, dtype=float)
+    diag = 2.0 * k + alpha + 1.0
+    off = np.sqrt(k[1:] * (k[1:] + alpha))  # off[j] links p_j and p_{j+1}
+    nodes = np.linalg.eigvalsh(np.diag(diag[:n]) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    for polish in (True, False):
+        p_prev, p, dp_prev, dp = 0.0, np.ones(n), 0.0, np.zeros(n)
+        total = np.zeros(n)
+        for j in range(n):
+            total += p * p
+            back = off[j - 1] if j else 0.0
+            p_next = ((nodes - diag[j]) * p - back * p_prev) / off[j]
+            dp_next = (p + (nodes - diag[j]) * dp - back * dp_prev) / off[j]
+            p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
+        if polish:
+            nodes = nodes - p / dp
+    weights = 1.0 / total
+    return nodes, weights / weights.sum()
+
+
+def grad_unit_constant_golub_welsch(d: int, n: int = 150) -> float:
+    """|grad a|_d of the unit vortex by the package's product rule, with Golub-Welsch nodes and weights."""
+    u, wu = gauss_laguerre_golub_welsch(n, 0.0)
+    v, wv = gauss_laguerre_golub_welsch(n, (d - 4) / 2.0)
+    u, v = u[:, None], v[None, :]
+    q = 2.0 - 4.0 * u / d + 4.0 * u * (u + v) / (d * d)
+    total = float(wu @ q ** (d / 2.0) @ wv)
+    log_scale = math.log(4.0 / (d * d)) + (d / 2.0) * math.log(math.pi) + ((d - 4) / 2.0) * math.log(2.0 / d)
+    return math.exp((log_scale + math.log(total)) / d)
+
+
 def heat_kernel_1d(t: float, y: float) -> float:
     return (4.0 * math.pi * t) ** -0.5 * math.exp(-y * y / (4.0 * t))
 

@@ -1,5 +1,8 @@
+import json
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,6 +24,8 @@ from nslifespan.initial_data import (
     norm_bundle_from_vortex,
 )
 from oracle_utils import VortexGaussian
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestField:
@@ -121,13 +126,42 @@ class TestGradNorm:
         nodes, weights = _gauss_laguerre(150, 0.5)
         cached_nodes, cached_weights = _gauss_laguerre(150, 0.5)
         assert cached_nodes is nodes and cached_weights is weights
-        with pytest.raises(ValueError):
+        assert type(nodes) is tuple and type(weights) is tuple
+        with pytest.raises(TypeError):
             nodes[0] = 0.0
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             weights[0] = 0.0
-        fresh_nodes, fresh_weights = _gauss_laguerre.__wrapped__(150, 0.5)
-        assert nodes.tobytes() == fresh_nodes.tobytes()
-        assert weights.tobytes() == fresh_weights.tobytes()
+        assert _gauss_laguerre.__wrapped__(150, 0.5) == (nodes, weights)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 11, 20, 37, 38, 64, 101, 150, 201, 333, 499, 500])
+    def test_rule_matches_golub_welsch(self, d):
+        alpha = (d - 4) / 2.0
+        nodes, weights = _gauss_laguerre(150, alpha)
+        ref_nodes, ref_weights = oracle.gauss_laguerre_golub_welsch(150, alpha)
+        assert all(a < b for a, b in zip(nodes, nodes[1:]))
+        # the eigensolve's smallest nodes are off by up to 1e-13 relative against mpmath, where
+        # this rule's are within a few ulps (test_smallest_nodes_to_a_few_ulps), so nodes compare
+        # on the rule's scale, and the weights, which follow the nodes, to 1e-12
+        assert np.max(np.abs(np.array(nodes) - ref_nodes)) <= 1e-14 * ref_nodes[-1]
+        assert np.array(weights) == pytest.approx(ref_weights, rel=1e-12, abs=0.0)
+        assert _grad_unit_constant(d) == pytest.approx(oracle.grad_unit_constant_golub_welsch(d), rel=1e-14, abs=0.0)
+
+    def test_smallest_nodes_to_a_few_ulps(self):
+        for alpha in (-0.5, 0.0, 0.5):
+            nodes, _ = _gauss_laguerre(150, alpha)
+            for x in nodes[:5]:
+                with mpmath.workdps(40):
+                    root = float(mpmath.findroot(lambda t: mpmath.laguerre(150, alpha, t), mpmath.mpf(x)))
+                assert x == pytest.approx(root, rel=2e-15, abs=0.0)
+
+    def test_overflow_past_the_doubles_gives_inf(self):
+        assert math.isfinite(_grad_unit_constant(962))
+        assert _grad_unit_constant(963) == math.inf
+
+    def test_constants_match_benchmark_reference(self):
+        stored = json.loads((REPO_ROOT / "perfbench" / "grad_unit_constants.json").read_text(encoding="utf-8"))
+        for d in (3, 4, 5):
+            assert abs(_grad_unit_constant(d) - stored[str(d)]) <= 4 * math.ulp(stored[str(d)])
 
     def test_pure_power_law_in_sigma(self):
         base = VortexGaussian(3, 1.0, 1.0)

@@ -256,9 +256,13 @@ class TestLargestFeasible:
         assert list(notes) == expected_notes
         assert probes == expected_probes
 
-    def test_search_range_must_be_ordered(self):
-        with pytest.raises(DomainError):
-            _largest_feasible(lambda T: True, 1.0, 1.0, 1e-9)
+    def test_search_range_must_be_ordered(self, eps3):
+        # checked before any probe: tiny data certifies T = infinity without searching
+        state = state_from_vortex(vortex_with_a3(1e-3 * eps3), DELTA0)
+        assert theorem31_bound(state).t0 == math.inf
+        for search in [(1.0, 1.0), (10.0, 1.0), (1e-12, math.inf)]:
+            with pytest.raises(DomainError, match="^search range must"):
+                theorem31_bound(state, search)
 
     @pytest.mark.parametrize(
         "t_lo, t_hi, frontier",
