@@ -31,7 +31,6 @@ from .extensions import (
 from .initial_data import NormBundle, VortexGaussian, lp_norm, norm_bundle_from_vortex
 from .jsonio import EncodedTable, canonical_dumps, fingerprint
 from .lifespan import (
-    _DEFAULT_SEARCH,
     LifespanCertificate,
     global_certificate,
     optimize_delta,
@@ -145,9 +144,7 @@ def _certifier(config: Mapping) -> Callable[[float], LifespanCertificate]:
     else:
         state_at = functools.partial(state_from_norms, data, d)
     if mode == "thm31":
-        search = config.get("search", {})
-        t_range = (float(search.get("t_min", _DEFAULT_SEARCH[0])), float(search.get("t_max", _DEFAULT_SEARCH[1])))
-        return lambda delta: theorem31_bound(state_at(delta), search=t_range)
+        return lambda delta: theorem31_bound(state_at(delta))
     if mode == "thm41":
         return lambda delta: theorem41_bound(state_at(delta))
     if mode == "forced":

@@ -15,10 +15,10 @@ All operations are pure functions; ``composite_constants`` is memoized per
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 from .errors import DomainError
 
@@ -243,15 +243,34 @@ def j_upper_2(d: int, delta: float) -> float:
     return 81.0 * d * d / (4.0 * SQRT_PI * delta * (1.0 - delta))
 
 
+# the defining formula of each scalar of a ConstantSet, as it is implemented
+_PROVENANCE = MappingProxyType({
+    "s1": "K_BL(d; d, d/(d-1+delta)) * M(d, d/(d-1+delta)); kernel exponent matches the t^{(1-delta)/2} weight",
+    "s2": "0.5 * M(d, 1); the L_1 pairing has sharp Young factor 1 (default gradient-envelope variant)",
+    "s2_alt": "0.5 * M(d, d^2/(d-1)); alternative gradient-envelope variant",
+    "j1": "K_R(d/delta) K_R(d) sqrt(pi) Gamma(delta/2)/Gamma((1+delta)/2)",
+    "j2": "K_R(d)^2 Gamma((1-delta)/2) Gamma(delta/2)/sqrt(pi)",
+    "j_up1": "9 d^2/(2 delta^2), closed-form majorant of j1",
+    "j_up2": "81 d^2/(4 sqrt(pi) delta (1-delta)), closed-form majorant of j2",
+    "j": "max(j_up1, j_up2)",
+    "delta0": "2 sqrt(pi)/(9 + 2 sqrt(pi)), crossing point of the two majorants",
+    "j_bar": "9 d^2/(2 delta0^2) = C1 d^2, the certified envelope at delta0",
+    "c1": "9/(2 delta0^2)",
+    "c2": "3/(16 C1); smallness threshold is c2/d^2",
+    "c3": C3_DISCREPANCY_NOTE,
+})
+
+
 @dataclass(frozen=True)
 class ConstantSet:
     """Every evaluated constant for a fixed (d, delta), with provenance.
 
-    The provenance map records, for each scalar, the defining formula as it
-    is implemented (including the known c3 reference discrepancy note).
-    The constants fixed by identities (j, delta0, j_bar, c1, c2, c3 and the
-    threshold and iterate bound built from them) are derived on first use
-    and cached on the instance; their formulas are in the provenance map.
+    The provenance map, shared by every instance, records for each scalar
+    the defining formula as it is implemented (including the known c3
+    reference discrepancy note). The constants fixed by identities (j,
+    delta0, j_bar, c1, c2, c3 and the threshold and iterate bound built from
+    them) are derived on first use and cached on the instance; their
+    formulas are in the provenance map.
     """
 
     d: int
@@ -267,7 +286,7 @@ class ConstantSet:
     j2: float
     j_up1: float
     j_up2: float
-    provenance: Mapping[str, str] = field(default_factory=dict)
+    provenance: ClassVar[Mapping[str, str]] = _PROVENANCE
 
     def __post_init__(self) -> None:
         scalars = {
@@ -377,22 +396,6 @@ def _composite(d: int, delta: float) -> ConstantSet:
          r_alt: heat_kernel_norm(d, r_alt)}
     m_prime = {1.0: heat_kernel_grad_norm(d, 1.0)}
 
-    provenance = {
-        "s1": "K_BL(d; d, d/(d-1+delta)) * M(d, d/(d-1+delta)); kernel exponent matches the t^{(1-delta)/2} weight",
-        "s2": "0.5 * M(d, 1); the L_1 pairing has sharp Young factor 1 (default gradient-envelope variant)",
-        "s2_alt": "0.5 * M(d, d^2/(d-1)); alternative gradient-envelope variant",
-        "j1": "K_R(d/delta) K_R(d) sqrt(pi) Gamma(delta/2)/Gamma((1+delta)/2)",
-        "j2": "K_R(d)^2 Gamma((1-delta)/2) Gamma(delta/2)/sqrt(pi)",
-        "j_up1": "9 d^2/(2 delta^2), closed-form majorant of j1",
-        "j_up2": "81 d^2/(4 sqrt(pi) delta (1-delta)), closed-form majorant of j2",
-        "j": "max(j_up1, j_up2)",
-        "delta0": "2 sqrt(pi)/(9 + 2 sqrt(pi)), crossing point of the two majorants",
-        "j_bar": "9 d^2/(2 delta0^2) = C1 d^2, the certified envelope at delta0",
-        "c1": "9/(2 delta0^2)",
-        "c2": "3/(16 C1); smallness threshold is c2/d^2",
-        "c3": C3_DISCREPANCY_NOTE,
-    }
-
     return ConstantSet(
         d=d,
         delta=delta,
@@ -407,7 +410,6 @@ def _composite(d: int, delta: float) -> ConstantSet:
         j2=j2,
         j_up1=j_up1,
         j_up2=j_up2,
-        provenance=MappingProxyType(provenance),
     )
 
 
@@ -415,10 +417,16 @@ def composite_constants(d: int, delta: float) -> ConstantSet:
     """Evaluate every composite constant for the pair (d, delta).
 
     Results are memoized per (d, delta); the returned object is immutable.
+    A (d, delta) whose constants leave the range of the doubles, such as
+    d = 1024 (2^d overflows) or delta = 1e-300 (delta^2 underflows), is a
+    domain error.
     """
     _check_dimension(d)
     _check_delta(delta)
-    return _composite(d, float(delta))
+    try:
+        return _composite(d, float(delta))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"the constants for d={d}, delta={delta} leave the range of the doubles") from exc
 
 
 def default_delta_grid(n: int = 64) -> tuple[float, ...]:

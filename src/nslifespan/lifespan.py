@@ -4,11 +4,11 @@ systems close, emitted as replayable certificates.
 Two routes are implemented, each with one search over T. The coupled route
 keeps the sharp product constants J1(d, delta), J2(d, delta) and certifies
 a T where the coupled fixed-point hypotheses hold with K0(T), K0'(T) in both
-the offset and the start slots: a downward scan of the search range by
-factors of 8 seeds a geometric bisection to relative width 1e-9, and a floor
-hit is reported in the notes. That feasibility need not be monotone in T,
-and a feasible island above an infeasible scan point is not looked for.
-The search range is the route's only setting. The envelope route collapses
+the offset and the start slots: a downward scan from T = 1e12 by factors of
+8 seeds a geometric bisection to relative width 1e-9, and a hit on the floor
+T = 1e-12 is reported in the notes. That feasibility need not be monotone in
+T, and a feasible island above an infeasible scan point is not looked for.
+Neither route has a setting. The envelope route collapses
 the system to one variable: max(K0(T), K0'(T)) <= 3/(16 Jbar) = C2/d^2
 certifies T and bounds every Picard iterate by 3/(4 Jbar) = C3/d^2. K0 and
 K0' are nondecreasing in T, so one exact bisection over the doubles finds
@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from . import initial_data as idmod
-from .constants import C3_DISCREPANCY_NOTE, ConstantSet, composite_constants, default_delta_grid
+from .constants import C3_DISCREPANCY_NOTE, ConstantSet, composite_constants
 from .errors import DomainError, UnavailableBoundError
 from .recurrence import CoupledRecurrence, coupled_bound
 
@@ -59,13 +59,11 @@ __all__ = [
     "thm41_feasible_at",
     "replay_certificate",
     "ReplayReport",
-    "default_delta_grid",
 ]
 
-_DEFAULT_SEARCH = (1e-12, 1e12)
+_COUPLED_FLOOR, _COUPLED_TOP = 1e-12, 1e12  # the coupled route's search range
 _COUPLED_TOL = 1e-9  # relative width of the coupled route's final bisection bracket
 _COUPLED_MARGIN = 1e-9  # absolute slack of the coupled route's v1 - k0 and v2 - k0'
-_MAX_BISECTIONS = 60  # stops the bisection when the tolerance is below the float spacing
 _DOUBLE = struct.Struct("<d")  # with _INT64, maps a double to its bit pattern and back
 _INT64 = struct.Struct("<q")
 # Relative half-width of the inversion bracket around the envelope threshold.
@@ -361,38 +359,35 @@ def thm41_feasible_at(state: KatoBoundState, T: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _largest_feasible(feasible: Callable[[float], bool], t_lo: float, t_hi: float, tol: float):
-    """A feasible T found by downward scan plus geometric bisection.
+def _largest_feasible(feasible: Callable[[float], bool]):
+    """A feasible T in [1e-12, 1e12] found by downward scan plus geometric bisection.
 
-    Returns (t_best, scan_notes) with t_best = None when nothing in
-    [t_lo, t_hi] is feasible. The scan steps down by factors of 8 to the
+    Returns (t_best, scan_notes) with t_best = None when nothing in the
+    range is feasible. The scan steps down from 1e12 by factors of 8 to the
     first feasible seed. Bisection then runs between the seed and the last
     infeasible scan point until the bracket's relative width is at most
-    tol, and returns its feasible end. Feasibility below the seed is not
+    1e-9, and returns its feasible end. Feasibility below the seed is not
     probed, and one above the last infeasible scan point is not looked for.
-    The caller checks 0 < t_lo < t_hi < inf.
+    A bracket spans at most a factor of 8 inside the range, so lo * hi
+    stays a normal double and the bisection ends after 31 midpoints.
     """
-    if feasible(t_hi):
-        return t_hi, ["feasible at the search-range end; larger horizons were not explored"]
+    if feasible(_COUPLED_TOP):
+        return _COUPLED_TOP, ["feasible at the search-range end; larger horizons were not explored"]
 
-    hi = t_hi
+    hi = _COUPLED_TOP
     while True:
-        lo = max(hi / 8.0, t_lo)
+        lo = max(hi / 8.0, _COUPLED_FLOOR)
         if feasible(lo):
             break
-        if lo == t_lo:
+        if lo == _COUPLED_FLOOR:
             return None, [
-                f"no feasible horizon found down to the search floor {t_lo}; "
+                f"no feasible horizon found down to the search floor {_COUPLED_FLOOR}; "
                 "the tolerance floor was hit"
             ]
         hi = lo
 
-    for _ in range(_MAX_BISECTIONS):
-        if hi - lo <= tol * lo:
-            break
+    while hi - lo > _COUPLED_TOL * lo:
         mid = math.sqrt(lo * hi)
-        if not lo < mid < hi:  # the product under- or overflowed
-            mid = math.sqrt(lo) * math.sqrt(hi)
         if feasible(mid):
             lo = mid
         else:
@@ -494,7 +489,7 @@ def _infeasible_certificate(theorem, delta, intermediate, notes) -> LifespanCert
     return LifespanCertificate(0.0, theorem, delta, intermediate, None, False, (), tuple(notes))
 
 
-def theorem31_bound(state: KatoBoundState, search: tuple[float, float] = _DEFAULT_SEARCH) -> LifespanCertificate:
+def theorem31_bound(state: KatoBoundState) -> LifespanCertificate:
     """Largest certifiable horizon via the coupled fixed-point route.
 
     At a feasible T the pair (K0(T), K0'(T)) sits strictly below the coupled
@@ -503,21 +498,15 @@ def theorem31_bound(state: KatoBoundState, search: tuple[float, float] = _DEFAUL
     and d2 > 0 are certified with no margin. If the inequalities hold
     at T = infinity (declared-finite evaluators only) the infinite branch is
     certified directly. The search sees only feasibility; the intermediates
-    are evaluated once, at the certified T, or at the search floor when no
-    T in the range is feasible. The search range is checked before any
-    probe, so a bad range is an error whatever the data.
+    are evaluated once, at the certified T, or at the floor 1e-12 when no
+    T is feasible.
     """
-    t_lo, t_hi = search
-    if not (0 < t_lo < t_hi):
-        raise DomainError(f"search range must satisfy 0 < t_lo < t_hi, got ({t_lo}, {t_hi})")
-    if t_hi == math.inf:  # the downward scan from inf never leaves it
-        raise DomainError(f"search range must be finite, got ({t_lo}, {t_hi})")
     feasible = lambda T: _coupled_probe(state, T)[0]
     if state.k0.finite_at_infinity and state.k0_prime.finite_at_infinity and feasible(math.inf):
         t0, notes = math.inf, ["inequalities hold at T = infinity; solution is global"]
     else:
-        t0, notes = _largest_feasible(feasible, t_lo, t_hi, _COUPLED_TOL)
-    _, q = _coupled_probe(state, t_lo if t0 is None else t0)
+        t0, notes = _largest_feasible(feasible)
+    _, q = _coupled_probe(state, _COUPLED_FLOOR if t0 is None else t0)
     if t0 is None:
         return _infeasible_certificate("thm31", state.delta, q, (*notes, *state.notes))
     intermediate = {**q, "margin": _COUPLED_MARGIN}
@@ -650,10 +639,7 @@ def theorem41_explicit(norms: idmod.NormBundle, d: int, delta: float) -> Lifespa
     )
 
 
-def optimize_delta(
-    certify: Callable[[float], LifespanCertificate],
-    grid: Sequence[float] | None = None,
-) -> DeltaSweep:
+def optimize_delta(certify: Callable[[float], LifespanCertificate], grid: Sequence[float]) -> DeltaSweep:
     """Run a per-delta certifier over a grid and keep the best certificate.
 
     The winner is the feasible certificate with the largest t0; ties in t0
@@ -661,8 +647,6 @@ def optimize_delta(
     order. The full (delta, t0, feasible) profile is returned in grid order
     alongside the winner.
     """
-    if grid is None:
-        grid = default_delta_grid()
     grid = tuple(grid)
     if not grid:
         raise DomainError("delta grid must be nonempty")

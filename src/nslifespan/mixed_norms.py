@@ -25,7 +25,6 @@ from .constants import (
     _check_delta,
     _check_dimension,
     beta_fn,
-    default_delta_grid,
     heat_kernel_grad_norm,
     heat_kernel_norm,
     riesz_constant,
@@ -178,7 +177,7 @@ class PsiMin:
     profile: tuple[tuple[float, float], ...]  # (delta, psi) over admissible grid points
 
 
-def psi_min(d: int, q: float, inputs: SolutionNormInputs, delta_grid: Sequence[float] | None = None) -> PsiMin:
+def psi_min(d: int, q: float, inputs: SolutionNormInputs, delta_grid: Sequence[float]) -> PsiMin:
     """Infimum of psi over the admissible deltas of a fixed grid.
 
     Inadmissible grid points (infeasible exponents) are skipped; if every
@@ -186,9 +185,8 @@ def psi_min(d: int, q: float, inputs: SolutionNormInputs, delta_grid: Sequence[f
     smallest delta, so the result does not depend on the grid order; the
     profile keeps the grid order.
     """
-    grid = tuple(delta_grid) if delta_grid is not None else default_delta_grid()
     profile: list[tuple[float, float]] = []
-    for dlt in grid:
+    for dlt in delta_grid:
         try:
             value = psi_bound(d, q, dlt, inputs)
         except (InfeasibleExponentError, DomainError):

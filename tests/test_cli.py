@@ -196,7 +196,14 @@ class TestConfigValidation:
 
     NAN_CONFIGS = {
         "mixed_norms_q_grid": {"d": 3, "mode": "mixed_norms", "q_grid": [math.nan], "data": THM41_CONFIG["data"]},
-        "thm31_search": {**THM41_CONFIG, "mode": "thm31", "search": {"t_min": math.nan}},
+        "forced_k0_lambda": {
+            **THM41_CONFIG,
+            "mode": "forced",
+            "force": {
+                "k0": {"theta": 2.7, "lambda": math.nan, "value": 0.0},
+                "k0_prime": {"theta": 2.0, "lambda": -0.6, "value": 0.0},
+            },
+        },
     }
 
     @pytest.mark.parametrize("name", sorted(NAN_CONFIGS))
@@ -211,25 +218,15 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name", sorted(NAN_CONFIGS))
     def test_nan_is_input_error_in_process(self, name):
         # validate_config is all an in-process caller runs before build_report
-        field = {"mixed_norms_q_grid": "q_grid/0", "thm31_search": "search/t_min"}[name]
+        field = {"mixed_norms_q_grid": "q_grid/0", "forced_k0_lambda": "force/k0/lambda"}[name]
         with pytest.raises(ConfigError, match=f"^config field '{field}': NaN is not a valid number in a config$"):
             validate_config(self.NAN_CONFIGS[name])
 
-    def test_infinite_search_range_is_input_error(self, tmp_path):
-        # amplitude 0.001 certifies T = infinity and 0.05 searches; the range is an error
-        # either way, and the timeout catches an endless scan from inf
-        ranges = [({"t_max": math.inf}, "must be finite"), ({"t_min": 10.0, "t_max": 1.0}, "must satisfy 0 < t_lo")]
-        for amplitude in (0.05, 0.001):
-            for search, message in ranges:
-                data = {**THM41_CONFIG["data"], "amplitude": amplitude}
-                path = write_config(tmp_path, {"d": 3, "mode": "thm31", "search": search, "data": data})
-                assert "Infinity" in path.read_text(encoding="utf-8") or "t_min" in search
-                result = subprocess.run(
-                    [sys.executable, "-m", "nslifespan.cli", "--config", str(path), "--out", str(tmp_path / "out.json")],
-                    capture_output=True, text=True, timeout=30,
-                )
-                assert result.returncode == 1, (amplitude, search)
-                assert f"input error: search range {message}" in result.stderr
+    def test_search_block_is_input_error(self, tmp_path, capsys):
+        # the thm31 search range is fixed; a search block is an unknown field
+        config = {**THM41_CONFIG, "mode": "thm31", "search": {"t_min": 1e-6, "t_max": 1e6}}
+        assert main(["--config", str(write_config(tmp_path, config)), "--out", str(tmp_path / "out.json")]) == 1
+        assert "Additional properties are not allowed ('search' was unexpected)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("module", ["scipy", "numpy", "jsonschema"])
     def test_import_leaves_out(self, module):
@@ -444,6 +441,20 @@ class TestRuns:
         assert main(["--config", str(path), "--out", str(tmp_path / "report.json")]) == 1
         assert "exponent 3.0 twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cfg, d, delta",
+        [
+            ({**THM41_CONFIG, "delta": 1e-300}, 3, 1e-300),
+            ({"d": 1100, "mode": "thm41", "data": {"norms": {"lp_norms": {"1100.0": 1e-3}}}}, 1100, DELTA0),
+        ],
+        ids=["delta_squared_underflows", "two_to_the_d_overflows"],
+    )
+    def test_constants_out_of_double_range_are_input_error(self, tmp_path, capsys, cfg, d, delta):
+        path = write_config(tmp_path, cfg)
+        assert main(["--config", str(path), "--out", str(tmp_path / "report.json")]) == 1
+        message = f"input error: the constants for d={d}, delta={delta} leave the range of the doubles"
+        assert message in capsys.readouterr().err
+
     def test_abstract_parabolic_mode(self, tmp_path):
         cfg = {
             "d": 3,
@@ -493,18 +504,6 @@ class TestRuns:
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["result"]["lifespan"] == 0.0
         assert report["verification"]["all_passed"] is False
-
-    def test_thm31_subnormal_search_floor(self, tmp_path):
-        # the bisection bracket reaches below 1e-300, where lo * hi underflows
-        cfg = {
-            "d": 3, "mode": "thm31", "delta": 0.05,
-            "data": {"family": "vortex_gaussian", "sigma": 1.0, "amplitude": 1e140},
-            "search": {"t_min": 1e-320},
-        }
-        out = tmp_path / "report.json"
-        assert main(["--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
-        cert = json.loads(out.read_text(encoding="utf-8"))["result"]["certificate"]
-        assert cert["feasible"] is True and 0.0 < cert["t0"] < 1e-300
 
     @pytest.mark.parametrize(
         "data, delta",
@@ -767,8 +766,8 @@ def _golden_corpus() -> list:
                     if mode == "thm41_explicit" and data == "vortex" and rng.random() < 0.5:
                         config["theta"] = rng.uniform(0.1, 1.0)
                     if mode == "thm31" and rng.random() < 0.3:
-                        config["search"] = {"t_min": log_uniform(1e-14, 1e-8), "t_max": log_uniform(1e2, 1e8)}
-                        rng.random(), rng.random()  # unused draws that keep the later entries as recorded
+                        # draws that no field uses, kept so that the later entries stay as recorded
+                        log_uniform(1e-14, 1e-8), log_uniform(1e2, 1e8), rng.random(), rng.random()
                     configs.append(config)
     for _ in range(8):
         block = {key: log_uniform(0.05, 20.0) for key in ("c_gamma", "alpha", "k1", "k2", "t1", "t2")}
@@ -815,22 +814,22 @@ class TestGoldenCorpus:
     and entry prefixes. A mismatch names the entries whose outcome changed.
     """
 
-    DIGEST = "8c8d9e4398c2a1f4b1a83c05a9232d3bdf587e30bf0f579ba60de7094c0901b4"
+    DIGEST = "3409d2c132c7b8e445556dc088fcbe9e3b892cd0813224cc084c338f7602a146"
     # the first 8 hex digits of each entry's outcome sha256, in corpus order
     ENTRY_PREFIXES = """
-        81e3b62b 4b81d9a6 ae284f39 23a3a8ea f0d7bf80 9aad093e f0a1fe6a c18dc9dd bae3a8d3 fce1153e
+        81e3b62b 4b81d9a6 ae284f39 23a3a8ea 11dcf781 9aad093e f0a1fe6a c18dc9dd 22ac7220 fce1153e
         0f93f0a9 f6d98126 b32a39ee 1016b002 4d74e473 b54892d7 bc4a886e 02d23d9b 2920cf75 78294111
         adf2fcfb 94576657 e4c39cad de498cf7 78301b84 2920cc0d 5d04f33d 64aa9321 e03f59db fcdab490
         c37c592e 6facf8ad 93085fec 92b6f496 2ab8713c 4567950e 6e27fb49 fd11a20e 4a0e2797 f589a496
         712b8b49 bf636734 089cfb47 20781679 087b844d 8a6343ff f3d7b765 9ee05ad9 4efb39a0 592de540
         6e2bd025 b2753958 12a8ca04 d13f2328 7c36ba1b a78b769a 52bfc565 728c5953 742cf805 f0a40824
-        318ce37f acafb2e2 1f75b060 48d9e39f f1e52ebb 743ec3e0 49eb52d7 b78ab7a3 4297caba 414cebe5
+        318ce37f acafb2e2 1f75b060 ab339d72 b91f04e4 743ec3e0 be415dca 28233d4b 4297caba 414cebe5
         a15789ca 9786b459 83175d3a f804a2d3 36195ea4 8de44b86 13a6f8c5 7b207755 27b421eb d69a699c
         381b04f3 6483234b c9074de4 a93892d3 7a8051aa 50ca8660 3ae0634d 1d17ad6d 6ab3d6b2 4e65a92c
         bcfab2fe 1ea45cbd 832a67cf c1243aeb 5ba11a22 2f0a8ca9 040c99b4 ebd42eea d85af6b6 b0fb6f4f
         1e7ee4df 242cea92 23a9f2b2 e02cd97c 5d3924f3 45a6e4bd 8bcce51a 9285bb9e 8c071e1e 37f7557a
         8565f499 d0a06608 ba14fd47 6cc97db8 12502915 06a1d186 eef4028a 336b661e e829f573 2b6418cd
-        0451b85b c1c7011a 2d0a01df 3b3b6587 130449b4 f55b25dd bded9aa3 c296b4a8 f766c0f2 a7b59db9
+        46e1f632 3e7e6322 2d0a01df 3b3b6587 857a8195 1661a9b4 bded9aa3 c296b4a8 dbe28f44 a7b59db9
         e33f3854 1f7adbbc 57159d69 2af29072 955b3c9b 99531bbf c77e6e98 99d3a5b2 8719abba 9549322a
         c46499f3 f32d6f7f 211a43dd 46716fa8 3ca79a0e ebce354d 912ec54d d7be5cbe c62550e6 0eb9a33c
         ad95853a 8a725a92 87a844fd 4967d35b 3d88749f c3fefcc7 b04d6182 2d17eedb 276b6f26 e401871e
@@ -838,7 +837,7 @@ class TestGoldenCorpus:
         c4ee14df e5245b15 d756276d 78bb5c05 dd5e11bf 1a147dc8 c6d0313f 83fa64bb 6a25aca5 1ea776a9
         1c49603e 29789918 4470cb37 e6bb9084 30de0d95 4fbab212 81bd4f08 fbc92445 3d991b0c b9a63653
         28f4ba8a bffad326 a2764166 bcdfa1db 3f72c501 4d567754 d78709b4 93b7d915 e5005423 3819f15e
-        8ae662f5 976c9e04 88fe97fa 9bbe3893 25c019eb 2dc7849d 326d1a60 2d45edbe
+        8ae662f5 976c9e04 88fe97fa 9bbe3893 25c019eb 627fd7ea 326d1a60 2d45edbe
     """.split()
 
     @staticmethod
@@ -918,6 +917,13 @@ class TestPrintConstants:
     def test_unparseable_arguments(self):
         result = run_cli("--print-constants", "three", "0.5")
         assert result.returncode == 1
+
+    @pytest.mark.parametrize("d, delta", [("3", "1e-300"), ("1024", "0.5")])
+    def test_constants_out_of_double_range(self, capsys, d, delta):
+        # delta^2 underflows in j_up1, and 2^d overflows in M(d, 1)
+        assert main(["--print-constants", d, delta]) == 1
+        message = f"domain error: the constants for d={d}, delta={float(delta)} leave the range of the doubles"
+        assert message in capsys.readouterr().err
 
 
 class TestLibraryEntryPoints:

@@ -196,11 +196,10 @@ class TestTheorem31:
         assert cert.t0 == pytest.approx(frontier, rel=0.05)
         assert cert.t0 >= frontier * (1 - 0.05)
 
-    def test_infeasible_range_returns_zero_certificate(self, eps3):
-        data = vortex_with_a3(1000.0 * eps3)
-        state = state_from_vortex(data, DELTA0)
-        t_feasible = theorem31_bound(state).t0
-        cert = theorem31_bound(state, search=(t_feasible * 1e3, t_feasible * 1e6))
+    def test_infeasible_range_returns_zero_certificate(self):
+        # the frontier of this sharp vortex lies below the search floor 1e-12
+        state = state_from_vortex(VortexGaussian(3, 1e-3, 5e6), DELTA0)
+        cert = theorem31_bound(state)
         assert cert.t0 == 0.0 and not cert.feasible
         assert any("floor" in note for note in cert.notes)
         assert not replay_certificate(cert).all_passed
@@ -209,79 +208,57 @@ class TestTheorem31:
 class TestLargestFeasible:
     """Scan-and-bisect search on synthetic probes: horizon, notes and probe order."""
 
-    MONOTONE_BISECTION = [
-        math.sqrt(1.953125 * 15.625),
-        math.sqrt(1.953125 * math.sqrt(1.953125 * 15.625)),
-        math.sqrt(1.953125 * math.sqrt(1.953125 * math.sqrt(1.953125 * 15.625))),
-    ]
+    SCAN = [1e12 / 8**k for k in range(27)]  # every scan point above the floor 1e-12
 
     @pytest.mark.parametrize(
-        "feasible, t_lo, expected_t0, expected_notes, expected_probes",
+        "feasible, expected_t0, expected_notes, expected_scan, expected_midpoints",
         [
             pytest.param(
-                lambda T: True, 1e-3, 1e3,
+                lambda T: True, 1e12,
                 ["feasible at the search-range end; larger horizons were not explored"],
-                [1e3],
+                SCAN[:1], 0,
                 id="feasible-at-t-hi",
             ),
             pytest.param(
-                lambda T: False, 1.0, None,
-                ["no feasible horizon found down to the search floor 1.0; the tolerance floor was hit"],
-                [1e3, 125.0, 15.625, 1.953125, 1.0],
+                lambda T: False, None,
+                ["no feasible horizon found down to the search floor 1e-12; the tolerance floor was hit"],
+                [*SCAN, 1e-12], 0,
                 id="floor-hit",
             ),
             pytest.param(
-                lambda T: T <= 3.0, 1e-3, MONOTONE_BISECTION[2],
+                lambda T: T <= 3.0, 2.9999999982928265,
                 [],
-                [1e3, 125.0, 15.625, 1.953125, *MONOTONE_BISECTION],
+                SCAN[:14], 31,
                 id="monotone-frontier",
             ),
             pytest.param(
-                lambda T: T <= 1.0, 1.0, 1.0,
+                lambda T: T <= 1e-12, 1e-12,
                 [],
-                [1e3, 125.0, 15.625, 1.953125, 1.0, math.sqrt(1.953125)],
+                [*SCAN, 1e-12], 31,
                 id="seed-at-floor",
             ),
         ],
     )
-    def test_probe_sequence(self, feasible, t_lo, expected_t0, expected_notes, expected_probes):
+    def test_probe_sequence(self, feasible, expected_t0, expected_notes, expected_scan, expected_midpoints):
         probes = []
 
         def probe(T):
             probes.append(T)
             return feasible(T)
 
-        t0, notes = _largest_feasible(probe, t_lo, 1e3, 0.5)
+        t0, notes = _largest_feasible(probe)
         assert t0 == expected_t0
         assert list(notes) == expected_notes
-        assert probes == expected_probes
-
-    def test_search_range_must_be_ordered(self, eps3):
-        # checked before any probe: tiny data certifies T = infinity without searching
-        state = state_from_vortex(vortex_with_a3(1e-3 * eps3), DELTA0)
-        assert theorem31_bound(state).t0 == math.inf
-        for search in [(1.0, 1.0), (10.0, 1.0), (1e-12, math.inf)]:
-            with pytest.raises(DomainError, match="^search range must"):
-                theorem31_bound(state, search)
-
-    @pytest.mark.parametrize(
-        "t_lo, t_hi, frontier",
-        [(1e-320, 1.0, 1e-310), (1.0, 1e308, 1e306)],
-        ids=["subnormal-floor", "huge-end"],
-    )
-    def test_midpoints_stay_inside_the_bracket(self, t_lo, t_hi, frontier):
-        # lo * hi underflows to 0.0 (or overflows to inf) here, so the
-        # geometric midpoint is taken as sqrt(lo) * sqrt(hi)
-        probes = []
-
-        def probe(T):
-            probes.append(T)
-            return T <= frontier
-
-        t0, notes = _largest_feasible(probe, t_lo, t_hi, 1e-9)
-        assert all(t_lo <= T <= t_hi for T in probes)
-        assert t0 <= frontier and t0 == pytest.approx(frontier, rel=1e-9)
-        assert notes == []
+        scan, midpoints = probes[: len(expected_scan)], probes[len(expected_scan):]
+        assert scan == expected_scan
+        assert len(midpoints) == expected_midpoints
+        if midpoints:
+            # the bisection starts from the seed and the last infeasible scan point
+            lo, hi = scan[-1], scan[-2]
+            for mid in midpoints:
+                assert lo < mid < hi
+                lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+            assert t0 == lo and hi - lo <= 1e-9 * lo
 
 
 class TestLargestDouble:

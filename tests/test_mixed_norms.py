@@ -9,6 +9,7 @@ from nslifespan.constants import (
     ExponentPair,
     beta_fn,
     composite_constants,
+    default_delta_grid,
     heat_kernel_grad_norm,
     heat_kernel_norm,
     riesz_constant,
@@ -152,14 +153,13 @@ class TestPsiMin:
 
     def test_deterministic(self):
         inputs = demo_inputs()
-        a = psi_min(3, 5.0, inputs)
-        b = psi_min(3, 5.0, inputs)
+        a = psi_min(3, 5.0, inputs, default_delta_grid())
+        b = psi_min(3, 5.0, inputs, default_delta_grid())
         assert a == b
 
     def test_grid_stability(self):
         # the profile is smooth in delta, so refining the default hybrid grid
         # moves the infimum by well under a relative 1e-3
-        from nslifespan.constants import default_delta_grid
 
         inputs = demo_inputs()
         coarse = psi_min(3, 4.0, inputs, default_delta_grid(16)).value
