@@ -5,7 +5,8 @@ deterministic JSON certificate report, and prints a short human-readable
 summary. Exit codes: 0 = certified (result feasible and every replayed
 inequality passed), 2 = infeasible or hypothesis failure (diagnostics in the
 report), 1 = input error (malformed config, schema violation, missing
-norms). The report bytes are stable across runs for identical input.
+norms, bad command-line arguments). The report bytes are stable across runs
+for identical input.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NoReturn
 
 from . import __version__
 from .constants import DELTA0, composite_constants
@@ -45,7 +46,6 @@ from .mixed_norms import SolutionNormInputs, ThetaExponents, grand_lebesgue_norm
 from .validation import NAN_MESSAGE, best_error
 
 SCHEMA: dict = json.loads(Path(__file__).with_name("schema.json").read_text(encoding="utf-8"))
-MODES = tuple(SCHEMA["properties"]["mode"]["enum"])
 
 
 class ConfigError(ValueError):
@@ -130,14 +130,13 @@ def _certifier(config: Mapping) -> Callable[[float], LifespanCertificate]:
             ForceNorm(float(force[key]["theta"]), float(force[key]["lambda"]), float(force[key]["value"]))
             for key in ("k0", "k0_prime")
         )
-        halved = bool(force.get("halved_kernel_decay", False))
     data = _initial_data(config)
     if mode == "global_test":
         a_d = _a_d_norm(data, d)
         return lambda delta: global_certificate(a_d, d, delta)
     if mode == "thm41_explicit":
         if isinstance(data, VortexGaussian):
-            data = norm_bundle_from_vortex(data, theta=float(config.get("theta", 0.5)))
+            data = norm_bundle_from_vortex(data, theta=0.5)
         return lambda delta: theorem41_explicit(data, d, delta)
     if isinstance(data, VortexGaussian):
         state_at = functools.partial(state_from_vortex, data)
@@ -148,7 +147,7 @@ def _certifier(config: Mapping) -> Callable[[float], LifespanCertificate]:
     if mode == "thm41":
         return lambda delta: theorem41_bound(state_at(delta))
     if mode == "forced":
-        return lambda delta: forced_lifespan(state_at(delta), f1, f2, halved_kernel_decay=halved)
+        return lambda delta: forced_lifespan(state_at(delta), f1, f2)
     raise ConfigError(f"unsupported certificate mode {mode}")
 
 
@@ -174,13 +173,8 @@ def _mixed_norms_result(config: Mapping, deltas: tuple[float, ...]) -> tuple[dic
     d = int(config["d"])
     delta = deltas[0]
     q_grid = [float(q) for q in config["q_grid"]]
-    sol = config.get("solution_norms", {})
-    cs = composite_constants(d, delta)
-    inputs = SolutionNormInputs(
-        k_sup=float(sol.get("k_sup", cs.iterate_bound)),
-        k_prime_sup=float(sol.get("k_prime_sup", cs.iterate_bound)),
-        a_d_norm=_a_d_norm(_initial_data(config), d),
-    )
+    bound = composite_constants(d, delta).iterate_bound
+    inputs = SolutionNormInputs(k_sup=bound, k_prime_sup=bound, a_d_norm=_a_d_norm(_initial_data(config), d))
     psi_profile: list[list[float]] = []
     psi_errors: list[list] = []
     nu_profile: list[list[float]] = []
@@ -295,7 +289,7 @@ def build_report(config: Mapping) -> tuple[dict, bool]:
             # encoded once, by the fingerprint below; later encodings reuse the text
             "table": EncodedTable(
                 {"name": name, "value": value, "formula": formula}
-                for name, value, formula in cs.as_table()
+                for name, value, formula in cs.table
             ),
         }
 
@@ -315,15 +309,10 @@ def build_report(config: Mapping) -> tuple[dict, bool]:
     return report, feasible and all_passed
 
 
-def run(config_path: Path, output_path: Path, mode_override: str | None = None, verbose: bool = False) -> int:
+def run(config_path: Path, output_path: Path, verbose: bool = False) -> int:
     """Execute one certification run; returns the process exit code."""
     try:
-        config = load_config(config_path)
-        if mode_override is not None:
-            config = dict(config)
-            config["mode"] = mode_override
-            validate_config(config)
-        report, certified = build_report(config)
+        report, certified = build_report(load_config(config_path))
     except ConfigError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
@@ -373,20 +362,27 @@ def print_constants(d: int, delta: float) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return 1
     print(f"constants for d={d}, delta={delta!r}")
-    for name, value, formula in cs.as_table():
+    for name, value, formula in cs.table:
         print(f"  {name:<14s} = {value:<24.17g} {formula}")
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with argument errors as input errors: exit 1, since 2 means infeasible here."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"input error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nslifespan",
         description="Certified lifespan lower bounds from norms of the initial data.",
         add_help=True,
     )
     parser.add_argument("--config", type=Path, help="path to the JSON problem description")
     parser.add_argument("--out", type=Path, help="path for the JSON certificate report")
-    parser.add_argument("--mode", choices=MODES, help="override the mode given in the config")
     parser.add_argument(
         "--print-constants",
         nargs=2,
@@ -408,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.config is None or args.out is None:
         print("input error: --config and --out are required (or use --print-constants)", file=sys.stderr)
         return 1
-    return run(args.config, args.out, mode_override=args.mode, verbose=args.verbose)
+    return run(args.config, args.out, verbose=args.verbose)
 
 
 if __name__ == "__main__":

@@ -336,8 +336,9 @@ class ConstantSet:
         """Certified sup bound 3/(4 Jbar) = c3/d^2 for the Picard iterates."""
         return self.c3 / (self.d * self.d)
 
-    def as_table(self) -> list[tuple[str, float, str]]:
-        """Flat (name, value, formula) rows for reports and the CLI table."""
+    @cached_property
+    def table(self) -> tuple[tuple[str, float, str], ...]:
+        """Flat (name, value, formula) rows for reports and the CLI table, built once."""
         rows: list[tuple[str, float, str]] = []
         for p, v in sorted(self.ks.items()):
             rows.append((f"K_S({self.d},{p:g})", v, "sharp Sobolev (Talenti) constant"))
@@ -350,7 +351,7 @@ class ConstantSet:
         for name in ("s1", "s2", "s2_alt", "j1", "j2", "j_up1", "j_up2", "j",
                      "delta0", "j_bar", "c1", "c2", "c3"):
             rows.append((name, getattr(self, name), self.provenance.get(name, "")))
-        return rows
+        return tuple(rows)
 
 
 def _check_dimension(d: int, minimum: int = 3) -> None:

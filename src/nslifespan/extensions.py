@@ -14,12 +14,11 @@ For the gradient route the right side 0 is the value for which the
 integral decays exactly like t^{-1/2}; it also makes the Beta-positivity
 condition coincide with the exponent restriction d(1 - 1/r2) < 1.
 
-The default K0 Beta factor integrates the kernel decay exponent un-halved,
-B(1 - d(1-1/r1), 1 + lambda1), which needs the strict condition
-d(1 - 1/r1) < 1 (stricter than the nominal d(1 - 1/r1) < 2, which is what
-the halved variant behind ``halved_kernel_decay=True`` needs); the
-feasibility report carries both conditions and the certificate states which
-variant produced the coefficient.
+The K0 Beta factor integrates the kernel decay exponent as the paper
+prints it, B(1 - d(1-1/r1), 1 + lambda1), which needs the strict condition
+d(1 - 1/r1) < 1, stricter than the nominal d(1 - 1/r1) < 2; the
+feasibility report carries both conditions and the certificate notes the
+Beta form.
 
 The abstract parabolic rule certifies T = min(T1, T2, T3, T4) for a mild
 formulation with semigroup blow-up |e^{At}|(Y -> X) <= C(gamma) t^{-gamma}:
@@ -53,6 +52,7 @@ __all__ = [
 
 _MATCH_TOL = 1e-12
 _STRICT_MARGIN = 0.01  # T3 backs off the strict Duhamel inequality by 1% of alpha/2
+_K0_BETA_NOTE = "literal kernel decay: Beta(1 - d(1-1/r1), 1 + lambda); needs the stricter d(1-1/r1) < 1"
 
 
 @dataclass(frozen=True)
@@ -118,19 +118,12 @@ def matching_lambda_k0_prime(d: int, theta: float) -> float:
     return d / 2.0 * (1.0 - 1.0 / r2) - 1.0
 
 
-def force_contribution_k0(
-    d: int,
-    delta: float,
-    force: ForceNorm,
-    halved_kernel_decay: bool = False,
-) -> ForceContribution:
+def force_contribution_k0(d: int, delta: float, force: ForceNorm) -> ForceContribution:
     """T-independent additive contribution of the force to K0(T).
 
     coefficient = K_BL(d; r1, theta1) M(d, r1) |||f||| B(b1, 1 + lambda1)
-    with b1 = 1 - d(1 - 1/r1) by default (un-halved kernel decay; requires
-    d(1 - 1/r1) < 1) or b1 = 1 - d(1 - 1/r1)/2 under the halved variant
-    (requires d(1 - 1/r1) < 2). A zero-valued force contributes 0 with a
-    trivially feasible report.
+    with b1 = 1 - d(1 - 1/r1), which requires d(1 - 1/r1) < 1. A
+    zero-valued force contributes 0 with a trivially feasible report.
     """
     _check_delta(delta)
     if force.value == 0.0:
@@ -138,29 +131,23 @@ def force_contribution_k0(
     r1 = _r_from_theta(1.0 + delta / d, force.theta, "k0 force route")
     decay = d * (1.0 - 1.0 / r1)
     match_residual = d / 2.0 * (1.0 - 1.0 / r1) - 1.0 - force.lam - (1.0 - delta) / 2.0
-    checks = [
+    b1 = 1.0 - decay
+    report = (
         FeasibilityCheck("kernel_exponent_above_1", r1 - 1.0),
         FeasibilityCheck("decay_below_2", 2.0 - decay),
         FeasibilityCheck("exponent_matching", _MATCH_TOL - abs(match_residual)),
-    ]
-    if halved_kernel_decay:
-        b1 = 1.0 - decay / 2.0
-        variant = "halved kernel decay variant: Beta(1 - d(1-1/r1)/2, 1 + lambda)"
-    else:
-        b1 = 1.0 - decay
-        checks.append(FeasibilityCheck("decay_below_1_for_beta", 1.0 - decay))
-        variant = "literal kernel decay: Beta(1 - d(1-1/r1), 1 + lambda); needs the stricter d(1-1/r1) < 1"
-    checks.append(FeasibilityCheck("beta_first_argument_positive", b1))
-    report = tuple(checks)
+        FeasibilityCheck("decay_below_1_for_beta", 1.0 - decay),
+        FeasibilityCheck("beta_first_argument_positive", b1),
+    )
     if not all(c.ok for c in report):
-        return ForceContribution(None, report, notes=(variant,))
+        return ForceContribution(None, report, notes=(_K0_BETA_NOTE,))
     coef = (
         young_constant(d, ExponentPair(r1, force.theta))
         * heat_kernel_norm(d, r1)
         * force.value
         * beta_fn(b1, 1.0 + force.lam)
     )
-    return ForceContribution(coef, report, notes=(variant,))
+    return ForceContribution(coef, report, notes=(_K0_BETA_NOTE,))
 
 
 def force_contribution_k0_prime(d: int, force: ForceNorm) -> ForceContribution:
@@ -194,12 +181,7 @@ def force_contribution_k0_prime(d: int, force: ForceNorm) -> ForceContribution:
     return ForceContribution(coef, report)
 
 
-def forced_lifespan(
-    state: KatoBoundState,
-    f1: ForceNorm,
-    f2: ForceNorm,
-    halved_kernel_decay: bool = False,
-) -> LifespanCertificate:
+def forced_lifespan(state: KatoBoundState, f1: ForceNorm, f2: ForceNorm) -> LifespanCertificate:
     """Envelope-route horizon with the force contributions folded in.
 
     The contributions are constants added to K0(T) and K0'(T) for every T
@@ -207,7 +189,7 @@ def forced_lifespan(
     on shifted evaluators; a zero force reproduces the unforced certificate
     bit for bit. Infeasible exponents raise before any solve.
     """
-    c1 = force_contribution_k0(state.d, state.delta, f1, halved_kernel_decay=halved_kernel_decay)
+    c1 = force_contribution_k0(state.d, state.delta, f1)
     c2 = force_contribution_k0_prime(state.d, f2)
     for label, contrib in (("k0", c1), ("k0_prime", c2)):
         if not contrib.feasible:

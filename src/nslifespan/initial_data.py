@@ -70,7 +70,11 @@ _NEWTON_STEPS = 40
 
 @dataclass(frozen=True)
 class VortexGaussian:
-    """Rotating Gaussian vortex a(x) = amplitude * A x * exp(-|x|^2/(2 sigma^2))."""
+    """Rotating Gaussian vortex a(x) = amplitude * A x * exp(-|x|^2/(2 sigma^2)).
+
+    A nonzero field needs sigma^2 inside the doubles: its norms take the
+    logarithm of sigma^2, and its evolution divides by it.
+    """
 
     d: int
     sigma: float
@@ -82,6 +86,8 @@ class VortexGaussian:
             raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
         if self.amplitude < 0 or not math.isfinite(self.amplitude):
             raise DomainError(f"amplitude must be nonnegative, got {self.amplitude}")
+        if self.amplitude > 0 and not (0.0 < self.sigma * self.sigma < math.inf):
+            raise DomainError(f"sigma^2 leaves the range of the doubles for sigma={self.sigma}")
 
     def evolve(self, t: float) -> "VortexGaussian":
         """Heat evolution e^{t Lap} a, exactly, inside the family."""
@@ -287,13 +293,13 @@ def k0_root(data: VortexGaussian, delta: float, y: float) -> float:
     """Approximate largest T with k0_exact(data, delta, T) <= y; no evaluator calls."""
     d = data.d
     return _weighted_norm_root(
-        lp_norm(data, d / delta), (1.0 - delta) / 2.0, (d + 1.0 - delta) / 2.0, data.sigma**2, y
+        lp_norm(data, d / delta), (1.0 - delta) / 2.0, (d + 1.0 - delta) / 2.0, data.sigma * data.sigma, y
     )
 
 
 def k0_prime_root(data: VortexGaussian, y: float) -> float:
     """Approximate largest T with k0_prime_exact(data, T) <= y; no evaluator calls."""
-    return _weighted_norm_root(grad_norm(data), 0.5, (data.d + 1.0) / 2.0, data.sigma**2, y)
+    return _weighted_norm_root(grad_norm(data), 0.5, (data.d + 1.0) / 2.0, data.sigma * data.sigma, y)
 
 
 @dataclass(frozen=True)
@@ -350,15 +356,21 @@ class NormBundle:
 
 
 def check_theta(d: int, delta: float, theta: float) -> None:
-    """Reject a theta outside (0, min(1, (d-1)/delta)].
+    """Reject a theta outside (0, min(1, (d-1)/delta)], or one the doubles cannot carry.
 
     That is the range of the extra-integrability power bound on K0; every
-    route that applies the bound calls this check.
+    route that applies the bound calls this check. The bound's coefficient
+    2^{d+theta} overflows from d + theta = 1024 on, and its T power
+    theta delta/(2d) must not underflow to 0.
     """
     if not (0.0 < theta <= min(1.0, (d - 1) / delta)):
         raise DomainError(
             f"theta must lie in (0, min(1, (d-1)/delta)] = (0, {min(1.0, (d - 1) / delta)}], got {theta}"
         )
+    if d + theta >= 1024:
+        raise DomainError(f"2^(d+theta) leaves the range of the doubles for d={d}, theta={theta}")
+    if theta * delta / (2.0 * d) == 0.0:
+        raise DomainError(f"the power theta*delta/(2d) underflows to 0 for d={d}, delta={delta}, theta={theta}")
 
 
 def k0_bound_from_norms(norms: NormBundle, d: int, delta: float, T: float) -> float:

@@ -486,6 +486,8 @@ def _feasible_certificate(theorem, t0, delta, intermediate, iterate_bound, notes
 
 
 def _infeasible_certificate(theorem, delta, intermediate, notes) -> LifespanCertificate:
+    # a NaN intermediate (inf - inf where a bound overflowed) has no report encoding
+    intermediate = {name: value for name, value in intermediate.items() if value == value}
     return LifespanCertificate(0.0, theorem, delta, intermediate, None, False, (), tuple(notes))
 
 

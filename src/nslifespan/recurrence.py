@@ -133,9 +133,9 @@ def coupled_bound(rec: CoupledRecurrence) -> CoupledBound:
     except OverflowError:
         return CoupledBound(None, None, (HypothesisFailure("quadratics_finite", math.nan),))
     failures: list[HypothesisFailure] = []
-    if d1 <= 0:
+    if not d1 > 0:  # NaN fails too
         failures.append(HypothesisFailure("d1_positive", d1))
-    if d2 <= 0:
+    if not d2 > 0:
         failures.append(HypothesisFailure("d2_positive", d2))
     if failures:
         return CoupledBound(None, None, tuple(failures))

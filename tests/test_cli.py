@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 from nslifespan.cli import SCHEMA, ConfigError, build_report, load_config, main, validate_config
 from nslifespan.constants import DELTA0
+from nslifespan.errors import DomainError
 from nslifespan.jsonio import canonical_dumps, decode_infinities
 from nslifespan.validation import ANNOTATIONS, KEYWORDS, best_error
 
@@ -59,15 +61,23 @@ SCHEMA_VIOLATIONS = {
     "data_both_branches": {**THM41_CONFIG, "data": {**THM41_CONFIG["data"], **NORMS_DATA}},
     "sigma_string": {**THM41_CONFIG, "data": {**THM41_CONFIG["data"], "sigma": "1.0"}},
     "delta_grid_not_array": {**THM41_CONFIG, "delta_grid": 0.5},
-    "halved_flag_not_boolean": {
+    # options that were removed are unknown fields
+    "force_halved_kernel_decay": {
         **THM41_CONFIG,
         "mode": "forced",
         "force": {
             "k0": {"theta": 2.7, "lambda": -0.5, "value": 0.0},
             "k0_prime": {"theta": 2.0, "lambda": -0.6, "value": 0.0},
-            "halved_kernel_decay": 1,
+            "halved_kernel_decay": True,
         },
     },
+    "solution_norms_block": {
+        **THM41_CONFIG,
+        "mode": "mixed_norms",
+        "q_grid": [3.0],
+        "solution_norms": {"k_sup": 1e-3, "k_prime_sup": 1e-3},
+    },
+    "top_level_theta": {**THM41_CONFIG, "mode": "thm41_explicit", "theta": 0.5},
     "config_not_object": [THM41_CONFIG],
     "tolerances_block": {**THM41_CONFIG, "mode": "thm31", "tolerances": {"rel_tol": 1e-16}},
 }
@@ -103,6 +113,24 @@ class TestConfigValidation:
 
     def test_missing_cli_arguments(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--mode", "thm31"], ["--print-constants", "3"], ["--surprise"]],
+        ids=["removed_mode_flag", "missing_value", "unknown_flag"],
+    )
+    def test_argument_error_exits_1(self, capsys, argv):
+        # argparse exits 2, which this CLI reserves for infeasible results
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 1
+        assert "input error: " in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--help"])
+        assert exited.value.code == 0
+        assert "--print-constants" in capsys.readouterr().out
 
     def test_validation_never_loads_jsonschema(self):
         code = (
@@ -228,6 +256,19 @@ class TestConfigValidation:
         assert main(["--config", str(write_config(tmp_path, config)), "--out", str(tmp_path / "out.json")]) == 1
         assert "Additional properties are not allowed ('search' was unexpected)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, key",
+        [
+            ("force_halved_kernel_decay", "halved_kernel_decay"),
+            ("solution_norms_block", "solution_norms"),
+            ("top_level_theta", "theta"),
+        ],
+    )
+    def test_removed_option_is_input_error(self, tmp_path, capsys, name, key):
+        path = write_config(tmp_path, SCHEMA_VIOLATIONS[name])
+        assert main(["--config", str(path), "--out", str(tmp_path / "out.json")]) == 1
+        assert f"Additional properties are not allowed ('{key}' was unexpected)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("module", ["scipy", "numpy", "jsonschema"])
     def test_import_leaves_out(self, module):
         code = f"import nslifespan.cli, sys; assert {module!r} not in sys.modules"
@@ -303,15 +344,6 @@ class TestRuns:
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["result"]["certificate"]["feasible"] is False
 
-    def test_mode_override(self, tmp_path):
-        path = write_config(tmp_path, THM41_CONFIG)
-        out = tmp_path / "report.json"
-        result = run_cli("--config", str(path), "--out", str(out), "--mode", "global_test")
-        assert result.returncode == 2  # amplitude 0.001 is above the global threshold
-        report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["config"]["mode"] == "global_test"
-        assert report["result"]["certificate"]["theorem"] == "global"
-
     def test_thm31_with_delta_grid(self, tmp_path):
         cfg = {
             "d": 3,
@@ -343,7 +375,6 @@ class TestRuns:
         cfg = {
             "d": 3,
             "mode": "thm41_explicit",
-            "theta": 0.5,
             "data": {"family": "vortex_gaussian", "sigma": 1.0, "amplitude": 0.01},
         }
         out = tmp_path / "report.json"
@@ -520,6 +551,59 @@ class TestRuns:
         assert main(["--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         cert = json.loads(out.read_text(encoding="utf-8"))["result"]["certificate"]
         assert cert["theorem"] == "thm31" and cert["feasible"] is False and cert["t0"] == 0.0
+
+    EXTREME_INPUTS = {
+        "vortex_sigma_squared_underflows": (
+            {"d": 3, "mode": "global_test", "data": {"family": "vortex_gaussian", "sigma": 1e-200, "amplitude": 1.0}},
+            "sigma^2 leaves the range of the doubles for sigma=1e-200",
+        ),
+        "vortex_sigma_squared_overflows": (
+            {"d": 3, "mode": "thm41", "data": {"family": "vortex_gaussian", "sigma": 1e200, "amplitude": 1e-300}},
+            "sigma^2 leaves the range of the doubles for sigma=1e+200",
+        ),
+        "bundle_power_underflows": (
+            {
+                "d": 3,
+                "mode": "thm41_explicit",
+                "delta": 1e-100,
+                "data": {"norms": {"lp_norms": {}, "theta": 1e-300, "norm_d_plus_theta": 1e-3}},
+            },
+            "the power theta*delta/(2d) underflows to 0 for d=3, delta=1e-100, theta=1e-300",
+        ),
+        "bundle_coefficient_overflows": (
+            {"d": 1023, "mode": "thm41", "data": {"norms": {"lp_norms": {}, "theta": 1.0, "norm_d_plus_theta": 1e-3}}},
+            "2^(d+theta) leaves the range of the doubles for d=1023, theta=1.0",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXTREME_INPUTS))
+    def test_extreme_input_is_input_error(self, tmp_path, capsys, name):
+        config, message = self.EXTREME_INPUTS[name]
+        validate_config(config)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            build_report(config)
+        assert main(["--config", str(write_config(tmp_path, config)), "--out", str(tmp_path / "r.json")]) == 1
+        assert f"input error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", [1e-200, 1e200])
+    def test_zero_vortex_with_extreme_sigma_certifies(self, sigma):
+        config = {"d": 3, "mode": "thm41", "data": {"family": "vortex_gaussian", "sigma": sigma, "amplitude": 0.0}}
+        report, certified = build_report(config)
+        assert certified and report["result"]["certificate"]["t0"] == math.inf
+
+    @pytest.mark.parametrize(
+        "d, delta, sigma, amplitude, dropped",
+        [(1023, 0.9, 1e-100, 1e-200, {"d2"}), (3, DELTA0, 1e100, 1e300, {"s1", "s2", "d1", "d2"})],
+        ids=["gradient_constant_infinite", "both_norms_infinite"],
+    )
+    def test_thm31_nan_quantities_leave_the_report(self, d, delta, sigma, amplitude, dropped):
+        # inf - inf in the coupled quadratics is NaN, which fails d1 > 0 or
+        # d2 > 0 and has no report encoding
+        data = {"family": "vortex_gaussian", "sigma": sigma, "amplitude": amplitude}
+        report, certified = build_report({"d": d, "mode": "thm31", "delta": delta, "data": data})
+        cert = report["result"]["certificate"]
+        assert not certified and cert["feasible"] is False and cert["t0"] == 0.0
+        assert not dropped & set(cert["intermediate"])
 
     def test_force_dominated_forced_run_is_infeasible(self, tmp_path):
         # forced_small with a k0 force of 1.0: its coefficient 35.55 exceeds
@@ -739,8 +823,7 @@ def _golden_corpus() -> list:
             "k0": {"theta": theta1, "lambda": d / (2.0 * theta1) - 1.5, "value": log_uniform(1e-12, 1e-6)},
             "k0_prime": {"theta": theta2, "lambda": d / (2.0 * theta2) - 1.5, "value": log_uniform(1e-12, 1e-6)},
         }
-        if rng.random() < 0.3:
-            block["halved_kernel_decay"] = True
+        rng.random()  # a draw that no field uses, kept so that the later entries stay as recorded
         return block
 
     configs: list = []
@@ -763,10 +846,10 @@ def _golden_corpus() -> list:
                     if mode == "mixed_norms":
                         q_max = min(d / deltas[-1], 1.5 * d)
                         config["q_grid"] = sorted(rng.uniform(d, q_max + 1.0) for _ in range(3))
+                    # draws that no field uses, kept so that the later entries stay as recorded
                     if mode == "thm41_explicit" and data == "vortex" and rng.random() < 0.5:
-                        config["theta"] = rng.uniform(0.1, 1.0)
+                        rng.uniform(0.1, 1.0)
                     if mode == "thm31" and rng.random() < 0.3:
-                        # draws that no field uses, kept so that the later entries stay as recorded
                         log_uniform(1e-14, 1e-8), log_uniform(1e2, 1e8), rng.random(), rng.random()
                     configs.append(config)
     for _ in range(8):
@@ -814,30 +897,30 @@ class TestGoldenCorpus:
     and entry prefixes. A mismatch names the entries whose outcome changed.
     """
 
-    DIGEST = "3409d2c132c7b8e445556dc088fcbe9e3b892cd0813224cc084c338f7602a146"
+    DIGEST = "0b62d1b0429238a9eae2d47a6513a790acfa6747f29f68e6042f575811d40284"
     # the first 8 hex digits of each entry's outcome sha256, in corpus order
     ENTRY_PREFIXES = """
         81e3b62b 4b81d9a6 ae284f39 23a3a8ea 11dcf781 9aad093e f0a1fe6a c18dc9dd 22ac7220 fce1153e
         0f93f0a9 f6d98126 b32a39ee 1016b002 4d74e473 b54892d7 bc4a886e 02d23d9b 2920cf75 78294111
-        adf2fcfb 94576657 e4c39cad de498cf7 78301b84 2920cc0d 5d04f33d 64aa9321 e03f59db fcdab490
+        adf2fcfb 94576657 04ca453b f24fa929 35af8258 2920cc0d 5b6fea2b 64aa9321 e03f59db 7c6f39b3
         c37c592e 6facf8ad 93085fec 92b6f496 2ab8713c 4567950e 6e27fb49 fd11a20e 4a0e2797 f589a496
-        712b8b49 bf636734 089cfb47 20781679 087b844d 8a6343ff f3d7b765 9ee05ad9 4efb39a0 592de540
+        df2f0a91 bf636734 089cfb47 bb0a2198 087b844d 8a6343ff f3d7b765 9ee05ad9 4efb39a0 592de540
         6e2bd025 b2753958 12a8ca04 d13f2328 7c36ba1b a78b769a 52bfc565 728c5953 742cf805 f0a40824
         318ce37f acafb2e2 1f75b060 ab339d72 b91f04e4 743ec3e0 be415dca 28233d4b 4297caba 414cebe5
         a15789ca 9786b459 83175d3a f804a2d3 36195ea4 8de44b86 13a6f8c5 7b207755 27b421eb d69a699c
-        381b04f3 6483234b c9074de4 a93892d3 7a8051aa 50ca8660 3ae0634d 1d17ad6d 6ab3d6b2 4e65a92c
+        3d5ccfdf 6483234b c9074de4 c64d0b2c 77de4074 50ca8660 de9ec19f 1d17ad6d 6ab3d6b2 9de34b5f
         bcfab2fe 1ea45cbd 832a67cf c1243aeb 5ba11a22 2f0a8ca9 040c99b4 ebd42eea d85af6b6 b0fb6f4f
-        1e7ee4df 242cea92 23a9f2b2 e02cd97c 5d3924f3 45a6e4bd 8bcce51a 9285bb9e 8c071e1e 37f7557a
+        e7dacc23 16382b54 23a9f2b2 e02cd97c 5d3924f3 45a6e4bd 8bcce51a 9285bb9e 8c071e1e 37f7557a
         8565f499 d0a06608 ba14fd47 6cc97db8 12502915 06a1d186 eef4028a 336b661e e829f573 2b6418cd
         46e1f632 3e7e6322 2d0a01df 3b3b6587 857a8195 1661a9b4 bded9aa3 c296b4a8 dbe28f44 a7b59db9
         e33f3854 1f7adbbc 57159d69 2af29072 955b3c9b 99531bbf c77e6e98 99d3a5b2 8719abba 9549322a
-        c46499f3 f32d6f7f 211a43dd 46716fa8 3ca79a0e ebce354d 912ec54d d7be5cbe c62550e6 0eb9a33c
+        c46499f3 f32d6f7f 211a43dd 46716fa8 3ca79a0e cac6b6cc 912ec54d 11987eed f543841d 0eb9a33c
         ad95853a 8a725a92 87a844fd 4967d35b 3d88749f c3fefcc7 b04d6182 2d17eedb 276b6f26 e401871e
-        29ddccf3 bc6c3c47 22a1798b ba0c64ff a38feedf 9e6d54c4 f70c0c53 340a1d33 3ff92d46 39e709e6
+        29ddccf3 cb00ea53 22a1798b ba0c64ff a38feedf 9e6d54c4 f70c0c53 340a1d33 3ff92d46 39e709e6
         c4ee14df e5245b15 d756276d 78bb5c05 dd5e11bf 1a147dc8 c6d0313f 83fa64bb 6a25aca5 1ea776a9
         1c49603e 29789918 4470cb37 e6bb9084 30de0d95 4fbab212 81bd4f08 fbc92445 3d991b0c b9a63653
         28f4ba8a bffad326 a2764166 bcdfa1db 3f72c501 4d567754 d78709b4 93b7d915 e5005423 3819f15e
-        8ae662f5 976c9e04 88fe97fa 9bbe3893 25c019eb 627fd7ea 326d1a60 2d45edbe
+        8ae662f5 976c9e04 88fe97fa 9bbe3893 25c019eb 627fd7ea 8fd98443 2d45edbe
     """.split()
 
     @staticmethod

@@ -260,8 +260,9 @@ class TestComposite:
 
     def test_table_contains_riesz(self):
         cs = composite_constants(3, DELTA0)
-        rows = {name: value for name, value, _ in cs.as_table()}
+        rows = {name: value for name, value, _ in cs.table}
         assert rows["K_R(3)"] == pytest.approx(math.sqrt(3.0), abs=1e-12)
+        assert cs.table is composite_constants(3, DELTA0).table  # built once per ConstantSet
 
     def test_domain(self):
         with pytest.raises(DomainError):

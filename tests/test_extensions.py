@@ -94,17 +94,6 @@ class TestForceContributionK0:
         )
         assert contrib.coefficient == pytest.approx(expected, rel=1e-13)
 
-    def test_halved_variant_uses_milder_decay_condition(self):
-        d, delta, theta = 3, DELTA0, 2.7
-        force = admissible_k0_force(0.5)
-        literal = force_contribution_k0(d, delta, force)
-        halved = force_contribution_k0(d, delta, force, halved_kernel_decay=True)
-        assert halved.feasible
-        assert halved.coefficient != literal.coefficient
-        names_literal = {c.name for c in literal.checks}
-        assert "decay_below_1_for_beta" in names_literal
-        assert "decay_below_1_for_beta" not in {c.name for c in halved.checks}
-
     def test_mismatched_lambda_is_infeasible(self):
         lam = matching_lambda_k0(3, DELTA0, 2.7)
         force = ForceNorm(2.7, lam + 0.05, 1.0)
@@ -114,8 +103,8 @@ class TestForceContributionK0:
         assert "exponent_matching" in failed
 
     def test_decay_between_one_and_two(self):
-        # engineered so d(1 - 1/r1) = 1.2: the literal Beta form is
-        # infeasible (needs < 1) while the halved variant accepts it (< 2)
+        # engineered so d(1 - 1/r1) = 1.2: the nominal condition (< 2)
+        # holds, but the literal Beta form needs < 1 and is infeasible
         d, delta = 3, DELTA0
         inv_r1 = 1.0 - 1.2 / d
         theta = 1.0 / (1.0 + delta / d - inv_r1)
@@ -125,9 +114,7 @@ class TestForceContributionK0:
         literal = force_contribution_k0(d, delta, force)
         assert not literal.feasible
         failed = {c.name for c in literal.checks if not c.ok}
-        assert "decay_below_1_for_beta" in failed and "beta_first_argument_positive" in failed
-        halved = force_contribution_k0(d, delta, force, halved_kernel_decay=True)
-        assert halved.feasible and halved.coefficient > 0
+        assert failed == {"decay_below_1_for_beta", "beta_first_argument_positive"}
 
 
 class TestForceContributionK0Prime:
