@@ -18,8 +18,10 @@ Norm convention: |a(x)| is the pointwise Euclidean magnitude of the vector,
 rotation plane, so L_p norms separate into Gamma-function factors. The
 field depends on x only through (r, |y|) with y the remaining d-2
 coordinates. |grad a|_d is amplitude * sigma times one constant per
-dimension, a product Gauss-Laguerre rule in that plane whose nodes
-Newton's method finds from extrapolated starts (``_gauss_laguerre``).
+dimension, a product Gauss-Laguerre rule in that plane, 150 nodes in the
+planar radius and 64 in the axial one, whose nodes Newton's method finds
+from extrapolated starts (``_gauss_laguerre``). The constant is finite at
+every d: where the direct sum overflows it is summed in logarithms.
 
 The weighted semigroup norms
 
@@ -61,8 +63,10 @@ __all__ = [
     "norm_bundle_from_vortex",
 ]
 
-# nodes per axis of the product Gauss-Laguerre rule for the gradient constant
+# nodes of the gradient constant's product Gauss-Laguerre rule in the planar
+# and the axial variable (see _grad_unit_constant for why they differ)
 _GAUSS_NODES = 150
+_AXIAL_NODES = 64
 # Newton steps of the Kato-norm inversion and of each Gauss node; from
 # their starts both converge in a handful
 _NEWTON_STEPS = 40
@@ -117,6 +121,8 @@ def lp_norm(data: VortexGaussian, p: float) -> float:
     if data.amplitude == 0:
         return 0.0
     d, s = data.d, data.sigma
+    if not 2.0 * s * s / p > 0.0:
+        raise DomainError(f"2 sigma^2/p leaves the range of the doubles for sigma={s}, p={p}")
     log_pp = (
         ((d - 2) / 2.0) * math.log(2.0 * math.pi * s * s / p)
         + math.log(math.pi)
@@ -137,47 +143,83 @@ def _gauss_laguerre(n: int, alpha: float) -> tuple[tuple[float, ...], tuple[floa
     p_k(x)^2 = prod_{j<k} pivot_j^2 / (D_j^2 l_j^2) for the orthonormal p_k.
     Newton on det(J - x) / prod (x - x_j) over the nodes found (Maehly's
     deflation) rises monotonically to the next node from any start below
-    it. A start extrapolates the last gaps (the first is Numerical Recipes'
-    gaulag guess) and is halved toward the last node while a new node lies
-    below it. The pass after a step below 1e-10 relative gives the node, to
-    a few ulps even where the recurrence for p_n loses three digits, and its
-    weight 1 / sum_{k<n} p_k(x)^2, to about 1e-13 relative even at 1e-250.
-    Scaling the weights to their exact sum 1 removes the rounding they share.
+    it. A start extrapolates the last gaps and is halved toward the last
+    node while a new node lies below it. The first start is Numerical
+    Recipes' gaulag guess, raised to the lower turning point of the
+    Laguerre equation, and is halved toward that point (or toward 0 where
+    it is negative): no node lies below it, and at large alpha both the
+    guess and a halving toward 0 fall so far below the first node that
+    Newton would creep. The pass after a step below 1e-10 relative gives
+    the node, to a few ulps even where the recurrence for p_n loses three
+    digits. A node that has not converged after _NEWTON_STEPS raises
+    DomainError; it is never kept. A node's weight is 1 / sum_{k<n} p_k(x)^2,
+    to about 1e-13 relative even at 1e-250, and scaling the weights to
+    their exact sum 1 removes the rounding they share.
+
+    Each qd pass computes only what its caller reads. A start pass gives
+    the last pivot, its x-derivative, the sum of pivot'/pivot over the
+    others and the count of nodes below x; a Newton pass gives the same
+    without the count; one weight pass at the accepted node gives
+    sum_k p_k(x)^2. The rule is bit for bit what one pass computing all
+    of these gives.
 
     Rules are cached, since every dimension shares the alpha = 0 rule, and
     returned as tuples, since callers share them.
     """
     steps = [(k + 1.0, k + alpha + 1.0, (k + 1.0) * (k + alpha + 1.0)) for k in range(n - 1)]
 
-    def pivots(x):
-        # last pivot, its x-derivative, sum of pivot'/pivot over the rest, nodes below x, sum_k p_k^2
-        s, ds, rest, below, term, total = -x, -1.0, 0.0, 0, 1.0, 0.0
+    def newton_pass(x):
+        # last pivot, its x-derivative, sum of pivot'/pivot over the rest
+        s, ds, rest = -x, -1.0, 0.0
+        for k, d_k, dl2 in steps:
+            pivot = d_k + s
+            rest += ds / pivot
+            ds = dl2 * ds / (pivot * pivot) - 1.0
+            s = k * s / pivot - x
+        return n + alpha + s, ds, rest
+
+    def start_pass(x):
+        # a Newton pass that also counts the negative pivots, the nodes below x
+        s, ds, rest, below = -x, -1.0, 0.0, 0
         for k, d_k, dl2 in steps:
             pivot = d_k + s
             rest += ds / pivot
             below += pivot < 0.0
-            total += term
-            term *= pivot * pivot / dl2
             ds = dl2 * ds / (pivot * pivot) - 1.0
             s = k * s / pivot - x
         pivot = n + alpha + s
-        return pivot, ds, rest, below + (pivot < 0.0), total + term
+        return pivot, ds, rest, below + (pivot < 0.0)
 
-    nodes, totals, last, gap = [], [], 0.0, 0.0
-    x = (1.0 + alpha) * (3.0 + 0.92 * alpha) / (1.0 + 2.4 * n + 1.8 * alpha)
+    def weight_sum(x):
+        # sum_k p_k(x)^2
+        s, term, total = -x, 1.0, 0.0
+        for k, d_k, dl2 in steps:
+            pivot = d_k + s
+            total += term
+            term *= pivot * pivot / dl2
+            s = k * s / pivot - x
+        return total + term
+
+    # the lower turning point b - sqrt(b^2 + 1 - alpha^2), b = 2n + alpha + 1, without cancellation
+    b = 2.0 * n + alpha + 1.0
+    turning = (alpha * alpha - 1.0) / (b + math.sqrt((2.0 * n + 1.0) * (b + alpha) + 1.0))
+    x = max((1.0 + alpha) * (3.0 + 0.92 * alpha) / (1.0 + 2.4 * n + 1.8 * alpha), turning)
+    nodes, totals, last, gap = [], [], max(turning, 0.0), 0.0
     for i in range(n):
-        pivot, ds, rest, below, total = pivots(x)
+        pivot, ds, rest, below = start_pass(x)
         while below > i:
             x = 0.5 * (x + last)
-            pivot, ds, rest, below, total = pivots(x)
+            pivot, ds, rest, below = start_pass(x)
         for _ in range(_NEWTON_STEPS):
-            step = pivot / (ds + pivot * (rest - math.fsum(1.0 / (x - node) for node in nodes)))
+            step = pivot / (ds + pivot * (rest - math.fsum([1.0 / (x - node) for node in nodes])))
             x -= step
-            pivot, ds, rest, below, total = pivots(x)
             if abs(step) <= 1e-10 * x:
                 break
+            pivot, ds, rest = newton_pass(x)
+        else:
+            raise DomainError(f"Newton finds no Gauss-Laguerre node {i} of {n} for alpha={alpha}")
         nodes.append(x)
-        totals.append(total)
+        totals.append(weight_sum(x))
         gap, last, x = x - last, x, x + max(x - last, 2.0 * (x - last) - gap)
     norm = math.fsum(1.0 / total for total in totals)
     return tuple(nodes), tuple(1.0 / total / norm for total in totals)
@@ -195,28 +237,43 @@ def _grad_unit_constant(d: int) -> float:
 
         2 pi omega_{d-2} d^{-2} (2/d)^{(d-4)/2} Int Int Q^{d/2} e^{-u} v^{(d-4)/2} e^{-v} du dv,
 
-    a product generalized Gauss-Laguerre rule, summed as a double loop. For
-    even d, Q^{d/2} is a polynomial of degree at most d in each variable
-    and the rule is exact; for odd d it is smooth and the rule converges to
-    rounding level. The
-    rule's weights are normalized to sum 1, and the Gamma((d-2)/2) they
-    take out cancels the one in omega_{d-2} = 2 pi^{(d-2)/2} / Gamma((d-2)/2),
-    which leaves the prefactor 4 pi^{d/2} d^{-2} (2/d)^{(d-4)/2}. It is
-    taken in logarithms because (2/d)^{(d-4)/2} underflows at a few hundred
-    dimensions. From d = 963 on, Q^{d/2} overflows and the constant is inf.
+    a product generalized Gauss-Laguerre rule, summed as a double loop:
+    _GAUSS_NODES in u (alpha = 0) and _AXIAL_NODES in v (alpha = (d-4)/2).
+    Q is quadratic in u and linear in v, so for even d Q^{d/2} has degree d
+    in u and d/2 in v, and the rule is exact up to d = 254; beyond that,
+    and for odd d, the integrand is smooth and the rule converges to
+    rounding level. The planar rule needs its 150 nodes, since with 100
+    d = 3 keeps an error of 7e-15; the axial rule gives the same doubles
+    with 64 as with 150 up to d = 88, and moves no constant of d <= 876 by
+    more than 3 ulps. The rule's weights are normalized to sum 1, and the
+    Gamma((d-2)/2) they take out cancels the one in
+    omega_{d-2} = 2 pi^{(d-2)/2} / Gamma((d-2)/2), which leaves the
+    prefactor 4 pi^{d/2} d^{-2} (2/d)^{(d-4)/2}. It is taken in logarithms
+    because (2/d)^{(d-4)/2} underflows at a few hundred dimensions. Where
+    Q^{d/2} overflows at the largest nodes (from d = 1854 on), the sum
+    is taken in logarithms too, with its largest term factored out; every
+    other d keeps the bits of the direct sum.
     """
     u, wu = _gauss_laguerre(_GAUSS_NODES, 0.0)
-    v, wv = _gauss_laguerre(_GAUSS_NODES, (d - 4) / 2.0)
+    v, wv = _gauss_laguerre(_AXIAL_NODES, (d - 4) / 2.0)
     power, dd = d / 2.0, d * d
     try:
         total = math.fsum(
             wi * math.fsum(wj * (2.0 - 4.0 * ui / d + 4.0 * ui * (ui + vj) / dd) ** power for vj, wj in zip(v, wv))
             for ui, wi in zip(u, wu)
         )
-    except OverflowError:  # Q^{d/2} beyond the doubles
-        return math.inf
+    except OverflowError:  # Q^{d/2} beyond the doubles: sum in logs, the largest term factored out
+        logs = [
+            math.log(wi) + math.log(wj) + power * math.log(2.0 - 4.0 * ui / d + 4.0 * ui * (ui + vj) / dd)
+            for ui, wi in zip(u, wu)
+            for vj, wj in zip(v, wv)
+        ]
+        top = max(logs)
+        log_total = top + math.log(math.fsum([math.exp(term - top) for term in logs]))
+    else:
+        log_total = math.log(total)
     log_scale = math.log(4.0 / (d * d)) + (d / 2.0) * math.log(math.pi) + ((d - 4) / 2.0) * math.log(2.0 / d)
-    return math.exp((log_scale + math.log(total)) / d)
+    return math.exp((log_scale + log_total) / d)
 
 
 def grad_norm(data: VortexGaussian) -> float:
@@ -273,7 +330,10 @@ def _weighted_norm_root(norm0: float, a: float, b: float, s2: float, y: float) -
     if y <= 0.0:
         return 0.0
     log_ratio = math.log(y) - math.log(norm0)
-    u_peak = math.log(a * s2 / (2.0 * (b - a)))
+    t_peak = a * s2 / (2.0 * (b - a))
+    if not t_peak > 0.0:
+        raise DomainError(f"the peak time of the weighted norm leaves the range of the doubles for sigma^2={s2}")
+    u_peak = math.log(t_peak)
     if log_ratio >= a * u_peak - b * math.log1p(2.0 * math.exp(u_peak) / s2):
         return math.inf
     u = min(log_ratio / a, u_peak)

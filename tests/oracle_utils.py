@@ -203,6 +203,84 @@ def gauss_laguerre_golub_welsch(n: int, alpha: float) -> tuple[np.ndarray, np.nd
     return nodes, weights / weights.sum()
 
 
+def gauss_laguerre_single_loop(n: int, alpha: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The package's Gauss-Laguerre rule as it was built before its passes were split.
+
+    One ``pivots`` loop gives every pass the last pivot, its derivative, the
+    Maehly rest, the count of nodes below x and the weight sum, and the
+    first start is the gaulag guess, halved toward 0. For alpha <= 1 the
+    package's lower turning point is not positive, so its split passes must
+    give the same tuples, bit for bit.
+    """
+    steps = [(k + 1.0, k + alpha + 1.0, (k + 1.0) * (k + alpha + 1.0)) for k in range(n - 1)]
+
+    def pivots(x):
+        s, ds, rest, below, term, total = -x, -1.0, 0.0, 0, 1.0, 0.0
+        for k, d_k, dl2 in steps:
+            pivot = d_k + s
+            rest += ds / pivot
+            below += pivot < 0.0
+            total += term
+            term *= pivot * pivot / dl2
+            ds = dl2 * ds / (pivot * pivot) - 1.0
+            s = k * s / pivot - x
+        pivot = n + alpha + s
+        return pivot, ds, rest, below + (pivot < 0.0), total + term
+
+    nodes, totals, last, gap = [], [], 0.0, 0.0
+    x = (1.0 + alpha) * (3.0 + 0.92 * alpha) / (1.0 + 2.4 * n + 1.8 * alpha)
+    for i in range(n):
+        pivot, ds, rest, below, total = pivots(x)
+        while below > i:
+            x = 0.5 * (x + last)
+            pivot, ds, rest, below, total = pivots(x)
+        for _ in range(40):
+            step = pivot / (ds + pivot * (rest - math.fsum(1.0 / (x - node) for node in nodes)))
+            x -= step
+            pivot, ds, rest, below, total = pivots(x)
+            if abs(step) <= 1e-10 * x:
+                break
+        nodes.append(x)
+        totals.append(total)
+        gap, last, x = x - last, x, x + max(x - last, 2.0 * (x - last) - gap)
+    norm = math.fsum(1.0 / total for total in totals)
+    return tuple(nodes), tuple(1.0 / total / norm for total in totals)
+
+
+def grad_unit_constant_scaled_quad(d: int) -> float:
+    """|grad a|_d of the unit vortex for large d, by adaptive QUADPACK in the reduced radii.
+
+    The integrand of ``grad_unit_constant_dblquad`` leaves the doubles at
+    large d (omega_{d-2} underflows, Q^{d/2} and eta^{d-3} overflow), so it
+    is taken in logarithms and divided by its value's scale at the peak
+    (r, eta) = (0, 1), 2^{d/2} e^{-d/2} omega_{d-2}. The peak is narrow,
+    about sqrt(2/(3d)) wide in r and 1/sqrt(2d) in eta, so the nested
+    integrals get it as a breakpoint on the box [0, 4]^2, outside of which
+    the integrand is below e^{-4d} of its peak.
+    """
+    log_omega = math.log(2.0) + (d - 2) / 2.0 * math.log(math.pi) - math.lgamma((d - 2) / 2.0)
+    log_peak = (d / 2.0) * math.log(2.0) - d / 2.0 + log_omega
+    width_r, width_eta = math.sqrt(2.0 / (3.0 * d)), math.sqrt(0.5 / d)
+
+    def integrand(eta: float, r: float) -> float:
+        if r == 0.0 or eta == 0.0:
+            return 0.0
+        s2 = r * r + eta * eta
+        quad = 2.0 - 2.0 * r * r + r * r * s2
+        log_f = (d / 2.0) * math.log(quad) - d * s2 / 2.0 + math.log(2.0 * math.pi * r) + log_omega + (d - 3) * math.log(eta)
+        return math.exp(log_f - log_peak)
+
+    def inner(r: float) -> float:
+        val, _ = integrate.quad(
+            integrand, 0.0, 4.0, args=(r,), points=[1.0 - 8.0 * width_eta, 1.0, 1.0 + 8.0 * width_eta],
+            epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        return val
+
+    val, _ = integrate.quad(inner, 0.0, 4.0, points=[8.0 * width_r], epsabs=0.0, epsrel=1e-13, limit=200)
+    return math.exp((math.log(val) + log_peak) / d)
+
+
 def grad_unit_constant_golub_welsch(d: int, n: int = 150) -> float:
     """|grad a|_d of the unit vortex by the package's product rule, with Golub-Welsch nodes and weights."""
     u, wu = gauss_laguerre_golub_welsch(n, 0.0)

@@ -574,6 +574,23 @@ class TestRuns:
             {"d": 1023, "mode": "thm41", "data": {"norms": {"lp_norms": {}, "theta": 1.0, "norm_d_plus_theta": 1e-3}}},
             "2^(d+theta) leaves the range of the doubles for d=1023, theta=1.0",
         ),
+        "vortex_peak_time_underflows": (
+            {"d": 3, "mode": "thm41", "data": {"family": "vortex_gaussian", "sigma": 2.3e-162, "amplitude": 1.0}},
+            "the peak time of the weighted norm leaves the range of the doubles for sigma^2=5e-324",
+        ),
+        "vortex_thm31_scaled_sigma_squared_underflows": (
+            {
+                "d": 3,
+                "mode": "thm31",
+                "delta": 0.5,
+                "data": {"family": "vortex_gaussian", "sigma": 2.3e-162, "amplitude": 1.0},
+            },
+            "2 sigma^2/p leaves the range of the doubles for sigma=2.3e-162, p=6.0",
+        ),
+        "vortex_tiny_delta_scaled_sigma_squared_underflows": (
+            {"d": 3, "mode": "thm41", "delta": 1e-140, "data": {"family": "vortex_gaussian", "sigma": 1e-154, "amplitude": 1.0}},
+            "2 sigma^2/p leaves the range of the doubles for sigma=1e-154, p=3e+140",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(EXTREME_INPUTS))
@@ -593,17 +610,40 @@ class TestRuns:
 
     @pytest.mark.parametrize(
         "d, delta, sigma, amplitude, dropped",
-        [(1023, 0.9, 1e-100, 1e-200, {"d2"}), (3, DELTA0, 1e100, 1e300, {"s1", "s2", "d1", "d2"})],
-        ids=["gradient_constant_infinite", "both_norms_infinite"],
+        [(3, DELTA0, 1.0, 1e308, {"d2"}), (3, DELTA0, 1e100, 1e300, {"s1", "s2", "d1", "d2"})],
+        ids=["gradient_norm_infinite", "both_norms_infinite"],
     )
     def test_thm31_nan_quantities_leave_the_report(self, d, delta, sigma, amplitude, dropped):
         # inf - inf in the coupled quadratics is NaN, which fails d1 > 0 or
-        # d2 > 0 and has no report encoding
+        # d2 > 0 and has no report encoding; amplitude * sigma * |grad a|_d
+        # overflows at 1e308 while K0 stays finite, so only d2 is NaN
         data = {"family": "vortex_gaussian", "sigma": sigma, "amplitude": amplitude}
         report, certified = build_report({"d": d, "mode": "thm31", "delta": delta, "data": data})
         cert = report["result"]["certificate"]
         assert not certified and cert["feasible"] is False and cert["t0"] == 0.0
         assert not dropped & set(cert["intermediate"])
+        assert {"s1", "s2", "d1", "d2"} - dropped <= set(cert["intermediate"])
+
+    @pytest.mark.parametrize(
+        "d, mode, code",
+        [(877, "thm41", 0), (878, "thm41", 0), (3828, "thm41_explicit", 1)],
+    )
+    def test_large_dimension_vortex_finishes(self, tmp_path, d, mode, code):
+        # the gradient rule's first Gauss node once stayed unconverged at these d: a
+        # ZeroDivisionError (877), a hang (878), and from 3828 on with 64 axial nodes;
+        # thm41_explicit builds the gradient constant before the (d, delta) constants
+        # leave the doubles
+        config = {"d": d, "mode": mode, "data": {"family": "vortex_gaussian", "sigma": 1.0, "amplitude": 1e-3}}
+        result = subprocess.run(
+            [sys.executable, "-m", "nslifespan.cli", "--config", str(write_config(tmp_path, config)),
+             "--out", str(tmp_path / "r.json")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == code, result.stderr
+        if code:
+            assert result.stderr.startswith("input error: ") and "Traceback" not in result.stderr
+        else:
+            assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["result"]["certificate"]["feasible"]
 
     def test_force_dominated_forced_run_is_infeasible(self, tmp_path):
         # forced_small with a k0 force of 1.0: its coefficient 35.55 exceeds
@@ -631,18 +671,32 @@ class TestStartUp:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
 
+    # the gradient constants of the Gauss rule with 150 axial nodes, before the axial rule was cut to 64
+    GRADIENT_CONSTANT_BITS = {
+        3: "0x1.001f011fa0f00p+1",
+        4: "0x1.b6d9cf635f7cfp+0",
+        5: "0x1.86b709afbe45ep+0",
+        6: "0x1.6438590410b94p+0",
+        7: "0x1.49f7037737a23p+0",
+        8: "0x1.3517785b5e2bcp+0",
+        20: "0x1.8e124e5fba235p-1",
+        50: "0x1.fd43fd0410df9p-2",
+        100: "0x1.6989d8faf8f4ep-2",
+    }
+
     def test_gradient_constant_same_in_a_fresh_process(self):
         # the golden report digests rely on every process computing the gradient constant bit for bit
         from nslifespan.initial_data import _grad_unit_constant
 
-        dims = (3, 4, 5, 8, 20, 50, 100)
+        dims = tuple(self.GRADIENT_CONSTANT_BITS)
         code = (
             "from nslifespan.initial_data import _grad_unit_constant; "
             f"print(' '.join(_grad_unit_constant(d).hex() for d in {dims!r}))"
         )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == [_grad_unit_constant(d).hex() for d in dims]
+        assert result.stdout.split() == list(self.GRADIENT_CONSTANT_BITS.values())
+        assert [_grad_unit_constant(d).hex() for d in dims] == list(self.GRADIENT_CONSTANT_BITS.values())
 
     @pytest.mark.parametrize("example", sorted(p.name for p in (REPO_ROOT / "docs" / "examples").glob("*.json")))
     def test_run_loads_only_the_standard_library(self, tmp_path, example):

@@ -10,6 +10,8 @@ import oracle_utils as oracle
 from nslifespan.constants import DELTA0, composite_constants
 from nslifespan.errors import DomainError, UnavailableBoundError
 from nslifespan.initial_data import (
+    _AXIAL_NODES,
+    _GAUSS_NODES,
     NormBundle,
     _gauss_laguerre,
     _grad_unit_constant,
@@ -133,18 +135,32 @@ class TestGradNorm:
             weights[0] = 0.0
         assert _gauss_laguerre.__wrapped__(150, 0.5) == (nodes, weights)
 
-    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 11, 20, 37, 38, 64, 101, 150, 201, 333, 499, 500])
+    @pytest.mark.parametrize(
+        "d", [3, 4, 5, 6, 7, 11, 20, 37, 38, 64, 101, 150, 201, 333, 499, 500, 877, 878, 963, 2000, 3828]
+    )
     def test_rule_matches_golub_welsch(self, d):
+        # both rule sizes at the axial alpha; the 150-node rule once kept an unconverged first
+        # node at d = 877 and 878, and the 64-node rule from d = 2264 on (a crash or hang from 3828)
         alpha = (d - 4) / 2.0
-        nodes, weights = _gauss_laguerre(150, alpha)
-        ref_nodes, ref_weights = oracle.gauss_laguerre_golub_welsch(150, alpha)
-        assert all(a < b for a, b in zip(nodes, nodes[1:]))
-        # the eigensolve's smallest nodes are off by up to 1e-13 relative against mpmath, where
-        # this rule's are within a few ulps (test_smallest_nodes_to_a_few_ulps), so nodes compare
-        # on the rule's scale, and the weights, which follow the nodes, to 1e-12
-        assert np.max(np.abs(np.array(nodes) - ref_nodes)) <= 1e-14 * ref_nodes[-1]
-        assert np.array(weights) == pytest.approx(ref_weights, rel=1e-12, abs=0.0)
-        assert _grad_unit_constant(d) == pytest.approx(oracle.grad_unit_constant_golub_welsch(d), rel=1e-14, abs=0.0)
+        for n in (_GAUSS_NODES, _AXIAL_NODES):
+            nodes, weights = _gauss_laguerre(n, alpha)
+            ref_nodes, ref_weights = oracle.gauss_laguerre_golub_welsch(n, alpha)
+            assert all(a < b for a, b in zip(nodes, nodes[1:]))
+            # the eigensolve's smallest nodes are off by up to 1e-13 relative against mpmath, where
+            # this rule's are within a few ulps (test_smallest_nodes_to_a_few_ulps), so nodes compare
+            # on the rule's scale, and the weights, which follow the nodes, to 1e-12
+            assert np.max(np.abs(np.array(nodes) - ref_nodes)) <= 1e-14 * ref_nodes[-1]
+            assert np.array(weights) == pytest.approx(ref_weights, rel=1e-12, abs=0.0)
+        if d < 963:  # the oracle's direct product overflows beyond
+            assert _grad_unit_constant(d) == pytest.approx(
+                oracle.grad_unit_constant_golub_welsch(d), rel=1e-14, abs=0.0
+            )
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+    def test_split_passes_keep_the_rule_bits(self, alpha):
+        # the planar rule and the axial rules of d = 3, 4, 5, against the single-pass builder
+        for n in (_GAUSS_NODES, _AXIAL_NODES):
+            assert _gauss_laguerre.__wrapped__(n, alpha) == oracle.gauss_laguerre_single_loop(n, alpha)
 
     def test_smallest_nodes_to_a_few_ulps(self):
         for alpha in (-0.5, 0.0, 0.5):
@@ -154,9 +170,11 @@ class TestGradNorm:
                     root = float(mpmath.findroot(lambda t: mpmath.laguerre(150, alpha, t), mpmath.mpf(x)))
                 assert x == pytest.approx(root, rel=2e-15, abs=0.0)
 
-    def test_overflow_past_the_doubles_gives_inf(self):
-        assert math.isfinite(_grad_unit_constant(962))
-        assert _grad_unit_constant(963) == math.inf
+    def test_constant_past_the_direct_sum_matches_scaled_quadrature(self):
+        # Q^{d/2} overflows the 150-node rule's direct sum from d = 963 on; the 64-node axial
+        # rule sums 963 and 1000 directly and 2000 in logarithms
+        for d in (963, 1000, 2000):
+            assert _grad_unit_constant(d) == pytest.approx(oracle.grad_unit_constant_scaled_quad(d), rel=1e-12, abs=0.0)
 
     def test_constants_match_benchmark_reference(self):
         stored = json.loads((REPO_ROOT / "perfbench" / "grad_unit_constants.json").read_text(encoding="utf-8"))
