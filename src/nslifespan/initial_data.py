@@ -54,6 +54,8 @@ __all__ = [
     "grad_norm",
     "k0_exact",
     "k0_prime_exact",
+    "k0_peak_time",
+    "k0_prime_peak_time",
     "k0_root",
     "k0_prime_root",
     "check_theta",
@@ -94,18 +96,28 @@ class VortexGaussian:
             raise DomainError(f"sigma^2 leaves the range of the doubles for sigma={self.sigma}")
 
     def evolve(self, t: float) -> "VortexGaussian":
-        """Heat evolution e^{t Lap} a, exactly, inside the family."""
+        """Heat evolution e^{t Lap} a, exactly, inside the family.
+
+        The evolved field skips the constructor's checks, which hold by
+        construction for t > 0 once the width sqrt(sigma^2 + 2t) is finite:
+        d is the parent's, the width is positive and its square is at most
+        fl(sqrt(MAX))^2 < MAX, and the amplitude shrinks by a factor in
+        [0, 1]. A width that is not finite (t infinite or NaN, or
+        sigma^2 + 2t past the doubles) raises the constructor's error.
+        """
         if t < 0:
             raise DomainError(f"evolution time must be nonnegative, got {t}")
         if t == 0:
             return self
         s2 = self.sigma**2
         w2 = s2 + 2.0 * t
-        return VortexGaussian(
-            d=self.d,
-            sigma=math.sqrt(w2),
-            amplitude=self.amplitude * (s2 / w2) ** ((self.d + 2) / 2.0),
-        )
+        sigma = math.sqrt(w2)
+        if not w2 < math.inf:
+            raise DomainError(f"sigma must be positive and finite, got {sigma}")
+        evolved = object.__new__(VortexGaussian)
+        amplitude = self.amplitude * (s2 / w2) ** ((self.d + 2) / 2.0)
+        evolved.__dict__.update(d=self.d, sigma=sigma, amplitude=amplitude)
+        return evolved
 
 
 def lp_norm(data: VortexGaussian, p: float) -> float:
@@ -300,7 +312,7 @@ def k0_exact(data: VortexGaussian, delta: float, T: float) -> float:
         return 0.0
     if not T > 0:
         raise DomainError(f"horizon T must be positive, got {T}")
-    t = min(T, (1.0 - delta) * data.sigma**2 / (2.0 * data.d))
+    t = min(T, k0_peak_time(data, delta))
     return t ** ((1.0 - delta) / 2.0) * lp_norm(data.evolve(t), data.d / delta)
 
 
@@ -310,8 +322,26 @@ def k0_prime_exact(data: VortexGaussian, T: float) -> float:
         return 0.0
     if not T > 0:
         raise DomainError(f"horizon T must be positive, got {T}")
-    t = min(T, data.sigma**2 / (2.0 * data.d))
+    t = min(T, k0_prime_peak_time(data))
     return math.sqrt(t) * grad_norm(data.evolve(t))
+
+
+def k0_peak_time(data: VortexGaussian, delta: float) -> float:
+    """The time (1 - delta) sigma^2/(2d) at which ``k0_exact`` stops changing; inf for the zero field.
+
+    ``k0_exact`` clamps T to this double, so it gives bit for bit the same
+    value at every T at or above it.
+    """
+    if data.amplitude == 0:  # sigma^2 may overflow; K0 is 0 at every T
+        return math.inf
+    return (1.0 - delta) * data.sigma**2 / (2.0 * data.d)
+
+
+def k0_prime_peak_time(data: VortexGaussian) -> float:
+    """The time sigma^2/(2d) at which ``k0_prime_exact`` stops changing; inf for the zero field."""
+    if data.amplitude == 0:
+        return math.inf
+    return data.sigma**2 / (2.0 * data.d)
 
 
 def _weighted_norm_root(norm0: float, a: float, b: float, s2: float, y: float) -> float:

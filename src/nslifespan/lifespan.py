@@ -8,8 +8,11 @@ the offset and the start slots: a downward scan from T = 1e12 by factors of
 8 seeds a geometric bisection to relative width 1e-9, and a hit on the floor
 T = 1e-12 is reported in the notes. That feasibility need not be monotone in
 T, and a feasible island above an infeasible scan point is not looked for.
-Neither route has a setting. The envelope route collapses
-the system to one variable: max(K0(T), K0'(T)) <= 3/(16 Jbar) = C2/d^2
+Once T = infinity has failed, no T at or above the time from which both
+evaluators repeat their values at infinity (``KatoEvaluator.saturation``)
+is probed: it would fail the same way. Neither route has a setting. The
+envelope route collapses the system to one variable:
+max(K0(T), K0'(T)) <= 3/(16 Jbar) = C2/d^2
 certifies T and bounds every Picard iterate by 3/(4 Jbar) = C3/d^2. K0 and
 K0' are nondecreasing in T, so one exact bisection over the doubles finds
 the largest T that passes. Where the evaluators can be inverted
@@ -23,8 +26,11 @@ sides. ``_derived_checks`` derives them from t0, delta_used and the
 intermediates; every certifier builds its checks with it, and
 ``replay_certificate`` calls it again on the stored values, so a stored
 check that does not restate its intermediates fails replay. The coupled
-quantities come from one function, ``_coupled_quantities``, in the search
-and in replay. Replay needs only the stored numbers, so a report can be
+arithmetic has one source, ``recurrence.reduced_system``: the search takes
+only its verdict, on plain floats (``_coupled_feasible``), and the
+intermediates at t0 and in replay come from one function,
+``_coupled_quantities``, through ``CoupledRecurrence`` and
+``coupled_bound``. Replay needs only the stored numbers, so a report can be
 re-validated in a process that never constructs the original evaluators.
 """
 
@@ -39,7 +45,7 @@ from typing import Callable, Mapping, Sequence
 from . import initial_data as idmod
 from .constants import C3_DISCREPANCY_NOTE, ConstantSet, composite_constants
 from .errors import DomainError, UnavailableBoundError
-from .recurrence import CoupledRecurrence, coupled_bound
+from .recurrence import CoupledRecurrence, coupled_bound, reduced_system
 
 __all__ = [
     "KatoEvaluator",
@@ -87,11 +93,14 @@ class KatoEvaluator:
     approximates the largest T with fn(T) <= y: inf when y is at or above
     the supremum, and 0.0 only when fn exceeds y (up to rounding) at every
     positive T. Searches confirm any other answer by a probe.
+    ``saturation`` is a time from which on fn(T) is bit for bit fn(inf),
+    or inf where none is known; the coupled route does not probe past it.
     """
 
     fn: Callable[[float], float]
     finite_at_infinity: bool
     root: Callable[[float], float] | None = None
+    saturation: float = math.inf
 
     def __call__(self, t: float) -> float:
         if math.isinf(t) and not self.finite_at_infinity:
@@ -99,7 +108,7 @@ class KatoEvaluator:
         return self.fn(t)
 
     def shifted(self, c: float) -> "KatoEvaluator":
-        """The evaluator T -> fn(T) + c for a constant c >= 0.
+        """The evaluator T -> fn(T) + c for a constant c >= 0, with the same saturation.
 
         For y < c the root is 0.0 (from the base root at y - c < 0), which
         is exact: fl(fn(T) + c) >= c > y.
@@ -109,6 +118,7 @@ class KatoEvaluator:
             lambda T: base_fn(T) + c,
             self.finite_at_infinity,
             None if base_root is None else lambda y: base_root(y - c),
+            self.saturation,
         )
 
 
@@ -125,16 +135,22 @@ class KatoBoundState:
 
 
 def state_from_vortex(data: idmod.VortexGaussian, delta: float) -> KatoBoundState:
-    """Exact evaluators from the closed-form vortex evolution."""
+    """Exact evaluators from the closed-form vortex evolution, saturating at the peak times."""
     constants = composite_constants(data.d, delta)
     return KatoBoundState(
         d=data.d,
         delta=delta,
         k0=KatoEvaluator(
-            lambda T: idmod.k0_exact(data, delta, T), True, lambda y: idmod.k0_root(data, delta, y)
+            lambda T: idmod.k0_exact(data, delta, T),
+            True,
+            lambda y: idmod.k0_root(data, delta, y),
+            idmod.k0_peak_time(data, delta),
         ),
         k0_prime=KatoEvaluator(
-            lambda T: idmod.k0_prime_exact(data, T), True, lambda y: idmod.k0_prime_root(data, y)
+            lambda T: idmod.k0_prime_exact(data, T),
+            True,
+            lambda y: idmod.k0_prime_root(data, y),
+            idmod.k0_prime_peak_time(data),
         ),
         constants=constants,
         notes=(f"vortex_gaussian d={data.d} sigma={data.sigma} amplitude={data.amplitude}",),
@@ -301,7 +317,7 @@ class DeltaSweep:
 
 
 def _coupled_quantities(k0: float, k0p: float, j1: float, j2: float) -> dict[str, float]:
-    """The coupled route's intermediates at (K0, K0') = (k0, k0p), for the search and for replay.
+    """The coupled route's intermediates at (K0, K0') = (k0, k0p), at t0 and in replay.
 
     (k0, k0p), floored at _TINY, fills both the offset and the start slots
     of the ``CoupledRecurrence`` with the constants (J1, J2); s1, s2, d1, d2
@@ -322,16 +338,27 @@ def _coupled_quantities(k0: float, k0p: float, j1: float, j2: float) -> dict[str
     return quantities
 
 
-def _coupled_probe(state: KatoBoundState, T: float) -> tuple[bool, dict[str, float]]:
-    """Feasibility of the coupled fixed-point hypotheses at horizon T, with the intermediates there."""
-    k0, k0p = state.k0(T), state.k0_prime(T)
-    q = _coupled_quantities(k0, k0p, state.constants.j1, state.constants.j2)
-    return "v1" in q and q["v1"] - k0 > _COUPLED_MARGIN and q["v2"] - k0p > _COUPLED_MARGIN, q
+def _coupled_feasible(k0: float, k0p: float, j1: float, j2: float) -> bool:
+    """The coupled route's verdict at (K0, K0') = (k0, k0p), from plain floats.
+
+    It is the verdict that ``_coupled_quantities`` gives, v1 and v2 present
+    with v1 - k0 and v2 - k0p above _COUPLED_MARGIN, from the same
+    ``reduced_system`` arithmetic without its objects: a margin above 0
+    puts the start values below the positive roots. Constants come
+    positive from ``composite_constants``, so the recurrence needs no
+    validation.
+    """
+    x0, y0 = max(k0, _TINY), max(k0p, _TINY)
+    try:
+        roots = reduced_system(x0, y0, j1, j2)[2]
+    except OverflowError:
+        return False
+    return roots is not None and roots[0] - k0 > _COUPLED_MARGIN and roots[1] - k0p > _COUPLED_MARGIN
 
 
 def thm31_feasible_at(state: KatoBoundState, T: float) -> bool:
     """Whether the coupled-route inequalities hold at horizon T."""
-    return _coupled_probe(state, T)[0]
+    return _coupled_feasible(state.k0(T), state.k0_prime(T), state.constants.j1, state.constants.j2)
 
 
 def _envelope_probe(state: KatoBoundState, T: float):
@@ -359,7 +386,7 @@ def thm41_feasible_at(state: KatoBoundState, T: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _largest_feasible(feasible: Callable[[float], bool]):
+def _largest_feasible(feasible: Callable[[float], bool], saturated: float = math.inf):
     """A feasible T in [1e-12, 1e12] found by downward scan plus geometric bisection.
 
     Returns (t_best, scan_notes) with t_best = None when nothing in the
@@ -370,14 +397,20 @@ def _largest_feasible(feasible: Callable[[float], bool]):
     probed, and one above the last infeasible scan point is not looked for.
     A bracket spans at most a factor of 8 inside the range, so lo * hi
     stays a normal double and the bisection ends after 31 midpoints.
+
+    Every T at or above ``saturated`` is taken to fail without a probe:
+    the caller passes a finite value only where feasibility there is the
+    failed verdict at T = infinity. The scan points, the bracket and the
+    result are the ones that probing them gives.
     """
-    if feasible(_COUPLED_TOP):
+    probe = lambda T: T < saturated and feasible(T)
+    if probe(_COUPLED_TOP):
         return _COUPLED_TOP, ["feasible at the search-range end; larger horizons were not explored"]
 
     hi = _COUPLED_TOP
     while True:
         lo = max(hi / 8.0, _COUPLED_FLOOR)
-        if feasible(lo):
+        if probe(lo):
             break
         if lo == _COUPLED_FLOOR:
             return None, [
@@ -388,7 +421,7 @@ def _largest_feasible(feasible: Callable[[float], bool]):
 
     while hi - lo > _COUPLED_TOL * lo:
         mid = math.sqrt(lo * hi)
-        if feasible(mid):
+        if probe(mid):
             lo = mid
         else:
             hi = mid
@@ -499,16 +532,22 @@ def theorem31_bound(state: KatoBoundState) -> LifespanCertificate:
     more than the absolute margin 1e-9, which the certificate stores; d1 > 0
     and d2 > 0 are certified with no margin. If the inequalities hold
     at T = infinity (declared-finite evaluators only) the infinite branch is
-    certified directly. The search sees only feasibility; the intermediates
-    are evaluated once, at the certified T, or at the floor 1e-12 when no
-    T is feasible.
+    certified directly. Otherwise the scan skips every T at or above the
+    later saturation time of the two evaluators, where the verdict is the
+    failed one at infinity. The search sees only the verdict of
+    ``_coupled_feasible``; the intermediates are built by
+    ``_coupled_quantities`` once, at the certified T, or at the floor 1e-12
+    when no T is feasible.
     """
-    feasible = lambda T: _coupled_probe(state, T)[0]
-    if state.k0.finite_at_infinity and state.k0_prime.finite_at_infinity and feasible(math.inf):
+    feasible = lambda T: thm31_feasible_at(state, T)
+    at_infinity = state.k0.finite_at_infinity and state.k0_prime.finite_at_infinity
+    if at_infinity and feasible(math.inf):
         t0, notes = math.inf, ["inequalities hold at T = infinity; solution is global"]
     else:
-        t0, notes = _largest_feasible(feasible)
-    _, q = _coupled_probe(state, _COUPLED_FLOOR if t0 is None else t0)
+        saturated = max(state.k0.saturation, state.k0_prime.saturation) if at_infinity else math.inf
+        t0, notes = _largest_feasible(feasible, saturated)
+    T = _COUPLED_FLOOR if t0 is None else t0
+    q = _coupled_quantities(state.k0(T), state.k0_prime(T), state.constants.j1, state.constants.j2)
     if t0 is None:
         return _infeasible_certificate("thm31", state.delta, q, (*notes, *state.notes))
     intermediate = {**q, "margin": _COUPLED_MARGIN}

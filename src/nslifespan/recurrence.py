@@ -11,6 +11,9 @@ beta2 x_n y_n. Along the equality dynamics the combination beta2 x - beta1 y
 is conserved after one step, which reduces each component to a scalar
 recurrence with the cross-determinant det1 = alpha2 beta1 - alpha1 beta2 in
 the linear slot; the two reduced discriminants coincide identically.
+``reduced_system`` is the one place that arithmetic is written: the
+properties of ``CoupledRecurrence``, ``coupled_bound`` and the coupled
+route's search all read it.
 
 The test suite's oracles (``tests/oracle_utils.py``) iterate the equality
 dynamics, which dominate every obedient sequence pointwise.
@@ -28,6 +31,7 @@ __all__ = [
     "HypothesisFailure",
     "CoupledBound",
     "coupled_bound",
+    "reduced_system",
 ]
 
 
@@ -52,7 +56,7 @@ class CoupledRecurrence:
 
     @property
     def det1(self) -> float:
-        return self.alpha2 * self.beta1 - self.alpha1 * self.beta2
+        return _det1(self.alpha1, self.alpha2, self.beta1, self.beta2)
 
     @property
     def det2(self) -> float:
@@ -61,12 +65,12 @@ class CoupledRecurrence:
     @property
     def d1(self) -> float:
         """(det1 + 1)^2 - 4 alpha1 beta2."""
-        return (self.det1 + 1.0) ** 2 - 4.0 * self.alpha1 * self.beta2
+        return _discriminant(self.alpha1, self.det1, self.beta2)
 
     @property
     def d2(self) -> float:
         """(det2 + 1)^2 - 4 alpha2 beta1."""
-        return (self.det2 + 1.0) ** 2 - 4.0 * self.alpha2 * self.beta1
+        return _discriminant(self.alpha2, self.det2, self.beta1)
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,34 @@ def z_root(alpha: float, beta: float, gamma: float) -> float:
     return (1.0 - beta + math.sqrt(disc)) / (2.0 * gamma)
 
 
+def _det1(alpha1: float, alpha2: float, beta1: float, beta2: float) -> float:
+    return alpha2 * beta1 - alpha1 * beta2
+
+
+def _discriminant(alpha: float, det: float, beta: float) -> float:
+    return (det + 1.0) ** 2 - 4.0 * alpha * beta
+
+
+def reduced_system(
+    alpha1: float, alpha2: float, beta1: float, beta2: float
+) -> tuple[float, float, tuple[float, float] | None]:
+    """(d1, d2, roots) of the coupled system with these coefficients, on plain floats.
+
+    roots is the pair of reduced roots (z(alpha1, det1, beta2),
+    z(alpha2, det2, beta1)) when d1 > 0 and d2 > 0, and None otherwise
+    (a NaN d1 or d2 included); the roots are not computed then. Raises
+    OverflowError when d1 or d2 overflows the doubles. The coefficients
+    are not validated: ``CoupledRecurrence`` does that, and a caller that
+    skips it must pass positive (or NaN) coefficients.
+    """
+    det1 = _det1(alpha1, alpha2, beta1, beta2)
+    d1 = _discriminant(alpha1, det1, beta2)
+    d2 = _discriminant(alpha2, -det1, beta1)
+    if d1 > 0 and d2 > 0:
+        return d1, d2, (z_root(alpha1, det1, beta2), z_root(alpha2, -det1, beta1))
+    return d1, d2, None
+
+
 def coupled_bound(rec: CoupledRecurrence) -> CoupledBound:
     """Certified componentwise sup bounds for the coupled system.
 
@@ -129,19 +161,18 @@ def coupled_bound(rec: CoupledRecurrence) -> CoupledBound:
     ``quadratics_finite``.
     """
     try:
-        d1, d2 = rec.d1, rec.d2
+        d1, d2, roots = reduced_system(rec.alpha1, rec.alpha2, rec.beta1, rec.beta2)
     except OverflowError:
         return CoupledBound(None, None, (HypothesisFailure("quadratics_finite", math.nan),))
     failures: list[HypothesisFailure] = []
-    if not d1 > 0:  # NaN fails too
-        failures.append(HypothesisFailure("d1_positive", d1))
-    if not d2 > 0:
-        failures.append(HypothesisFailure("d2_positive", d2))
-    if failures:
+    if roots is None:  # d1 or d2 fails, NaN included
+        if not d1 > 0:
+            failures.append(HypothesisFailure("d1_positive", d1))
+        if not d2 > 0:
+            failures.append(HypothesisFailure("d2_positive", d2))
         return CoupledBound(None, None, tuple(failures))
 
-    zx = z_root(rec.alpha1, rec.det1, rec.beta2)
-    zy = z_root(rec.alpha2, rec.det2, rec.beta1)
+    zx, zy = roots
     if zx <= 0:
         failures.append(HypothesisFailure("x_root_positive", zx))
     if zy <= 0:

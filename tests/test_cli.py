@@ -12,6 +12,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from nslifespan import cli
+from nslifespan import initial_data as idmod
 from nslifespan.cli import SCHEMA, ConfigError, build_report, load_config, main, validate_config
 from nslifespan.constants import DELTA0
 from nslifespan.errors import DomainError
@@ -631,8 +633,8 @@ class TestRuns:
     def test_large_dimension_vortex_finishes(self, tmp_path, d, mode, code):
         # the gradient rule's first Gauss node once stayed unconverged at these d: a
         # ZeroDivisionError (877), a hang (878), and from 3828 on with 64 axial nodes;
-        # thm41_explicit builds the gradient constant before the (d, delta) constants
-        # leave the doubles
+        # thm41_explicit rejects the (d, delta) constants, which leave the doubles,
+        # before it builds the gradient constant
         config = {"d": d, "mode": mode, "data": {"family": "vortex_gaussian", "sigma": 1.0, "amplitude": 1e-3}}
         result = subprocess.run(
             [sys.executable, "-m", "nslifespan.cli", "--config", str(write_config(tmp_path, config)),
@@ -644,6 +646,26 @@ class TestRuns:
             assert result.stderr.startswith("input error: ") and "Traceback" not in result.stderr
         else:
             assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["result"]["certificate"]["feasible"]
+
+    def test_explicit_route_rejects_the_constants_before_the_gradient_constant(self, monkeypatch):
+        built = []
+        original = idmod._grad_unit_constant
+        monkeypatch.setattr(idmod, "_grad_unit_constant", lambda d: built.append(d) or original(d))
+        data = {"family": "vortex_gaussian", "sigma": 1.0, "amplitude": 1e-3}
+        message = f"the constants for d=3828, delta={DELTA0} leave the range of the doubles"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            build_report({"d": 3828, "mode": "thm41_explicit", "data": data})
+        assert built == []
+
+    def test_explicit_route_builds_the_vortex_bundle_once_per_request(self, monkeypatch):
+        bundles = []
+        original = cli.norm_bundle_from_vortex
+        monkeypatch.setattr(cli, "norm_bundle_from_vortex", lambda *a, **k: bundles.append(a) or original(*a, **k))
+        data = {"family": "vortex_gaussian", "sigma": 1.0, "amplitude": 1e-3}
+        config = {"d": 3, "mode": "thm41_explicit", "delta_grid": [0.2, 0.4, 0.6], "data": data}
+        report, certified = build_report(config)
+        assert certified and len(report["result"]["delta_profile"]) == 3
+        assert len(bundles) == 1
 
     def test_force_dominated_forced_run_is_infeasible(self, tmp_path):
         # forced_small with a k0 force of 1.0: its coefficient 35.55 exceeds

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import mpmath
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracle_utils as oracle
+from nslifespan import initial_data as idmod
 from nslifespan.constants import DELTA0, composite_constants
 from nslifespan.errors import DomainError, UnavailableBoundError
 from nslifespan.initial_data import (
@@ -18,8 +20,10 @@ from nslifespan.initial_data import (
     grad_norm,
     k0_bound_from_norms,
     k0_exact,
+    k0_peak_time,
     k0_prime_bound_from_norms,
     k0_prime_exact,
+    k0_prime_peak_time,
     k0_prime_root,
     k0_root,
     lp_norm,
@@ -200,6 +204,55 @@ class TestHeatEvolution:
         data = VortexGaussian(3, 0.8, 1.7)
         assert data.evolve(0.0) is data
 
+    @staticmethod
+    def _outcome(make):
+        try:
+            field = make()
+        except (DomainError, OverflowError) as exc:
+            return type(exc).__name__, str(exc)
+        return type(field).__name__, field.d, field.sigma.hex(), field.amplitude.hex()
+
+    def test_evolve_rejects_exactly_what_the_constructor_rejects(self, rng):
+        # evolve skips the constructor's checks; building the evolved field
+        # through the constructor runs all of them
+        def constructed(data, t):
+            s2 = data.sigma**2
+            w2 = s2 + 2.0 * t
+            return idmod.VortexGaussian(data.d, math.sqrt(w2), data.amplitude * (s2 / w2) ** ((data.d + 2) / 2.0))
+
+        big = sys.float_info.max
+        sigmas = [5e-324, 1e-162, 1e-154, 1.0, 1e154, math.sqrt(big), 1e200]
+        amplitudes = [0.0, 5e-324, 1.0, big]
+        times = [5e-324, 1e-300, 1.0, 1e300, 1e308, big, math.inf, math.nan]
+        cases = []
+        for d in (3, 7):
+            for sigma in sigmas:
+                for amplitude in amplitudes:
+                    try:
+                        data = idmod.VortexGaussian(d, sigma, amplitude)
+                    except DomainError:
+                        continue
+                    edge = (big - sigma * sigma) / 2.0 if sigma * sigma < big else big  # where sigma^2 + 2t overflows
+                    edges = [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+                    cases += [(data, t) for t in times + edges]
+        for _ in range(2000):
+            data = idmod.VortexGaussian(
+                int(rng.integers(3, 9)), 10.0 ** rng.uniform(-150, 150), 10.0 ** rng.uniform(-300, 300)
+            )
+            cases.append((data, 10.0 ** rng.uniform(-320, 308)))
+        outcomes = []
+        for data, t in cases:
+            outcomes.append(self._outcome(lambda: data.evolve(t)))
+            assert outcomes[-1] == self._outcome(lambda: constructed(data, t)), (data, t)
+        rejected = {outcome for outcome in outcomes if outcome[0] != "VortexGaussian"}
+        assert rejected == {
+            ("DomainError", "sigma must be positive and finite, got inf"),
+            ("DomainError", "sigma must be positive and finite, got nan"),
+            ("OverflowError", "(34, 'Numerical result out of range')"),  # sigma^2 of a zero field
+        }
+        with pytest.raises(DomainError, match="^sigma must be positive and finite, got inf$"):
+            idmod.VortexGaussian(3, 1e154, 1.0).evolve(1e308)
+
     @pytest.mark.parametrize("t", [0.1, 1.0])
     def test_against_direct_convolution(self, t):
         data = VortexGaussian(3, 1.0, 0.7)
@@ -303,6 +356,28 @@ class TestWeightedSup:
                     assert fn(T) == pytest.approx(fraction * peak, rel=1e-13)
             assert root(peak * (1.0 + 1e-12)) == math.inf
             assert root(0.0) == 0.0 and root(-1.0) == 0.0
+
+    @pytest.mark.parametrize("d, sigma, amplitude, delta", [
+        (3, 1.0, 1.0, 0.3), (4, 0.01, 1e3, 0.001), (5, 5.0, 1e-4, 0.97), (3, 0.2, 25.0, DELTA0),
+        (3, 1e-150, 1e300, 0.5), (7, 1e150, 1e-300, 0.9),
+    ])
+    def test_values_repeat_from_the_peak_times_on(self, d, sigma, amplitude, delta):
+        # the coupled route does not probe past these times, so every horizon from
+        # the exact double on must give the value at infinity bit for bit
+        data = VortexGaussian(d, sigma, amplitude)
+        evaluators = ((k0_peak_time(data, delta), lambda T: k0_exact(data, delta, T)),
+                      (k0_prime_peak_time(data), lambda T: k0_prime_exact(data, T)))
+        for peak, fn in evaluators:
+            assert 0.0 < peak < math.inf
+            at_infinity = fn(math.inf).hex()
+            for T in (peak, math.nextafter(peak, math.inf), peak * (1.0 + 1e-9), 2.0 * peak, 1e300 * peak):
+                assert fn(T).hex() == at_infinity, T
+
+    @pytest.mark.parametrize("sigma", [1e-200, 1.0, 1e200])
+    def test_zero_field_never_saturates(self, sigma):
+        # sigma^2 overflows at 1e200, which a zero field allows
+        data = VortexGaussian(3, sigma, 0.0)
+        assert k0_peak_time(data, 0.3) == math.inf and k0_prime_peak_time(data) == math.inf
 
     def test_roots_of_zero_data(self):
         data = VortexGaussian(3, 1.0, 0.0)

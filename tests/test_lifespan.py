@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -25,6 +27,9 @@ from nslifespan.initial_data import (
 from nslifespan.jsonio import canonical_dumps, decode_infinities
 from nslifespan.lifespan import (
     _BRACKET_EPS,
+    _COUPLED_MARGIN,
+    _coupled_feasible,
+    _coupled_quantities,
     _derived_checks,
     _largest_double,
     _largest_feasible,
@@ -259,6 +264,15 @@ class TestLargestFeasible:
                 assert lo < mid < hi
                 lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
             assert t0 == lo and hi - lo <= 1e-9 * lo
+
+    @pytest.mark.parametrize("saturated", [1e-12, 2.0, 3.0, 100.0, 1e12, 1e13])
+    def test_saturated_points_fail_without_a_probe(self, saturated):
+        # at and above saturated the verdict is the failed one at infinity
+        feasible = lambda T: T <= 3.0 and T < saturated
+        probes, skipping = [], []
+        expected = _largest_feasible(lambda T: probes.append(T) or feasible(T))
+        assert _largest_feasible(lambda T: skipping.append(T) or feasible(T), saturated) == expected
+        assert skipping == [T for T in probes if T < saturated]
 
 
 class TestLargestDouble:
@@ -737,6 +751,143 @@ class TestGlobalThreshold:
         above = theorem41_bound(state_from_vortex(VortexGaussian(3, 1.0, 1.2 * amp_flip), DELTA0))
         assert below.t0 == math.inf
         assert 0.0 < above.t0 < math.inf
+
+
+def _quantities_verdict(k0, k0p, j1, j2):
+    # the verdict that the coupled route's intermediates state
+    q = _coupled_quantities(k0, k0p, j1, j2)
+    return "v1" in q and q["v1"] - k0 > _COUPLED_MARGIN and q["v2"] - k0p > _COUPLED_MARGIN
+
+
+def _sweep_thm31_states(seed, blocks):
+    """(state, certificate) of every delta of the thm31 vortex requests in a vortex_sweep stream."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    stream = workloads.blocks("vortex_sweep", seed, root)
+    configs = [r["config"] for _ in range(blocks) for r in next(stream)]
+    out = []
+    for config in configs:
+        if config["mode"] != "thm31" or "family" not in config["data"]:
+            continue
+        data = VortexGaussian(config["d"], config["data"]["sigma"], config["data"]["amplitude"])
+        for delta in config.get("delta_grid", [config.get("delta", DELTA0)]):
+            state = state_from_vortex(data, delta)
+            out.append((state, theorem31_bound(state)))
+    return out
+
+
+class TestCoupledVerdict:
+    """The search's scalar verdict against the one its intermediates give, as replay derives them."""
+
+    def test_random_inputs(self, rng):
+        n = 40_000
+        # (j2 k0, j1 k0') near the feasible square [0, 1/4)^2, and far from it
+        j1, j2 = 10.0 ** rng.uniform(-3, 3, n), 10.0 ** rng.uniform(-3, 3, n)
+        near = rng.random(n) < 0.5
+        k0 = np.where(near, 10.0 ** rng.uniform(-4, 0, n) / j2, 10.0 ** rng.uniform(-320, 200, n))
+        k0p = np.where(near, 10.0 ** rng.uniform(-4, 0, n) / j1, 10.0 ** rng.uniform(-320, 200, n))
+        special = [0.0, 5e-324, 1e-300, 1e-9, 0.1, 1e154, 1e160, math.inf, math.nan]
+        cases = [(float(a), float(b), float(c), float(e)) for a, b, c, e in zip(k0, k0p, j1, j2)]
+        cases += [(a, b, 1.0, 2.0) for a in special for b in special]
+        verdicts = []
+        for case in cases:
+            verdicts.append(_coupled_feasible(*case))
+            assert verdicts[-1] == _quantities_verdict(*case), case
+        assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
+        # (s1 + 1)^2 overflows the doubles here, which fails the hypotheses
+        with pytest.raises(OverflowError):
+            CoupledRecurrence(1e-3, 1e160, 1.0, 1.0, 1e-3, 1e160).d1
+        assert not _coupled_feasible(1e-3, 1e160, 1.0, 1.0)
+
+    def test_around_the_sweep_horizons(self, rng):
+        # every double up to 200 ulps above each finite thm31 t0 of vortex_sweep
+        # seed 1 (6 blocks), and log-uniform horizons within 100x of it
+        certified = [(state, cert.t0) for state, cert in _sweep_thm31_states(1, 6) if 0.0 < cert.t0 < math.inf]
+        assert len(certified) >= 20
+        crossed = 0
+        for state, t0 in certified:
+            j1, j2 = state.constants.j1, state.constants.j2
+            horizons = [t0]
+            for _ in range(200):
+                horizons.append(math.nextafter(horizons[-1], math.inf))
+            horizons += [float(t0 * 10.0**x) for x in rng.uniform(-2, 2, 40)]
+            verdicts = set()
+            for T in horizons:
+                verdict = thm31_feasible_at(state, T)
+                assert verdict == _quantities_verdict(state.k0(T), state.k0_prime(T), j1, j2), (state.notes, T)
+                verdicts.add(verdict)
+            crossed += len(verdicts) == 2
+        assert crossed >= len(certified) // 2
+
+
+def _unsaturated(state):
+    """The state with the evaluators' saturation times removed: the coupled scan then probes every point."""
+    return replace(
+        state,
+        k0=replace(state.k0, saturation=math.inf),
+        k0_prime=replace(state.k0_prime, saturation=math.inf),
+    )
+
+
+class TestSaturationSkip:
+    """The coupled scan does not probe past saturation, and finds the same horizon."""
+
+    # (d, sigma, amplitude, delta, t0.hex(), evaluator calls when every point is probed):
+    # docs/examples/thm31_delta_grid.json, vortex_sweep seed 1 requests, and two
+    # horizons between the saturation times of K0 and K0'
+    CASES = [
+        (3, 1.0, 0.05, 0.2, "0x1.84ec541e03623p-14", 104),
+        (3, 1.0, 0.05, 0.28257742392949414, "0x1.86eda3ee48209p-12", 104),
+        (3, 1.0, 0.05, 0.4, "0x1.bcab2e3ea790bp-10", 102),
+        (3, 1.0, 0.05, 0.6, "0x1.9e5fc5b3ecdffp-13", 104),
+        (3, 0.809071551030883, 0.13930086559924057, 0.17274275550892462, "0x1.5a0ac2c17a6f6p-17", 106),
+        (3, 0.13997339471893908, 20.083566403296157, 0.013143163831776754, "0x0.0p+0", 60),
+        (5, 0.16860071283524508, 0.1354281055742103, 0.05727393462822962, "0x1.57bba5560f155p-21", 110),
+        (4, 4.9656298572931625, 0.0007165114939339479, 0.05727393462822962, "0x1.bcc3994907cb9p-15", 106),
+        (4, 0.007555833839419719, 89655.54437622204, 0.97, "0x0.0p+0", 60),
+        (4, 1.0, 0.014871576339860354, 0.5901933524681487, "0x1.7c4e69952778fp-4", 98),
+        (5, 1.0, 0.011718335991828208, 0.5795066647235592, "0x1.f76151f39531dp-5", 98),
+    ]
+
+    @pytest.mark.parametrize("d, sigma, amplitude, delta, t0_hex, full_calls", CASES)
+    def test_vortex_horizon_keeps_its_bits_with_fewer_calls(
+        self, monkeypatch, d, sigma, amplitude, delta, t0_hex, full_calls
+    ):
+        state = state_from_vortex(VortexGaussian(d, sigma, amplitude), delta)
+        saturated = max(state.k0.saturation, state.k0_prime.saturation)
+        assert saturated == state.k0_prime.saturation == sigma**2 / (2.0 * d)
+        calls = _evaluations(monkeypatch, lambda: theorem31_bound(state))
+        full = _evaluations(monkeypatch, lambda: theorem31_bound(_unsaturated(state)))
+        assert len(full) == full_calls and len(calls) < full_calls
+        assert all(T == math.inf or T < saturated for T in calls)
+        cert = theorem31_bound(state)
+        assert cert.t0.hex() == t0_hex
+        assert cert == theorem31_bound(_unsaturated(state))
+        if cert.t0 >= state.k0.saturation:  # the skip starts at the later of the two times
+            assert cert.t0 < saturated and max(calls[2:-2]) >= state.k0.saturation
+
+    def test_bundle_states_skip_nothing(self):
+        for bundle in (
+            NormBundle(lp_norms={3.0: 0.1}, grad_d_norm=0.2, theta=0.5, norm_d_plus_theta=0.12),
+            NormBundle(lp_norms={3.0: 1e-5}),
+            NormBundle(lp_norms={}, grad_d_norm=1e-3, theta=0.5, norm_d_plus_theta=1e-4),
+        ):
+            state = state_from_norms(bundle, 3, DELTA0)
+            assert state.k0.saturation == state.k0_prime.saturation == math.inf
+
+    def test_shifted_keeps_the_saturation(self):
+        state = state_from_vortex(VortexGaussian(3, 1.0, 0.05), 0.4)
+        for e in (state.k0, state.k0_prime):
+            shifted = e.shifted(1e-3)
+            assert shifted.saturation == e.saturation < math.inf
+            assert shifted(e.saturation) == shifted(math.inf)
+
+    def test_infinity_branch_makes_one_probe(self, monkeypatch, eps3):
+        # a state that passes at T = infinity never scans, whatever its saturation
+        state = state_from_vortex(vortex_with_a3(0.1 * eps3), DELTA0)
+        assert _evaluations(monkeypatch, lambda: theorem31_bound(state)) == [math.inf] * 4
 
 
 class TestNormBackedStates:
