@@ -296,21 +296,23 @@ def build_report(config: Mapping) -> tuple[dict, bool]:
     all_passed = all(row["passed"] for row in replay_rows)
 
     constants_block: dict[str, Any] = {}
+    kept: list = []
     if mode != "abstract_parabolic":
         # after a grid sweep the table reflects the winning delta
         delta_for_table = deltas[0]
         if "certificate" in result:
             delta_for_table = float(result["certificate"]["delta_used"])
         cs = composite_constants(d, delta_for_table)
-        constants_block = {
-            "d": d,
-            "delta": delta_for_table,
-            # encoded once, by the fingerprint below; later encodings reuse the text
-            "table": EncodedTable(
-                {"name": name, "value": value, "formula": formula}
-                for name, value, formula in cs.table
-            ),
-        }
+        # kept is [] before the set's first report, [None] after it and
+        # [None, seed] from its second on, so a set that reports once keeps
+        # no text. The table is encoded once, by the fingerprint below,
+        # unless seeded with the kept text; later encodings reuse the text.
+        kept = cs.report_table_text
+        table = EncodedTable(
+            ({"name": name, "value": value, "formula": formula} for name, value, formula in cs.table),
+            kept[-1] if kept else None,
+        )
+        constants_block = {"d": d, "delta": delta_for_table, "table": table}
 
     report = {
         "schema_version": "1",
@@ -325,6 +327,8 @@ def build_report(config: Mapping) -> tuple[dict, bool]:
         "fingerprint": "",
     }
     report["fingerprint"] = fingerprint({k: v for k, v in report.items() if k != "fingerprint"})
+    if constants_block and len(kept) < 2:
+        kept.append(table.text() if kept else None)
     return report, feasible and all_passed
 
 

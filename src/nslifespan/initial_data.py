@@ -103,21 +103,31 @@ class VortexGaussian:
         d is the parent's, the width is positive and its square is at most
         fl(sqrt(MAX))^2 < MAX, and the amplitude shrinks by a factor in
         [0, 1]. A width that is not finite (t infinite or NaN, or
-        sigma^2 + 2t past the doubles) raises the constructor's error.
+        sigma^2 + 2t past the doubles) raises the constructor's error. So
+        does a zero field whose sigma^2 itself is past the doubles: its
+        sigma^2 is taken as infinite, as sigma * sigma would round it.
         """
         if t < 0:
             raise DomainError(f"evolution time must be nonnegative, got {t}")
         if t == 0:
             return self
-        s2 = self.sigma**2
-        w2 = s2 + 2.0 * t
-        sigma = math.sqrt(w2)
-        if not w2 < math.inf:
-            raise DomainError(f"sigma must be positive and finite, got {sigma}")
+        try:
+            s2 = self.sigma**2
+        except OverflowError:  # only a zero field's sigma^2 leaves the doubles
+            s2 = math.inf
+        sigma, amplitude = _evolved(self.d, s2, self.amplitude, t)
         evolved = object.__new__(VortexGaussian)
-        amplitude = self.amplitude * (s2 / w2) ** ((self.d + 2) / 2.0)
         evolved.__dict__.update(d=self.d, sigma=sigma, amplitude=amplitude)
         return evolved
+
+
+def _evolved(d: int, s2: float, amplitude: float, t: float) -> tuple[float, float]:
+    """Width and amplitude of e^{t Lap} a at t > 0, from d, sigma^2 = s2 and the amplitude of a."""
+    w2 = s2 + 2.0 * t
+    width = math.sqrt(w2)
+    if not w2 < math.inf:
+        raise DomainError(f"sigma must be positive and finite, got {width}")
+    return width, amplitude * (s2 / w2) ** ((d + 2) / 2.0)
 
 
 def lp_norm(data: VortexGaussian, p: float) -> float:
@@ -127,12 +137,19 @@ def lp_norm(data: VortexGaussian, p: float) -> float:
     and the Gaussian mass of the remaining d-2 coordinates:
 
         |a|_p^p = amp^p (2 pi s^2/p)^{(d-2)/2} * pi * Gamma(p/2 + 1) (2 s^2/p)^{(p+2)/2}.
+
+    The closed form is ``_lp_closed_form``, which ``k0_exact`` applies to the
+    evolved width and amplitude without building the evolved field.
     """
     if p < 1:
         raise DomainError(f"lp_norm requires p >= 1, got {p}")
-    if data.amplitude == 0:
+    return _lp_closed_form(data.d, data.sigma, data.amplitude, p)
+
+
+def _lp_closed_form(d: int, s: float, amplitude: float, p: float) -> float:
+    """|a|_p for the vortex of dimension d, width s and the given amplitude, p >= 1."""
+    if amplitude == 0:
         return 0.0
-    d, s = data.d, data.sigma
     if not 2.0 * s * s / p > 0.0:
         raise DomainError(f"2 sigma^2/p leaves the range of the doubles for sigma={s}, p={p}")
     log_pp = (
@@ -141,7 +158,7 @@ def lp_norm(data: VortexGaussian, p: float) -> float:
         + log_gamma(p / 2.0 + 1.0)
         + ((p + 2) / 2.0) * math.log(2.0 * s * s / p)
     )
-    return data.amplitude * math.exp(log_pp / p)
+    return amplitude * math.exp(log_pp / p)
 
 
 @lru_cache(maxsize=64)
@@ -305,25 +322,45 @@ def k0_exact(data: VortexGaussian, delta: float, T: float) -> float:
 
     The weighted norm peaks at t* = (1 - delta) sigma^2 / (2d) (module
     docstring), so the supremum is its value at min(T, t*). T = infinity
-    is allowed.
+    is allowed. The value is t^{(1-delta)/2} lp_norm(data.evolve(t), d/delta)
+    at t = min(T, k0_peak_time(data, delta)), bit for bit, but computed from
+    the evolved width and amplitude (``_evolved``) and the L_p closed form
+    (``_lp_closed_form``) without building the evolved field.
     """
-    _check_delta(delta)
-    if data.amplitude == 0:
+    if not 0.0 < delta < 1.0:
+        _check_delta(delta)
+    amplitude = data.amplitude
+    if amplitude == 0:
         return 0.0
     if not T > 0:
         raise DomainError(f"horizon T must be positive, got {T}")
-    t = min(T, k0_peak_time(data, delta))
-    return t ** ((1.0 - delta) / 2.0) * lp_norm(data.evolve(t), data.d / delta)
+    d, width = data.d, data.sigma
+    s2 = width**2
+    t = min(T, (1.0 - delta) * s2 / (2.0 * d))
+    if t > 0:  # the peak time underflows to 0 only for a tiny sigma
+        width, amplitude = _evolved(d, s2, amplitude, t)
+    return t ** ((1.0 - delta) / 2.0) * _lp_closed_form(d, width, amplitude, d / delta)
 
 
 def k0_prime_exact(data: VortexGaussian, T: float) -> float:
-    """sup_{t in (0,T)} t^{1/2} |grad e^{t Lap} a|_d, at min(T, sigma^2/(2d))."""
-    if data.amplitude == 0:
+    """sup_{t in (0,T)} t^{1/2} |grad e^{t Lap} a|_d, at min(T, sigma^2/(2d)).
+
+    The value is sqrt(t) grad_norm(data.evolve(t)) at
+    t = min(T, k0_prime_peak_time(data)), bit for bit, computed from the
+    evolved width and amplitude (``_evolved``) without building the evolved
+    field.
+    """
+    amplitude = data.amplitude
+    if amplitude == 0:
         return 0.0
     if not T > 0:
         raise DomainError(f"horizon T must be positive, got {T}")
-    t = min(T, k0_prime_peak_time(data))
-    return math.sqrt(t) * grad_norm(data.evolve(t))
+    d, width = data.d, data.sigma
+    s2 = width**2
+    t = min(T, s2 / (2.0 * d))
+    if t > 0:
+        width, amplitude = _evolved(d, s2, amplitude, t)
+    return math.sqrt(t) * (amplitude * width * _grad_unit_constant(d))
 
 
 def k0_peak_time(data: VortexGaussian, delta: float) -> float:

@@ -28,7 +28,15 @@ dropped or replaced, or another level) is encoded afresh, and the new text
 replaces the stored one. Only a table whose rows are all dicts of str,
 float, int, bool or None values stores text. The snapshot is taken before
 the text is written, and the two are stored together in one attribute. The text
-lives and dies with its table: nothing is kept across reports.
+lives and dies with its table.
+
+A table's first text comes either from its own first encoding or from a
+seed: the ``text()`` of an earlier table, that is its level, text, keys
+and values without its rows. A seeded table of dicts starts with that
+text, its own rows in place of the earlier table's, so its first encoding
+runs only the identity check above, on its own row dicts against the
+seed's keys and values. ``cli.build_report`` keeps one such seed with
+each ``ConstantSet``; the encoder keeps nothing across reports.
 """
 
 from __future__ import annotations
@@ -67,13 +75,29 @@ _ARRAY = _Punctuation("[]")
 
 
 class EncodedTable(list):
-    """A list of flat rows that keeps its canonical text between encodings."""
+    """A list of flat rows that keeps its canonical text between encodings.
 
-    def __init__(self, rows: Any = ()) -> None:
+    ``seed`` is the ``text()`` of another table. The first encoding reuses
+    its text if these rows pass the same identity check against it.
+    """
+
+    def __init__(self, rows: Any = (), seed: tuple | None = None) -> None:
         super().__init__(rows)
         # (level, text, rows, keys of each row, values of every row) of the
         # last encoding; one attribute, so a reader sees a consistent set
         self._stored: tuple | None = None
+        if seed is not None and _DICT.issuperset(map(type, self)):
+            level, text, keys, values = seed
+            self._stored = (level, text, tuple(self), keys, values)
+
+    def text(self) -> tuple | None:
+        """(level, text, keys of each row, values of every row) of the last encoding, or None.
+
+        It holds no row, so a table seeded with it shares no mutable object
+        with this one.
+        """
+        stored = self._stored
+        return None if stored is None else (stored[0], stored[1], stored[3], stored[4])
 
 
 def _snapshot(table: EncodedTable) -> tuple | None:

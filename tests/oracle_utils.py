@@ -22,6 +22,7 @@ import numpy as np
 from scipy import integrate
 
 from nslifespan import initial_data
+from nslifespan.constants import _check_delta
 from nslifespan.errors import DomainError
 from nslifespan.recurrence import CoupledRecurrence, HypothesisFailure, z_root
 
@@ -374,6 +375,33 @@ def kato_norms_mpmath(data: VortexGaussian, delta: float, T: float, grad_unit: f
         w, amp_t = evolved(t)
         k0_prime = mpmath.sqrt(t) * amp_t * mpmath.sqrt(w) * mpmath.mpf(grad_unit)
         return +k0, +k0_prime
+
+
+def k0_by_evolution(data: initial_data.VortexGaussian, delta: float, T: float) -> float:
+    """``k0_exact`` as the composition of the evolved field and its L_p norm.
+
+    t^{(1-delta)/2} |e^{t Lap} a|_{d/delta} at t = min(T, t*), built with the
+    package's ``evolve`` and ``lp_norm``. The evaluator computes the same
+    doubles from the evolved width and amplitude directly.
+    """
+    _check_delta(delta)
+    if data.amplitude == 0:
+        return 0.0
+    if not T > 0:
+        raise DomainError(f"horizon T must be positive, got {T}")
+    t = min(T, initial_data.k0_peak_time(data, delta))
+    evolved = initial_data.VortexGaussian.evolve(data, t)
+    return t ** ((1.0 - delta) / 2.0) * initial_data.lp_norm(evolved, data.d / delta)
+
+
+def k0_prime_by_evolution(data: initial_data.VortexGaussian, T: float) -> float:
+    """``k0_prime_exact`` as sqrt(t) |grad e^{t Lap} a|_d at t = min(T, sigma^2/(2d)), via the evolved field."""
+    if data.amplitude == 0:
+        return 0.0
+    if not T > 0:
+        raise DomainError(f"horizon T must be positive, got {T}")
+    t = min(T, initial_data.k0_prime_peak_time(data))
+    return math.sqrt(t) * initial_data.grad_norm(initial_data.VortexGaussian.evolve(data, t))
 
 
 def canonical_dumps_recursive(obj: Any) -> str:

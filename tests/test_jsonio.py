@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nslifespan import constants, jsonio
 from nslifespan.cli import build_report
 from nslifespan.jsonio import EncodedTable, canonical_dumps, fingerprint
 
@@ -33,12 +34,30 @@ def _report() -> dict:
     return build_report(config)[0]
 
 
+_CONFIG = {"d": 4, "mode": "thm41", "data": {"norms": {"lp_norms": {"4.0": 1e-3}, "grad_d_norm": 1e-3}}}
+
+
 def _fresh_report() -> dict:
     # a report with its own table, not yet encoded, and its fingerprint checked
-    config = {"d": 4, "mode": "thm41", "data": {"norms": {"lp_norms": {"4.0": 1e-3}, "grad_d_norm": 1e-3}}}
-    report = build_report(config)[0]
+    report = build_report(_CONFIG)[0]
     assert type(report["constants"]["table"]) is EncodedTable
     return report
+
+
+def _reports_of_a_new_set(n: int) -> list[dict]:
+    # n reports of one (d, delta) from a cold constants cache: the first
+    # encodes its table, the second keeps its text, every later one is seeded
+    constants._composite.cache_clear()
+    reports = [_fresh_report() for _ in range(n)]
+    kept = constants.composite_constants(4, reports[0]["constants"]["delta"]).report_table_text
+    assert len(kept) == 2 and kept[0] is None and kept[1] is not None
+    return reports
+
+
+def _immutable(obj) -> bool:
+    if type(obj) is tuple:
+        return all(map(_immutable, obj))
+    return type(obj) in (str, float, int, bool, type(None))
 
 
 def _refingerprint(report: dict) -> str:
@@ -178,7 +197,11 @@ MUTATIONS = [
 
 
 class TestEncodedTable:
-    """The stored text of a report's constants table follows every edit."""
+    """The stored text of a report's constants table follows every edit.
+
+    That holds too for a table seeded with the text its ConstantSet kept
+    from an earlier report, and for that earlier report's table.
+    """
 
     @pytest.mark.parametrize("mutate", MUTATIONS, ids=[m.__name__.lstrip("_") for m in MUTATIONS])
     def test_edited_table_encodes_its_content(self, mutate):
@@ -228,3 +251,73 @@ class TestEncodedTable:
         table[0]["value"] = math.nan
         with pytest.raises(ValueError):
             canonical_dumps(table)
+
+    @pytest.mark.parametrize("edited", ["keeper", "seeded"])
+    @pytest.mark.parametrize("mutate", MUTATIONS, ids=[m.__name__.lstrip("_") for m in MUTATIONS])
+    def test_edit_stays_in_its_report(self, mutate, edited):
+        # the second report kept the text; the third and fourth were seeded with it
+        _, keeper, seeded, other = _reports_of_a_new_set(4)
+        report = keeper if edited == "keeper" else seeded
+        text = canonical_dumps(other)
+        assert canonical_dumps(report) == text
+        mutate(report["constants"]["table"], lambda: canonical_dumps(report))
+        assert canonical_dumps(report) == canonical_dumps_recursive(report) != text
+        assert _refingerprint(report) != report["fingerprint"]
+        assert canonical_dumps(other) == text
+        assert _refingerprint(other) == other["fingerprint"]
+        later = _fresh_report()
+        assert canonical_dumps(later) == canonical_dumps_recursive(later) == text
+        assert _refingerprint(later) == later["fingerprint"]
+
+    def test_no_row_is_shared(self):
+        reports = _reports_of_a_new_set(4)
+        rows = [row for report in reports for row in report["constants"]["table"]]
+        assert len(set(map(id, rows))) == len(rows)
+        kept = constants.composite_constants(4, reports[0]["constants"]["delta"]).report_table_text
+        assert _immutable(tuple(kept))
+
+    def test_seeded_report_does_not_encode_its_rows(self, monkeypatch):
+        encoded = []
+        encode_members = jsonio._encode_members
+
+        def spy(members, level, out):
+            encoded.append(members)
+            encode_members(members, level, out)
+
+        monkeypatch.setattr(jsonio, "_encode_members", spy)
+        _reports_of_a_new_set(2)
+        seeded = _fresh_report()
+        table = seeded["constants"]["table"]
+        assert encoded and not any(row is member for row in table for member in encoded)
+        assert canonical_dumps(seeded) == canonical_dumps_recursive(seeded)
+        assert not any(row is member for row in table for member in encoded)
+        # a new set, after the cache is cleared, encodes its first report's rows
+        constants._composite.cache_clear()
+        fresh = _fresh_report()
+        assert all(any(row is member for member in encoded) for row in fresh["constants"]["table"])
+        assert canonical_dumps(fresh) == canonical_dumps(seeded)
+
+    def test_copies_of_a_seeded_report_encode_alike(self):
+        report = _reports_of_a_new_set(3)[-1]
+        text = canonical_dumps(report)
+        clones = [copy.copy(report), copy.deepcopy(report)]
+        clones += [pickle.loads(pickle.dumps(report, protocol)) for protocol in (0, pickle.HIGHEST_PROTOCOL)]
+        for clone in clones:
+            assert canonical_dumps(clone) == text
+            assert _refingerprint(clone) == report["fingerprint"]
+        clone = copy.deepcopy(report)
+        clone["constants"]["table"][0]["value"] = 7.0
+        assert canonical_dumps(clone) == canonical_dumps_recursive(clone) != text
+        assert canonical_dumps(report) == text
+
+    def test_seed_at_another_level_is_not_used(self):
+        report = _reports_of_a_new_set(3)[-1]
+        table = report["constants"]["table"]
+        assert canonical_dumps(table) == canonical_dumps_recursive(table)
+        assert canonical_dumps([{"t": table}]) == canonical_dumps_recursive([{"t": table}])
+
+    def test_seed_ignored_for_rows_that_are_not_dicts(self):
+        seed = EncodedTable([{"a": 1.0}])
+        canonical_dumps(seed)
+        table = EncodedTable([[1.0]], seed.text())
+        assert canonical_dumps(table) == canonical_dumps_recursive(table)
