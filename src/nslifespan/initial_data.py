@@ -20,21 +20,28 @@ field depends on x only through (r, |y|) with y the remaining d-2
 coordinates. |grad a|_d is amplitude * sigma times one constant per
 dimension, a product Gauss-Laguerre rule in that plane, 150 nodes in the
 planar radius and 64 in the axial one, whose nodes Newton's method finds
-from extrapolated starts (``_gauss_laguerre``). The constant is finite at
-every d: where the direct sum overflows it is summed in logarithms.
+from extrapolated starts (``_gauss_laguerre``). Its direct sum overflows
+from d = 1854 on, which is a DomainError; no certificate reaches those d,
+since the composite constants leave the doubles from d = 1024 on.
 
 The weighted semigroup norms
 
     K0(T)  = sup_{t in (0,T)} t^{(1-delta)/2} |u0(t)|_{d/delta},
     K0'(T) = sup_{t in (0,T)} t^{1/2} |grad u0(t)|_d,
 
-are closed forms too. On the evolution, t^{(1-delta)/2} |e^{t Lap} a|_{d/delta}
-is proportional to t^{(1-delta)/2} (sigma^2 + 2t)^{-(d+1-delta)/2}, which
-rises up to t* = (1 - delta) sigma^2 / (2d) and falls after it, so
-K0(T) is the weighted norm at min(T, t*). The gradient weight is the same
-function at delta = 0, so K0'(T) is its value at min(T, sigma^2 / (2d)).
-Both vanish as T -> 0+ and saturate at their peak as T -> infinity, and
-``k0_root``/``k0_prime_root`` invert them by Newton's method in log T.
+are closed forms too. On the evolution, |e^{t Lap} a|_{d/delta} is
+|a|_{d/delta} (1 + 2t/sigma^2)^{-(d+1-delta)/2}, and |grad e^{t Lap} a|_d is
+|grad a|_d (1 + 2t/sigma^2)^{-(d+1)/2}. So both weighted norms are one profile
+
+    norm0 t^a (1 + 2t/sigma^2)^{-b},
+
+with (a, b, norm0) = ((1-delta)/2, (d+1-delta)/2, |a|_{d/delta}) for K0 and
+the same exponents at delta = 0 with norm0 = |grad a|_d for K0'. The profile
+rises up to its peak time t* = a sigma^2 / (2 (b - a)) and falls after it,
+so K0(T) and K0'(T) are its value at min(T, t*) (``_weighted_norm``). Both
+vanish as T -> 0+ and saturate at their peak as T -> infinity, and
+``k0_root``/``k0_prime_root`` invert them by Newton's method in log T. Every
+evaluator, root and saturation time reads the one peak time (``_profile``).
 """
 
 from __future__ import annotations
@@ -54,8 +61,7 @@ __all__ = [
     "grad_norm",
     "k0_exact",
     "k0_prime_exact",
-    "k0_peak_time",
-    "k0_prime_peak_time",
+    "peak_times",
     "k0_root",
     "k0_prime_root",
     "check_theta",
@@ -98,36 +104,18 @@ class VortexGaussian:
     def evolve(self, t: float) -> "VortexGaussian":
         """Heat evolution e^{t Lap} a, exactly, inside the family.
 
-        The evolved field skips the constructor's checks, which hold by
-        construction for t > 0 once the width sqrt(sigma^2 + 2t) is finite:
-        d is the parent's, the width is positive and its square is at most
-        fl(sqrt(MAX))^2 < MAX, and the amplitude shrinks by a factor in
-        [0, 1]. A width that is not finite (t infinite or NaN, or
-        sigma^2 + 2t past the doubles) raises the constructor's error. So
-        does a zero field whose sigma^2 itself is past the doubles: its
-        sigma^2 is taken as infinite, as sigma * sigma would round it.
+        The evolved field goes through the constructor, so a width that is
+        not finite (t infinite or NaN, or sigma^2 + 2t past the doubles)
+        raises its error. So does a zero field whose sigma^2 itself is past
+        the doubles: sigma * sigma rounds it to infinity.
         """
         if t < 0:
             raise DomainError(f"evolution time must be nonnegative, got {t}")
         if t == 0:
             return self
-        try:
-            s2 = self.sigma**2
-        except OverflowError:  # only a zero field's sigma^2 leaves the doubles
-            s2 = math.inf
-        sigma, amplitude = _evolved(self.d, s2, self.amplitude, t)
-        evolved = object.__new__(VortexGaussian)
-        evolved.__dict__.update(d=self.d, sigma=sigma, amplitude=amplitude)
-        return evolved
-
-
-def _evolved(d: int, s2: float, amplitude: float, t: float) -> tuple[float, float]:
-    """Width and amplitude of e^{t Lap} a at t > 0, from d, sigma^2 = s2 and the amplitude of a."""
-    w2 = s2 + 2.0 * t
-    width = math.sqrt(w2)
-    if not w2 < math.inf:
-        raise DomainError(f"sigma must be positive and finite, got {width}")
-    return width, amplitude * (s2 / w2) ** ((d + 2) / 2.0)
+        s2 = self.sigma * self.sigma
+        w2 = s2 + 2.0 * t
+        return VortexGaussian(self.d, math.sqrt(w2), self.amplitude * (s2 / w2) ** ((self.d + 2) / 2.0))
 
 
 def lp_norm(data: VortexGaussian, p: float) -> float:
@@ -137,17 +125,10 @@ def lp_norm(data: VortexGaussian, p: float) -> float:
     and the Gaussian mass of the remaining d-2 coordinates:
 
         |a|_p^p = amp^p (2 pi s^2/p)^{(d-2)/2} * pi * Gamma(p/2 + 1) (2 s^2/p)^{(p+2)/2}.
-
-    The closed form is ``_lp_closed_form``, which ``k0_exact`` applies to the
-    evolved width and amplitude without building the evolved field.
     """
     if p < 1:
         raise DomainError(f"lp_norm requires p >= 1, got {p}")
-    return _lp_closed_form(data.d, data.sigma, data.amplitude, p)
-
-
-def _lp_closed_form(d: int, s: float, amplitude: float, p: float) -> float:
-    """|a|_p for the vortex of dimension d, width s and the given amplitude, p >= 1."""
+    d, s, amplitude = data.d, data.sigma, data.amplitude
     if amplitude == 0:
         return 0.0
     if not 2.0 * s * s / p > 0.0:
@@ -279,9 +260,9 @@ def _grad_unit_constant(d: int) -> float:
     omega_{d-2} = 2 pi^{(d-2)/2} / Gamma((d-2)/2), which leaves the
     prefactor 4 pi^{d/2} d^{-2} (2/d)^{(d-4)/2}. It is taken in logarithms
     because (2/d)^{(d-4)/2} underflows at a few hundred dimensions. Where
-    Q^{d/2} overflows at the largest nodes (from d = 1854 on), the sum
-    is taken in logarithms too, with its largest term factored out; every
-    other d keeps the bits of the direct sum.
+    Q^{d/2} overflows at the largest nodes (from d = 1854 on), the constant
+    is a DomainError; every certificate has d < 1024, where the composite
+    constants stay inside the doubles.
     """
     u, wu = _gauss_laguerre(_GAUSS_NODES, 0.0)
     v, wv = _gauss_laguerre(_AXIAL_NODES, (d - 4) / 2.0)
@@ -291,18 +272,10 @@ def _grad_unit_constant(d: int) -> float:
             wi * math.fsum(wj * (2.0 - 4.0 * ui / d + 4.0 * ui * (ui + vj) / dd) ** power for vj, wj in zip(v, wv))
             for ui, wi in zip(u, wu)
         )
-    except OverflowError:  # Q^{d/2} beyond the doubles: sum in logs, the largest term factored out
-        logs = [
-            math.log(wi) + math.log(wj) + power * math.log(2.0 - 4.0 * ui / d + 4.0 * ui * (ui + vj) / dd)
-            for ui, wi in zip(u, wu)
-            for vj, wj in zip(v, wv)
-        ]
-        top = max(logs)
-        log_total = top + math.log(math.fsum([math.exp(term - top) for term in logs]))
-    else:
-        log_total = math.log(total)
+    except OverflowError:
+        raise DomainError(f"the gradient constant's sum leaves the range of the doubles for d={d}") from None
     log_scale = math.log(4.0 / (d * d)) + (d / 2.0) * math.log(math.pi) + ((d - 4) / 2.0) * math.log(2.0 / d)
-    return math.exp((log_scale + log_total) / d)
+    return math.exp((log_scale + math.log(total)) / d)
 
 
 def grad_norm(data: VortexGaussian) -> float:
@@ -317,92 +290,53 @@ def grad_norm(data: VortexGaussian) -> float:
     return data.amplitude * data.sigma * _grad_unit_constant(data.d)
 
 
-def k0_exact(data: VortexGaussian, delta: float, T: float) -> float:
-    """sup_{t in (0,T)} t^{(1-delta)/2} |e^{t Lap} a|_{d/delta}, in closed form.
+def _profile(d: int, delta: float, s2: float) -> tuple[float, float, float]:
+    """(a, b, t*) of the K0 profile norm0 t^a (1 + 2t/s2)^{-b}; delta = 0 gives the K0' profile.
 
-    The weighted norm peaks at t* = (1 - delta) sigma^2 / (2d) (module
-    docstring), so the supremum is its value at min(T, t*). T = infinity
-    is allowed. The value is t^{(1-delta)/2} lp_norm(data.evolve(t), d/delta)
-    at t = min(T, k0_peak_time(data, delta)), bit for bit, but computed from
-    the evolved width and amplitude (``_evolved``) and the L_p closed form
-    (``_lp_closed_form``) without building the evolved field.
+    a = (1-delta)/2 and b = (d+1-delta)/2, and the profile peaks at
+    t* = a s2 / (2 (b - a)). For norm0 > 0 it is positive at every t > 0,
+    so a t* that underflows to 0 has no clamp that gives it: DomainError.
     """
-    if not 0.0 < delta < 1.0:
-        _check_delta(delta)
-    amplitude = data.amplitude
-    if amplitude == 0:
+    a, b = (1.0 - delta) / 2.0, (d + 1.0 - delta) / 2.0
+    t_peak = a * s2 / (2.0 * (b - a))
+    if not t_peak > 0.0:
+        raise DomainError(f"the peak time of the weighted norm leaves the range of the doubles for sigma^2={s2}")
+    return a, b, t_peak
+
+
+def _weighted_norm(norm0: float, d: int, delta: float, s2: float, T: float) -> float:
+    """norm0 t^a (1 + 2t/s2)^{-b} at t = min(T, t*), the supremum of the profile over (0, T).
+
+    T = infinity is allowed. norm0 = 0 (the zero field, whose s2 may be
+    infinite) gives 0.0 at every T.
+    """
+    if norm0 == 0.0:
         return 0.0
     if not T > 0:
         raise DomainError(f"horizon T must be positive, got {T}")
-    d, width = data.d, data.sigma
-    s2 = width**2
-    t = min(T, (1.0 - delta) * s2 / (2.0 * d))
-    if t > 0:  # the peak time underflows to 0 only for a tiny sigma
-        width, amplitude = _evolved(d, s2, amplitude, t)
-    return t ** ((1.0 - delta) / 2.0) * _lp_closed_form(d, width, amplitude, d / delta)
+    a, b, t_peak = _profile(d, delta, s2)
+    t = min(T, t_peak)
+    return norm0 * t**a * (1.0 + 2.0 * t / s2) ** -b
 
 
-def k0_prime_exact(data: VortexGaussian, T: float) -> float:
-    """sup_{t in (0,T)} t^{1/2} |grad e^{t Lap} a|_d, at min(T, sigma^2/(2d)).
+def _weighted_norm_root(norm0: float, d: int, delta: float, s2: float, y: float) -> float:
+    """Approximate largest T with _weighted_norm(norm0, d, delta, s2, T) <= y.
 
-    The value is sqrt(t) grad_norm(data.evolve(t)) at
-    t = min(T, k0_prime_peak_time(data)), bit for bit, computed from the
-    evolved width and amplitude (``_evolved``) without building the evolved
-    field.
-    """
-    amplitude = data.amplitude
-    if amplitude == 0:
-        return 0.0
-    if not T > 0:
-        raise DomainError(f"horizon T must be positive, got {T}")
-    d, width = data.d, data.sigma
-    s2 = width**2
-    t = min(T, s2 / (2.0 * d))
-    if t > 0:
-        width, amplitude = _evolved(d, s2, amplitude, t)
-    return math.sqrt(t) * (amplitude * width * _grad_unit_constant(d))
-
-
-def k0_peak_time(data: VortexGaussian, delta: float) -> float:
-    """The time (1 - delta) sigma^2/(2d) at which ``k0_exact`` stops changing; inf for the zero field.
-
-    ``k0_exact`` clamps T to this double, so it gives bit for bit the same
-    value at every T at or above it.
-    """
-    if data.amplitude == 0:  # sigma^2 may overflow; K0 is 0 at every T
-        return math.inf
-    return (1.0 - delta) * data.sigma**2 / (2.0 * data.d)
-
-
-def k0_prime_peak_time(data: VortexGaussian) -> float:
-    """The time sigma^2/(2d) at which ``k0_prime_exact`` stops changing; inf for the zero field."""
-    if data.amplitude == 0:
-        return math.inf
-    return data.sigma**2 / (2.0 * data.d)
-
-
-def _weighted_norm_root(norm0: float, a: float, b: float, s2: float, y: float) -> float:
-    """Approximate largest T with norm0 t^a (1 + 2t/s2)^{-b} <= y, t = min(T, t*).
-
-    That is K0 (a = (1-delta)/2, b = (d+1-delta)/2) or K0' (delta = 0), with
-    norm0 the norm at t = 0 and t* = a s2 / (2 (b - a)) the peak. Returns
-    0.0 when y <= 0 and inf when y is at or above the peak value. The log
-    of the weighted norm is concave and increasing in u = log t below t*,
-    and the small-T power-law root (y / norm0)^{1/a} lies below the root,
-    so Newton in u rises monotonically to it. An underflowing root is
-    returned as the smallest positive double.
+    Returns 0.0 when y <= 0 and inf when y is at or above the value at
+    the peak t*. The log of the profile is concave and increasing in
+    u = log t below t*, and the small-T power-law root (y / norm0)^{1/a}
+    lies below the root, so Newton in u rises monotonically to it. An
+    underflowing root is returned as the smallest positive double.
     """
     if norm0 == 0.0:
         return math.inf if y >= 0.0 else 0.0
     if y <= 0.0:
         return 0.0
-    log_ratio = math.log(y) - math.log(norm0)
-    t_peak = a * s2 / (2.0 * (b - a))
-    if not t_peak > 0.0:
-        raise DomainError(f"the peak time of the weighted norm leaves the range of the doubles for sigma^2={s2}")
-    u_peak = math.log(t_peak)
-    if log_ratio >= a * u_peak - b * math.log1p(2.0 * math.exp(u_peak) / s2):
+    a, b, t_peak = _profile(d, delta, s2)
+    if y >= _weighted_norm(norm0, d, delta, s2, t_peak):
         return math.inf
+    log_ratio = math.log(y) - math.log(norm0)
+    u_peak = math.log(t_peak)
     u = min(log_ratio / a, u_peak)
     for _ in range(_NEWTON_STEPS):
         x = 2.0 * math.exp(u) / s2
@@ -416,17 +350,42 @@ def _weighted_norm_root(norm0: float, a: float, b: float, s2: float, y: float) -
     return max(math.exp(u), math.ulp(0.0))
 
 
+def k0_exact(data: VortexGaussian, delta: float, T: float) -> float:
+    """sup_{t in (0,T)} t^{(1-delta)/2} |e^{t Lap} a|_{d/delta}: the profile of |a|_{d/delta} (module docstring)."""
+    if not 0.0 < delta < 1.0:
+        _check_delta(delta)
+    d = data.d
+    return _weighted_norm(lp_norm(data, d / delta), d, delta, data.sigma * data.sigma, T)
+
+
+def k0_prime_exact(data: VortexGaussian, T: float) -> float:
+    """sup_{t in (0,T)} t^{1/2} |grad e^{t Lap} a|_d: the profile of |grad a|_d at delta = 0."""
+    return _weighted_norm(grad_norm(data), data.d, 0.0, data.sigma * data.sigma, T)
+
+
 def k0_root(data: VortexGaussian, delta: float, y: float) -> float:
     """Approximate largest T with k0_exact(data, delta, T) <= y; no evaluator calls."""
     d = data.d
-    return _weighted_norm_root(
-        lp_norm(data, d / delta), (1.0 - delta) / 2.0, (d + 1.0 - delta) / 2.0, data.sigma * data.sigma, y
-    )
+    return _weighted_norm_root(lp_norm(data, d / delta), d, delta, data.sigma * data.sigma, y)
 
 
 def k0_prime_root(data: VortexGaussian, y: float) -> float:
     """Approximate largest T with k0_prime_exact(data, T) <= y; no evaluator calls."""
-    return _weighted_norm_root(grad_norm(data), 0.5, (data.d + 1.0) / 2.0, data.sigma * data.sigma, y)
+    return _weighted_norm_root(grad_norm(data), data.d, 0.0, data.sigma * data.sigma, y)
+
+
+def peak_times(data: VortexGaussian, delta: float) -> tuple[float, float]:
+    """The peak times of K0 and K0', the doubles ``k0_exact`` and ``k0_prime_exact`` clamp T to.
+
+    From each on, its evaluator gives bit for bit its value at infinity.
+    Both are inf for the zero field, which never saturates (its sigma^2
+    may overflow); a nonzero field whose peak time underflows to 0 raises
+    DomainError.
+    """
+    if data.amplitude == 0:
+        return math.inf, math.inf
+    s2 = data.sigma * data.sigma
+    return _profile(data.d, delta, s2)[2], _profile(data.d, 0.0, s2)[2]
 
 
 @dataclass(frozen=True)

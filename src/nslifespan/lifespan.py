@@ -95,6 +95,9 @@ class KatoEvaluator:
     positive T. Searches confirm any other answer by a probe.
     ``saturation`` is a time from which on fn(T) is bit for bit fn(inf),
     or inf where none is known; the coupled route does not probe past it.
+    On vortex data fn clamps T to the profile's peak time and the
+    saturation is that same double (``initial_data.peak_times``); the vortex
+    root is inf exactly where y is at or above fn at the peak.
     """
 
     fn: Callable[[float], float]
@@ -135,22 +138,17 @@ class KatoBoundState:
 
 
 def state_from_vortex(data: idmod.VortexGaussian, delta: float) -> KatoBoundState:
-    """Exact evaluators from the closed-form vortex evolution, saturating at the peak times."""
+    """Exact evaluators from the closed-form vortex evolution, saturating at the peak times they clamp to."""
     constants = composite_constants(data.d, delta)
+    k0_peak, k0_prime_peak = idmod.peak_times(data, delta)
     return KatoBoundState(
         d=data.d,
         delta=delta,
         k0=KatoEvaluator(
-            lambda T: idmod.k0_exact(data, delta, T),
-            True,
-            lambda y: idmod.k0_root(data, delta, y),
-            idmod.k0_peak_time(data, delta),
+            lambda T: idmod.k0_exact(data, delta, T), True, lambda y: idmod.k0_root(data, delta, y), k0_peak
         ),
         k0_prime=KatoEvaluator(
-            lambda T: idmod.k0_prime_exact(data, T),
-            True,
-            lambda y: idmod.k0_prime_root(data, y),
-            idmod.k0_prime_peak_time(data),
+            lambda T: idmod.k0_prime_exact(data, T), True, lambda y: idmod.k0_prime_root(data, y), k0_prime_peak
         ),
         constants=constants,
         notes=(f"vortex_gaussian d={data.d} sigma={data.sigma} amplitude={data.amplitude}",),

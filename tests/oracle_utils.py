@@ -380,16 +380,16 @@ def kato_norms_mpmath(data: VortexGaussian, delta: float, T: float, grad_unit: f
 def k0_by_evolution(data: initial_data.VortexGaussian, delta: float, T: float) -> float:
     """``k0_exact`` as the composition of the evolved field and its L_p norm.
 
-    t^{(1-delta)/2} |e^{t Lap} a|_{d/delta} at t = min(T, t*), built with the
-    package's ``evolve`` and ``lp_norm``. The evaluator computes the same
-    doubles from the evolved width and amplitude directly.
+    t^{(1-delta)/2} |e^{t Lap} a|_{d/delta} at t = min(T, (1 - delta) sigma^2/(2d)),
+    built with the package's ``evolve`` and ``lp_norm``. The evaluator
+    computes the profile |a|_{d/delta} t^a (1 + 2t/sigma^2)^{-b} instead.
     """
     _check_delta(delta)
     if data.amplitude == 0:
         return 0.0
     if not T > 0:
         raise DomainError(f"horizon T must be positive, got {T}")
-    t = min(T, initial_data.k0_peak_time(data, delta))
+    t = min(T, (1.0 - delta) * data.sigma**2 / (2.0 * data.d))
     evolved = initial_data.VortexGaussian.evolve(data, t)
     return t ** ((1.0 - delta) / 2.0) * initial_data.lp_norm(evolved, data.d / delta)
 
@@ -400,7 +400,7 @@ def k0_prime_by_evolution(data: initial_data.VortexGaussian, T: float) -> float:
         return 0.0
     if not T > 0:
         raise DomainError(f"horizon T must be positive, got {T}")
-    t = min(T, initial_data.k0_prime_peak_time(data))
+    t = min(T, data.sigma**2 / (2.0 * data.d))
     return math.sqrt(t) * initial_data.grad_norm(initial_data.VortexGaussian.evolve(data, t))
 
 

@@ -587,7 +587,17 @@ class TestRuns:
                 "delta": 0.5,
                 "data": {"family": "vortex_gaussian", "sigma": 2.3e-162, "amplitude": 1.0},
             },
-            "2 sigma^2/p leaves the range of the doubles for sigma=2.3e-162, p=6.0",
+            "the peak time of the weighted norm leaves the range of the doubles for sigma^2=5e-324",
+        ),
+        "vortex_thm31_k0_peak_time_underflows": (
+            # the peak time of K0 underflows while that of K0' does not; K0 is positive at every T > 0
+            {
+                "d": 3,
+                "mode": "thm31",
+                "delta": 0.97,
+                "data": {"family": "vortex_gaussian", "sigma": 1e-161, "amplitude": 1.0},
+            },
+            "the peak time of the weighted norm leaves the range of the doubles for sigma^2=1e-322",
         ),
         "vortex_tiny_delta_scaled_sigma_squared_underflows": (
             {"d": 3, "mode": "thm41", "delta": 1e-140, "data": {"family": "vortex_gaussian", "sigma": 1e-154, "amplitude": 1.0}},
@@ -775,12 +785,12 @@ class TestGoldenReports:
     DIGESTS = {
         "abstract_parabolic": "1ad32bc0c17d0c1cfed55dd8e410cfbd52ddff90dc85c39ec4c72e8b207e6a0c",
         "explicit_from_norms": "584325e0e35579e6064712ce57f60f8d48e2977d58086c1c187b3f300aef4cb0",
-        "forced_small": "ab16c2103a77816935af6a68a3478ee9c79bec110a4e61f5540613de46d62ec7",
+        "forced_small": "70c3a285de0397ab1c1e14dd9400f7fabd40f5aa141a0ccb7d4b3abf8149058a",
         "global_large_data": "1c4d3f663827bab13455740fd8f9df04b35c2b422aa0068fc0250b92d10ebfc5",
         "global_small_data": "2d32fd68dd8e2b7bd711a54636ec3ac324ad5a1822ff1bedb26299bf7992e2e5",
         "mixed_norms_demo": "71589c64844faaf7e89f7d037cd13f6399d94834098e674a8a461b478af9f69c",
-        "thm31_delta_grid": "bff8bb17619938823e877ee0e7ee6bef226bedc1c21897788b469a21e3a1164e",
-        "thm41_vortex": "e51eebd2be1966dfdf1e3ba19a2cf966557e3428244dab445e611a0c915a0b95",
+        "thm31_delta_grid": "0c22ed78ca50731c02dd8e7010c5232aeb4324cc68e09421a61215065989bb4f",
+        "thm41_vortex": "e33370e46785632371fcfd47bf02b295750cb28ae243707512db531946a5671b",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -973,24 +983,24 @@ class TestGoldenCorpus:
     and entry prefixes. A mismatch names the entries whose outcome changed.
     """
 
-    DIGEST = "0b62d1b0429238a9eae2d47a6513a790acfa6747f29f68e6042f575811d40284"
+    DIGEST = "7ac33623b4904e01d20531d5068cff4d495fe2fb78fdc2ecf4f59919c188e594"
     # the first 8 hex digits of each entry's outcome sha256, in corpus order
     ENTRY_PREFIXES = """
-        81e3b62b 4b81d9a6 ae284f39 23a3a8ea 11dcf781 9aad093e f0a1fe6a c18dc9dd 22ac7220 fce1153e
-        0f93f0a9 f6d98126 b32a39ee 1016b002 4d74e473 b54892d7 bc4a886e 02d23d9b 2920cf75 78294111
-        adf2fcfb 94576657 04ca453b f24fa929 35af8258 2920cc0d 5b6fea2b 64aa9321 e03f59db 7c6f39b3
+        e331f353 f5fee11e 88ceb4b9 297de11e 76446096 9aad093e f0a1fe6a c18dc9dd 22ac7220 fce1153e
+        0f93f0a9 58736025 5b7170f6 f9adb9c3 9e124e90 b54892d7 bc4a886e 02d23d9b 2920cf75 78294111
+        0ddb16fb 94576657 04ca453b a5dfc1aa 0babda80 2920cc0d 5b6fea2b 64aa9321 e03f59db 7c6f39b3
         c37c592e 6facf8ad 93085fec 92b6f496 2ab8713c 4567950e 6e27fb49 fd11a20e 4a0e2797 f589a496
         df2f0a91 bf636734 089cfb47 bb0a2198 087b844d 8a6343ff f3d7b765 9ee05ad9 4efb39a0 592de540
         6e2bd025 b2753958 12a8ca04 d13f2328 7c36ba1b a78b769a 52bfc565 728c5953 742cf805 f0a40824
-        318ce37f acafb2e2 1f75b060 ab339d72 b91f04e4 743ec3e0 be415dca 28233d4b 4297caba 414cebe5
-        a15789ca 9786b459 83175d3a f804a2d3 36195ea4 8de44b86 13a6f8c5 7b207755 27b421eb d69a699c
-        3d5ccfdf 6483234b c9074de4 c64d0b2c 77de4074 50ca8660 de9ec19f 1d17ad6d 6ab3d6b2 9de34b5f
+        79e4038a 44f5d355 9870b539 ab339d72 428e82d3 743ec3e0 be415dca 28233d4b 4297caba 414cebe5
+        9dd4f679 c06d56a6 8801a46b edc6fb88 8d5f3225 8de44b86 13a6f8c5 7b207755 27b421eb d69a699c
+        d12098de 4e64620b 506100ff 3fdd2a16 97b10109 50ca8660 de9ec19f 1d17ad6d 6ab3d6b2 9de34b5f
         bcfab2fe 1ea45cbd 832a67cf c1243aeb 5ba11a22 2f0a8ca9 040c99b4 ebd42eea d85af6b6 b0fb6f4f
         e7dacc23 16382b54 23a9f2b2 e02cd97c 5d3924f3 45a6e4bd 8bcce51a 9285bb9e 8c071e1e 37f7557a
         8565f499 d0a06608 ba14fd47 6cc97db8 12502915 06a1d186 eef4028a 336b661e e829f573 2b6418cd
-        46e1f632 3e7e6322 2d0a01df 3b3b6587 857a8195 1661a9b4 bded9aa3 c296b4a8 dbe28f44 a7b59db9
-        e33f3854 1f7adbbc 57159d69 2af29072 955b3c9b 99531bbf c77e6e98 99d3a5b2 8719abba 9549322a
-        c46499f3 f32d6f7f 211a43dd 46716fa8 3ca79a0e cac6b6cc 912ec54d 11987eed f543841d 0eb9a33c
+        28c62aaf c4948b41 bea3e900 6cacecf4 857a8195 1661a9b4 bded9aa3 c296b4a8 dbe28f44 a7b59db9
+        98081134 98e8081b 10797e03 2af29072 955b3c9b 99531bbf c77e6e98 99d3a5b2 8719abba 9549322a
+        c46499f3 02594ef9 211a43dd 8f9b72ac 986fe98a cac6b6cc 912ec54d 11987eed f543841d 0eb9a33c
         ad95853a 8a725a92 87a844fd 4967d35b 3d88749f c3fefcc7 b04d6182 2d17eedb 276b6f26 e401871e
         29ddccf3 cb00ea53 22a1798b ba0c64ff a38feedf 9e6d54c4 f70c0c53 340a1d33 3ff92d46 39e709e6
         c4ee14df e5245b15 d756276d 78bb5c05 dd5e11bf 1a147dc8 c6d0313f 83fa64bb 6a25aca5 1ea776a9

@@ -20,14 +20,13 @@ from nslifespan.initial_data import (
     grad_norm,
     k0_bound_from_norms,
     k0_exact,
-    k0_peak_time,
     k0_prime_bound_from_norms,
     k0_prime_exact,
-    k0_prime_peak_time,
     k0_prime_root,
     k0_root,
     lp_norm,
     norm_bundle_from_vortex,
+    peak_times,
 )
 from oracle_utils import VortexGaussian
 
@@ -176,9 +175,11 @@ class TestGradNorm:
 
     def test_constant_past_the_direct_sum_matches_scaled_quadrature(self):
         # Q^{d/2} overflows the 150-node rule's direct sum from d = 963 on; the 64-node axial
-        # rule sums 963 and 1000 directly and 2000 in logarithms
-        for d in (963, 1000, 2000):
+        # rule sums 963 and 1000 directly, and its sum overflows at 2000
+        for d in (963, 1000):
             assert _grad_unit_constant(d) == pytest.approx(oracle.grad_unit_constant_scaled_quad(d), rel=1e-12, abs=0.0)
+        with pytest.raises(DomainError, match="^the gradient constant's sum leaves the range of the doubles for d=2000$"):
+            _grad_unit_constant(2000)
 
     def test_constants_match_benchmark_reference(self):
         stored = json.loads((REPO_ROOT / "perfbench" / "grad_unit_constants.json").read_text(encoding="utf-8"))
@@ -213,13 +214,9 @@ class TestHeatEvolution:
         return type(field).__name__, field.d, field.sigma.hex(), field.amplitude.hex()
 
     def test_evolve_rejects_exactly_what_the_constructor_rejects(self, rng):
-        # evolve skips the constructor's checks; building the evolved field
-        # through the constructor runs all of them
+        # the evolved width and amplitude, built through the constructor
         def constructed(data, t):
-            try:
-                s2 = data.sigma**2
-            except OverflowError:  # sigma^2 of a zero field, past the doubles: sigma * sigma rounds it to inf
-                s2 = math.inf
+            s2 = data.sigma * data.sigma  # a zero field's sigma^2 may round to inf
             w2 = s2 + 2.0 * t
             return idmod.VortexGaussian(data.d, math.sqrt(w2), data.amplitude * (s2 / w2) ** ((data.d + 2) / 2.0))
 
@@ -370,9 +367,8 @@ class TestWeightedSup:
         # the coupled route does not probe past these times, so every horizon from
         # the exact double on must give the value at infinity bit for bit
         data = VortexGaussian(d, sigma, amplitude)
-        evaluators = ((k0_peak_time(data, delta), lambda T: k0_exact(data, delta, T)),
-                      (k0_prime_peak_time(data), lambda T: k0_prime_exact(data, T)))
-        for peak, fn in evaluators:
+        evaluators = (lambda T: k0_exact(data, delta, T), lambda T: k0_prime_exact(data, T))
+        for peak, fn in zip(peak_times(data, delta), evaluators):
             assert 0.0 < peak < math.inf
             at_infinity = fn(math.inf).hex()
             for T in (peak, math.nextafter(peak, math.inf), peak * (1.0 + 1e-9), 2.0 * peak, 1e300 * peak):
@@ -382,7 +378,18 @@ class TestWeightedSup:
     def test_zero_field_never_saturates(self, sigma):
         # sigma^2 overflows at 1e200, which a zero field allows
         data = VortexGaussian(3, sigma, 0.0)
-        assert k0_peak_time(data, 0.3) == math.inf and k0_prime_peak_time(data) == math.inf
+        assert peak_times(data, 0.3) == (math.inf, math.inf)
+
+    def test_underflowing_peak_time_is_an_error_for_every_reader(self):
+        # K0 of this field is positive at every T > 0, but its peak time underflows to 0;
+        # K0''s peak time does not
+        data = VortexGaussian(3, 1e-161, 1.0)
+        message = "^the peak time of the weighted norm leaves the range of the doubles for sigma\\^2=1e-322$"
+        for read in (lambda: k0_exact(data, 0.97, 1e-300), lambda: k0_exact(data, 0.97, math.inf),
+                     lambda: k0_root(data, 0.97, 1e-3), lambda: peak_times(data, 0.97)):
+            with pytest.raises(DomainError, match=message):
+                read()
+        assert k0_prime_exact(data, math.inf) > 0.0 and peak_times(data, 0.5)[1] > 0.0
 
     def test_roots_of_zero_data(self):
         data = VortexGaussian(3, 1.0, 0.0)
@@ -390,8 +397,8 @@ class TestWeightedSup:
         assert k0_root(data, 0.3, -1e-9) == 0.0 and k0_prime_root(data, -1.0) == 0.0
 
     def test_evaluators_equal_the_evolved_field_composition(self, rng):
-        # k0_exact and k0_prime_exact skip building the evolved field; their
-        # doubles must be those of the composition through evolve and the norms
+        # k0_exact and k0_prime_exact evaluate the profile norm0 t^a (1 + 2t/sigma^2)^{-b};
+        # they must agree with the composition through evolve and the norms to rounding
         cases = [(VortexGaussian(d, 1.0, 0.0), 0.5, T) for d in (3, 7) for T in (5e-324, 1.0, math.inf)]
         for _ in range(6000):
             data = VortexGaussian(
@@ -399,11 +406,11 @@ class TestWeightedSup:
             )
             delta = float(rng.uniform(1e-3, 0.97))
             horizons = [10.0 ** rng.uniform(-40.0, 4.0), math.inf, 5e-324]
-            horizons += [k0_peak_time(data, delta), k0_prime_peak_time(data)]
+            horizons += list(peak_times(data, delta))
             cases += [(data, delta, T) for T in horizons]
         for data, delta, T in cases:
-            assert k0_exact(data, delta, T) == oracle.k0_by_evolution(data, delta, T), (data, delta, T)
-            assert k0_prime_exact(data, T) == oracle.k0_prime_by_evolution(data, T), (data, T)
+            assert k0_exact(data, delta, T) == pytest.approx(oracle.k0_by_evolution(data, delta, T), rel=1e-14, abs=0.0)
+            assert k0_prime_exact(data, T) == pytest.approx(oracle.k0_prime_by_evolution(data, T), rel=1e-14, abs=0.0)
 
     def test_brute_force_grid_agrees(self):
         data = VortexGaussian(3, 1.0, 1.0)

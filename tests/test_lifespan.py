@@ -419,6 +419,55 @@ class TestEnvelopeHorizonIsLargestDouble:
             assert replay_certificate(cert).all_passed
 
 
+class TestNavierStokesScaling:
+    """lam^2 t0 of the data scaled by u -> lam u(lam x, lam^2 t) is t0, for lam in [1e-20, 1e20].
+
+    The scaling maps the vortex (amplitude, sigma) to (lam^2 amplitude,
+    sigma/lam); a norm bundle keeps |a|_d and scales |grad a|_d by lam.
+    A horizon of 0 (infeasible) or infinity (global) maps to itself exactly.
+    """
+
+    DRAWS = 150
+
+    @staticmethod
+    def _assert_scales(t0, t0_scaled, lam):
+        if t0 in (0.0, math.inf):
+            assert t0_scaled == t0
+        else:
+            assert lam**2 * t0_scaled == pytest.approx(t0, rel=1e-12, abs=0.0)
+
+    @staticmethod
+    def _draw(rng):
+        return int(rng.integers(3, 6)), float(rng.uniform(0.05, 0.95)), 10.0 ** rng.uniform(-20.0, 20.0)
+
+    def test_thm41_vortex(self, rng):
+        horizons = set()
+        for _ in range(self.DRAWS):
+            d, delta, lam = self._draw(rng)
+            sigma = 10.0 ** rng.uniform(math.log10(0.005), math.log10(5.0))
+            amplitude = 10.0 ** rng.uniform(-5.0, 2.0) / sigma**2  # amplitude * sigma^2 is invariant
+            t0 = theorem41_bound(state_from_vortex(VortexGaussian(d, sigma, amplitude), delta)).t0
+            scaled = VortexGaussian(d, sigma / lam, lam**2 * amplitude)
+            self._assert_scales(t0, theorem41_bound(state_from_vortex(scaled, delta)).t0, lam)
+            horizons.add(math.inf if t0 == math.inf else "finite")
+        assert horizons == {math.inf, "finite"}
+
+    def test_theta_free_bundles(self, rng):
+        horizons = set()
+        for _ in range(self.DRAWS):
+            d, delta, lam = self._draw(rng)
+            a_d = 10.0 ** rng.uniform(-6.0, -3.0)
+            grad = 10.0 ** rng.uniform(-6.0, 1.0) if rng.random() < 0.8 else None
+            bundle = NormBundle({float(d): a_d}, grad_d_norm=grad)
+            scaled = NormBundle({float(d): a_d}, grad_d_norm=None if grad is None else lam * grad)
+            t0 = theorem41_bound(state_from_norms(bundle, d, delta)).t0
+            self._assert_scales(t0, theorem41_bound(state_from_norms(scaled, d, delta)).t0, lam)
+            horizons.add(t0 if t0 in (0.0, math.inf) else "finite")
+            if grad is not None:
+                self._assert_scales(theorem41_explicit(bundle, d, delta).t0, theorem41_explicit(scaled, d, delta).t0, lam)
+        assert horizons == {0.0, math.inf, "finite"}
+
+
 def _rootless(state):
     """The state with the roots removed: theorem41_bound then bisects all 63 levels unbracketed."""
     return replace(
