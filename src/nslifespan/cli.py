@@ -30,7 +30,7 @@ from .extensions import (
     forced_lifespan,
 )
 from .initial_data import NormBundle, VortexGaussian, lp_norm, norm_bundle_from_vortex
-from .jsonio import EncodedTable, canonical_dumps, fingerprint
+from .jsonio import canonical_dumps, fingerprint
 from .lifespan import (
     LifespanCertificate,
     global_certificate,
@@ -276,6 +276,18 @@ def _abstract_parabolic_result(block: Mapping) -> tuple[dict, bool, list]:
     return result, True, replay_rows
 
 
+# the ConstantSet scalars that each route reads, by the certificate's theorem
+# (forced certifies as thm41) or by mode mixed_norms; a report's constants
+# table holds these, and --print-constants prints every constant
+_REPORTED_CONSTANTS = {
+    "thm31": ("j1", "j2"),
+    "thm41": ("j_bar", "c2"),
+    "thm41-explicit": ("j_bar", "c2"),
+    "global": ("s1", "s2", "j_bar", "c2"),
+    "mixed_norms": ("j_bar", "c3"),
+}
+
+
 def build_report(config: Mapping) -> tuple[dict, bool]:
     """Run the configured certification and assemble the full report.
 
@@ -296,26 +308,22 @@ def build_report(config: Mapping) -> tuple[dict, bool]:
     all_passed = all(row["passed"] for row in replay_rows)
 
     constants_block: dict[str, Any] = {}
-    kept: list = []
     if mode != "abstract_parabolic":
         # after a grid sweep the table reflects the winning delta
         delta_for_table = deltas[0]
+        route = mode
         if "certificate" in result:
             delta_for_table = float(result["certificate"]["delta_used"])
+            route = result["certificate"]["theorem"]
         cs = composite_constants(d, delta_for_table)
-        # kept is [] before the set's first report, [None] after it and
-        # [None, seed] from its second on, so a set that reports once keeps
-        # no text. The table is encoded once, by the fingerprint below,
-        # unless seeded with the kept text; later encodings reuse the text.
-        kept = cs.report_table_text
-        table = EncodedTable(
-            ({"name": name, "value": value, "formula": formula} for name, value, formula in cs.table),
-            kept[-1] if kept else None,
-        )
+        table = [
+            {"name": name, "value": getattr(cs, name), "formula": cs.provenance[name]}
+            for name in _REPORTED_CONSTANTS[route]
+        ]
         constants_block = {"d": d, "delta": delta_for_table, "table": table}
 
     report = {
-        "schema_version": "1",
+        "schema_version": "2",
         "package_version": __version__,
         "config": dict(config),
         "constants": constants_block,
@@ -327,8 +335,6 @@ def build_report(config: Mapping) -> tuple[dict, bool]:
         "fingerprint": "",
     }
     report["fingerprint"] = fingerprint({k: v for k, v in report.items() if k != "fingerprint"})
-    if constants_block and len(kept) < 2:
-        kept.append(table.text() if kept else None)
     return report, feasible and all_passed
 
 

@@ -337,17 +337,8 @@ class ConstantSet:
         return self.c3 / (self.d * self.d)
 
     @cached_property
-    def report_table_text(self) -> list:
-        """Where ``cli.build_report`` keeps the canonical text of this set's report table.
-
-        Nothing else reads or writes it. It lives and dies with the set,
-        in ``_composite``'s cache.
-        """
-        return []
-
-    @cached_property
     def table(self) -> tuple[tuple[str, float, str], ...]:
-        """Flat (name, value, formula) rows for reports and the CLI table, built once."""
+        """Flat (name, value, formula) rows of every constant, for ``--print-constants``; built once."""
         rows: list[tuple[str, float, str]] = []
         for p, v in sorted(self.ks.items()):
             rows.append((f"K_S({self.d},{p:g})", v, "sharp Sobolev (Talenti) constant"))

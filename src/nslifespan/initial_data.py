@@ -322,11 +322,12 @@ def _weighted_norm(norm0: float, d: int, delta: float, s2: float, T: float) -> f
 def _weighted_norm_root(norm0: float, d: int, delta: float, s2: float, y: float) -> float:
     """Approximate largest T with _weighted_norm(norm0, d, delta, s2, T) <= y.
 
-    Returns 0.0 when y <= 0 and inf when y is at or above the value at
-    the peak t*. The log of the profile is concave and increasing in
-    u = log t below t*, and the small-T power-law root (y / norm0)^{1/a}
-    lies below the root, so Newton in u rises monotonically to it. An
-    underflowing root is returned as the smallest positive double.
+    Returns 0.0 when y <= 0 or norm0 is inf, and inf when y is at or
+    above the value at the peak t*. The log of the profile is concave and
+    increasing in u = log t below t*, and the small-T power-law root
+    (y / norm0)^{1/a} lies below the root, so Newton in u rises
+    monotonically to it. An underflowing root is returned as the smallest
+    positive double.
     """
     if norm0 == 0.0:
         return math.inf if y >= 0.0 else 0.0
@@ -335,6 +336,8 @@ def _weighted_norm_root(norm0: float, d: int, delta: float, s2: float, y: float)
     a, b, t_peak = _profile(d, delta, s2)
     if y >= _weighted_norm(norm0, d, delta, s2, t_peak):
         return math.inf
+    if norm0 == math.inf:  # the profile is inf at every T > 0
+        return 0.0
     log_ratio = math.log(y) - math.log(norm0)
     u_peak = math.log(t_peak)
     u = min(log_ratio / a, u_peak)

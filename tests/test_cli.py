@@ -15,8 +15,8 @@ import pytest
 from nslifespan import cli
 from nslifespan import initial_data as idmod
 from nslifespan.cli import SCHEMA, ConfigError, build_report, load_config, main, validate_config
-from nslifespan.constants import DELTA0
-from nslifespan.errors import DomainError
+from nslifespan.constants import DELTA0, composite_constants
+from nslifespan.errors import DomainError, InfeasibleExponentError, UnavailableBoundError
 from nslifespan.jsonio import canonical_dumps, decode_infinities
 from nslifespan.validation import ANNOTATIONS, KEYWORDS, best_error
 
@@ -783,14 +783,14 @@ class TestGoldenReports:
     """
 
     DIGESTS = {
-        "abstract_parabolic": "1ad32bc0c17d0c1cfed55dd8e410cfbd52ddff90dc85c39ec4c72e8b207e6a0c",
-        "explicit_from_norms": "584325e0e35579e6064712ce57f60f8d48e2977d58086c1c187b3f300aef4cb0",
-        "forced_small": "70c3a285de0397ab1c1e14dd9400f7fabd40f5aa141a0ccb7d4b3abf8149058a",
-        "global_large_data": "1c4d3f663827bab13455740fd8f9df04b35c2b422aa0068fc0250b92d10ebfc5",
-        "global_small_data": "2d32fd68dd8e2b7bd711a54636ec3ac324ad5a1822ff1bedb26299bf7992e2e5",
-        "mixed_norms_demo": "71589c64844faaf7e89f7d037cd13f6399d94834098e674a8a461b478af9f69c",
-        "thm31_delta_grid": "0c22ed78ca50731c02dd8e7010c5232aeb4324cc68e09421a61215065989bb4f",
-        "thm41_vortex": "e33370e46785632371fcfd47bf02b295750cb28ae243707512db531946a5671b",
+        "abstract_parabolic": "85101753fcaaa1da6f5eeb34a8a3d67a7b640514fd6af32e22fdedc5b4efd629",
+        "explicit_from_norms": "d3bfaa0a72fea878fec8a383ef4543a0e8c7a8ef60e186f4904428c1e9e21938",
+        "forced_small": "f2a8cc3210668a930223c2d5df07c46145cc1a63b570722b511c8d94ea232382",
+        "global_large_data": "c36d9b58fe07b75c9b323d4115ad5184da7acaffac93d91bca647d14bba26fb5",
+        "global_small_data": "f910b96a25ca861b534eca83d87706d9b848fe1a2538e62d9c2b856a8b185039",
+        "mixed_norms_demo": "6a80920ee8c6f876f76bbdc9997554e0613ff50393d02fd9ec7a0ce409747dee",
+        "thm31_delta_grid": "21ae25b8eae384b2cba020a3fe52b8b1a88b295bcf164eab07e4e9880433d79b",
+        "thm41_vortex": "606de80a84406ebad6b430968850d164faed71aa3f61b15b75362f8e8a58c9ac",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -818,15 +818,15 @@ class TestGoldenBundleReports:
         "k0_prime": {"theta": 2.0, "lambda": -0.7499999999999999, "value": 1e-07},
     }
     DIGESTS = {
-        ("thm31", "full"): "9ac5d88f9dc51abdf1f77506e8b134d3042129959cba82cc38827f8c11944f2c",
-        ("thm31", "no_a_d"): "fb9c09992d862435db893ea41f5bf4dd7f116752e54f51a0f5966bed0d737661",
-        ("thm31", "a_d_only"): "7673c654812276a714445f503dc8ed58b57caaf5b001e9b997f006b3a57c1390",
-        ("thm41", "full"): "1f325ca44030fae286839fd9b2a4de969a4faaa0478cfc4fa7a078ad0b4bb040",
-        ("thm41", "no_a_d"): "7a975d883760d1e0f31604fd661856b073705334d376ad65340093eabc60ea37",
-        ("thm41", "a_d_only"): "de101f21019e752dec98c58e7290f61424f1451badb5d96845bc4d9885b6ee30",
-        ("forced", "full"): "b63eb1b53d32c38f6a49f222190c4b3055720f89bd4a20ede7b851dc725818cf",
-        ("forced", "no_a_d"): "2001c89db45a344b50927d29c3acdb4bd0ec64f6edeb5c3b02351e675d6fb0d0",
-        ("forced", "a_d_only"): "6db5d7ce6f0a6c310c9001eded8788660f7da4b3a41f193da06567c6bc9b1e7e",
+        ("thm31", "full"): "07fb430cd187b8a521318681912b0a32a26a8e1623804c560b48d5182b386e5e",
+        ("thm31", "no_a_d"): "ed54ab8b4cd29d22f1420a24e2af2cafc6c2734643560086b60d59209562401e",
+        ("thm31", "a_d_only"): "c7d52795d94d79679aa427470f58be57eb3b22516e39ec567b4571d14d751ee8",
+        ("thm41", "full"): "32e6242fbf5d56999e32183b8ec3a733ed84e954e277d4aa88046a425baf7317",
+        ("thm41", "no_a_d"): "a3ce1b14fa5e6f8beae94ff138d5789f44da9163ef09604371e54e899c4eaad1",
+        ("thm41", "a_d_only"): "6fba51d3bf32e83f612c75729d27b8041c89a93b6fa535bc763c676ee07775d0",
+        ("forced", "full"): "7040af174d702ab2d995b664dbb52ff8d9821e9fc2af5e9f5da2e53dfdeef73e",
+        ("forced", "no_a_d"): "687528fb834dc1b4869010bfb87c8cb82bcbdb47c662bb9b17b004fc96ea769b",
+        ("forced", "a_d_only"): "29c6f16595b21ddca7939795a652c6a2b130d277a844f99cb48a090027cbd13b",
     }
 
     @pytest.mark.parametrize("mode, bundle", sorted(DIGESTS))
@@ -983,30 +983,30 @@ class TestGoldenCorpus:
     and entry prefixes. A mismatch names the entries whose outcome changed.
     """
 
-    DIGEST = "7ac33623b4904e01d20531d5068cff4d495fe2fb78fdc2ecf4f59919c188e594"
+    DIGEST = "79a41b453d9fcb44b652fb59b5ebbd9c83367d1e09f958345286abc43e0c0013"
     # the first 8 hex digits of each entry's outcome sha256, in corpus order
     ENTRY_PREFIXES = """
-        e331f353 f5fee11e 88ceb4b9 297de11e 76446096 9aad093e f0a1fe6a c18dc9dd 22ac7220 fce1153e
-        0f93f0a9 58736025 5b7170f6 f9adb9c3 9e124e90 b54892d7 bc4a886e 02d23d9b 2920cf75 78294111
-        0ddb16fb 94576657 04ca453b a5dfc1aa 0babda80 2920cc0d 5b6fea2b 64aa9321 e03f59db 7c6f39b3
-        c37c592e 6facf8ad 93085fec 92b6f496 2ab8713c 4567950e 6e27fb49 fd11a20e 4a0e2797 f589a496
-        df2f0a91 bf636734 089cfb47 bb0a2198 087b844d 8a6343ff f3d7b765 9ee05ad9 4efb39a0 592de540
-        6e2bd025 b2753958 12a8ca04 d13f2328 7c36ba1b a78b769a 52bfc565 728c5953 742cf805 f0a40824
-        79e4038a 44f5d355 9870b539 ab339d72 428e82d3 743ec3e0 be415dca 28233d4b 4297caba 414cebe5
-        9dd4f679 c06d56a6 8801a46b edc6fb88 8d5f3225 8de44b86 13a6f8c5 7b207755 27b421eb d69a699c
-        d12098de 4e64620b 506100ff 3fdd2a16 97b10109 50ca8660 de9ec19f 1d17ad6d 6ab3d6b2 9de34b5f
-        bcfab2fe 1ea45cbd 832a67cf c1243aeb 5ba11a22 2f0a8ca9 040c99b4 ebd42eea d85af6b6 b0fb6f4f
-        e7dacc23 16382b54 23a9f2b2 e02cd97c 5d3924f3 45a6e4bd 8bcce51a 9285bb9e 8c071e1e 37f7557a
-        8565f499 d0a06608 ba14fd47 6cc97db8 12502915 06a1d186 eef4028a 336b661e e829f573 2b6418cd
-        28c62aaf c4948b41 bea3e900 6cacecf4 857a8195 1661a9b4 bded9aa3 c296b4a8 dbe28f44 a7b59db9
-        98081134 98e8081b 10797e03 2af29072 955b3c9b 99531bbf c77e6e98 99d3a5b2 8719abba 9549322a
-        c46499f3 02594ef9 211a43dd 8f9b72ac 986fe98a cac6b6cc 912ec54d 11987eed f543841d 0eb9a33c
-        ad95853a 8a725a92 87a844fd 4967d35b 3d88749f c3fefcc7 b04d6182 2d17eedb 276b6f26 e401871e
-        29ddccf3 cb00ea53 22a1798b ba0c64ff a38feedf 9e6d54c4 f70c0c53 340a1d33 3ff92d46 39e709e6
-        c4ee14df e5245b15 d756276d 78bb5c05 dd5e11bf 1a147dc8 c6d0313f 83fa64bb 6a25aca5 1ea776a9
-        1c49603e 29789918 4470cb37 e6bb9084 30de0d95 4fbab212 81bd4f08 fbc92445 3d991b0c b9a63653
+        181d9f0e 17357b3c c23d9996 2576455b 1f1ac7c9 a6f1e886 c830970f 72217cfc 37c6710b 88619b78
+        bdf438a6 afa72cbd ae2db0df 99536d6a 34e319d6 80ee9272 7b573386 7ee5f7a8 6aebc20c 653908eb
+        04c89979 7b0a1c1e c32196a1 1a9d82bf 639c123d 3af143b6 eacf8f8c ec1c6b01 ee278ad9 7cd19137
+        6ebc1468 a9d28a23 0d0db689 5ce79e79 0b3fc477 12843772 81e4fa2f a1e9c651 40d913f1 23a08784
+        1a9185b4 20a06664 66b27bf4 fc5a5dfd e131ffb1 e957825f 1252e661 042dc404 f871a0c3 454c0b4f
+        bd16a497 10aed622 dbac0537 0c4d0aec de146a30 a4f7db30 10f64d90 da52efbd 17c97559 bb99030c
+        e9362a52 ebe08eff e0ccbb9c 86554dc1 2b95d92e 879840e0 42d77347 6eed9101 9b831924 f3ab01cf
+        427bebe0 d49eaf55 45355a31 7f677f1c 364dda05 3a6800f9 c5dc1354 6bd94c95 ba7253f2 9ba90082
+        579eb47b 1da378a3 9a253eef 25b0fce1 43ca45ae 7feb4749 6a81491d 84208814 48f07898 17309015
+        18f92576 88ff8889 ab4f7383 5542a8ff 231a0b7b 2484fecd dfa62e49 4e270680 1f48bc07 aad4ba28
+        cd450655 a6aa56d4 da0b132b a5ea5a20 22b526b0 add08bca 87555b2a 0b2f2240 45e3c4c4 4b021577
+        13fed525 dc07f26e ec243ccd 544372ee 2c531e87 93624b5a 55262d53 9cdafbc3 eb1415c8 cfaeb05f
+        ff97b234 6f2ed712 f54ae132 1685e22c e1948c65 83fc7492 70224b63 2468470f c6ca5c41 ae9110bf
+        a30a6118 8a9bb260 b8733b54 58009ebc ed59f446 3ca53ad6 4e6ba4cd b146892c 632d1e06 847f3b74
+        a4b8f498 dbfa7545 180c482a 85c80b3a 6e4e24b6 55cb09e4 34d212e1 e3f09498 60212d45 bf6e5d0c
+        fbe02d58 f241be83 77ae6c5f 48e06961 bbaf367a 06e1130b 0d8d51be 6e947f00 6284882f dbc5b641
+        70bbc9bd a08ff74f fb739830 55ddee41 b9572a62 aad438a2 d0b0a77b 2a4c60c2 50d94148 3e379918
+        6655b934 b383ab5b dc110fc7 d8570631 402cedd6 e4b43c9e 2f24e677 4814a106 62f66b74 c2c3b015
+        f787771e cf7b8c14 e7d4d56d d9f24b5d ee92ea45 432f1464 c735dada a93a6282 3d991b0c b9a63653
         28f4ba8a bffad326 a2764166 bcdfa1db 3f72c501 4d567754 d78709b4 93b7d915 e5005423 3819f15e
-        8ae662f5 976c9e04 88fe97fa 9bbe3893 25c019eb 627fd7ea 8fd98443 2d45edbe
+        8ae662f5 976c9e04 88fe97fa 9bbe3893 25c019eb 627fd7ea 8fd98443 d1d75c04
     """.split()
 
     @staticmethod
@@ -1031,6 +1031,61 @@ class TestGoldenCorpus:
         assert hashlib.sha256(b"".join(o + b"\n" for o in outcomes)).hexdigest() == self.DIGEST
 
 
+class TestReportedConstants:
+    """A report's constants table holds exactly the scalars its route reads.
+
+    Each row's value is the ConstantSet's at the report's (d, delta), and
+    where the certificate stores the same constant the two agree.
+    """
+
+    # the intermediates that restate a constant of the table; thm31's s1 and
+    # s2 are quantities of the reduced system, not the envelopes s1 and s2
+    STORED = {"thm31": ("j1", "j2"), "thm41": ("j_bar",), "thm41-explicit": (), "global": ("s1", "s2")}
+
+    def check(self, config: dict, compared: set) -> bool:
+        """Check one config's report; add the (route, name) of each constant the certificate stores too."""
+        report, _ = build_report(config)
+        block = report["constants"]
+        if config["mode"] == "abstract_parabolic":
+            assert block == {}
+            return False
+        assert set(block) == {"d", "delta", "table"} and block["d"] == config["d"]
+        assert all(set(row) == {"name", "value", "formula"} for row in block["table"])
+        cert = report["result"].get("certificate")
+        route = config["mode"] if cert is None else cert["theorem"]
+        assert tuple(row["name"] for row in block["table"]) == cli._REPORTED_CONSTANTS[route]
+        assert block["delta"] == (report["result"]["delta"] if cert is None else cert["delta_used"])
+        cs = composite_constants(config["d"], block["delta"])
+        values = {row["name"]: row["value"] for row in block["table"]}
+        assert values == {name: getattr(cs, name) for name in values}
+        assert all(row["formula"] == cs.provenance[row["name"]] for row in block["table"])
+        if cert is not None:
+            for name in self.STORED[route]:
+                if name in cert["intermediate"]:
+                    assert cert["intermediate"][name] == values[name]
+                    compared.add((route, name))
+        return True
+
+    def test_examples(self):
+        paths = sorted((REPO_ROOT / "docs" / "examples").glob("*.json"))
+        configs = [load_config(path) for path in paths if path.name != "invalid_missing_d.json"]
+        compared: set = set()
+        assert sum(self.check(config, compared) for config in configs) == 7
+        assert compared == {(route, name) for route, names in self.STORED.items() for name in names}
+
+    def test_golden_corpus(self):
+        checked = 0
+        compared: set = set()
+        for config in _golden_corpus():
+            try:
+                validate_config(config)
+                checked += self.check(config, compared)
+            except (ConfigError, DomainError, UnavailableBoundError, InfeasibleExponentError):
+                continue
+        assert checked == 181
+        assert compared == {(route, name) for route, names in self.STORED.items() for name in names}
+
+
 def _workload_block(workload: str, seed: int) -> list[dict]:
     # the first request block of a benchmark workload's stream
     spec = importlib.util.spec_from_file_location("workloads", REPO_ROOT / "perfbench" / "workloads.py")
@@ -1042,9 +1097,8 @@ def _workload_block(workload: str, seed: int) -> list[dict]:
 class TestByteIdentity:
     """Every report encodes to exactly the recursive reference encoder's text.
 
-    Each report is encoded after build_report reusing its table's stored
-    text, then as a deep copy, then as plain lists and dicts after a JSON
-    round trip.
+    Each report is encoded as build_report returns it, then as a deep copy,
+    then as plain lists and dicts after a JSON round trip.
     """
 
     @staticmethod
@@ -1077,6 +1131,9 @@ class TestPrintConstants:
         assert "K_R(3)" in result.stdout
         assert "1.7320508075688774" in result.stdout
         assert "162" in result.stdout  # j_up1 at (3, 0.5)
+        # --print-constants is the one place the full table is shown
+        names = [name for name, _, _ in composite_constants(3, 0.5).table]
+        assert all(f"  {name} " in result.stdout for name in names)
 
     def test_domain_error(self):
         result = run_cli("--print-constants", "3", "1.5")

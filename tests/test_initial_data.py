@@ -395,6 +395,10 @@ class TestWeightedSup:
         data = VortexGaussian(3, 1.0, 0.0)
         assert k0_root(data, 0.3, 0.0) == math.inf and k0_prime_root(data, 1e-9) == math.inf
         assert k0_root(data, 0.3, -1e-9) == 0.0 and k0_prime_root(data, -1.0) == 0.0
+        # and inf data: |grad a|_d overflows, so K0' is inf at every T > 0
+        data = VortexGaussian(3, 1.0, 1e308)
+        assert k0_prime_exact(data, 1e-300) == math.inf
+        assert k0_prime_root(data, 1e-3) == 0.0 and k0_prime_root(data, math.inf) == math.inf
 
     def test_evaluators_equal_the_evolved_field_composition(self, rng):
         # k0_exact and k0_prime_exact evaluate the profile norm0 t^a (1 + 2t/sigma^2)^{-b};
