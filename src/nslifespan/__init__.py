@@ -35,12 +35,13 @@ from .extensions import (
 )
 from .initial_data import (
     NormBundle,
+    PowerBound,
     VortexGaussian,
     grad_norm,
-    k0_bound_from_norms,
     k0_exact,
-    k0_prime_bound_from_norms,
+    k0_norm_bound,
     k0_prime_exact,
+    k0_prime_norm_bound,
     lp_norm,
     norm_bundle_from_vortex,
 )

@@ -64,9 +64,9 @@ __all__ = [
     "peak_times",
     "k0_root",
     "k0_prime_root",
-    "check_theta",
-    "k0_bound_from_norms",
-    "k0_prime_bound_from_norms",
+    "PowerBound",
+    "k0_norm_bound",
+    "k0_prime_norm_bound",
     "sharp_k0_norm_coefficient",
     "norm_bundle_from_vortex",
 ]
@@ -78,6 +78,7 @@ _AXIAL_NODES = 64
 # Newton steps of the Kato-norm inversion and of each Gauss node; from
 # their starts both converge in a handful
 _NEWTON_STEPS = 40
+_ROOT_CAP = 1e300  # a PowerBound root at or above it is capped there
 
 
 @dataclass(frozen=True)
@@ -444,49 +445,84 @@ class NormBundle:
         )
 
 
-def check_theta(d: int, delta: float, theta: float) -> None:
-    """Reject a theta outside (0, min(1, (d-1)/delta)], or one the doubles cannot carry.
+@dataclass(frozen=True)
+class PowerBound:
+    """A norm-bundle bound T -> coef T^power on K0 or K0'; power 0 is a T-uniform cap.
 
-    That is the range of the extra-integrability power bound on K0; every
-    route that applies the bound calls this check. The bound's coefficient
-    2^{d+theta} overflows from d + theta = 1024 on, and its T power
-    theta delta/(2d) must not underflow to 0.
+    ``inverse`` is 1/power as the constructor writes it (``k0_norm_bound``,
+    ``k0_prime_norm_bound``); ``root`` raises y/coef to it. ``note`` says
+    which bound this is, in the words of a certificate note.
     """
-    if not (0.0 < theta <= min(1.0, (d - 1) / delta)):
-        raise DomainError(
-            f"theta must lie in (0, min(1, (d-1)/delta)] = (0, {min(1.0, (d - 1) / delta)}], got {theta}"
-        )
-    if d + theta >= 1024:
-        raise DomainError(f"2^(d+theta) leaves the range of the doubles for d={d}, theta={theta}")
-    if theta * delta / (2.0 * d) == 0.0:
-        raise DomainError(f"the power theta*delta/(2d) underflows to 0 for d={d}, delta={delta}, theta={theta}")
+
+    coef: float
+    power: float = 0.0
+    inverse: float = math.inf
+    note: str = ""
+
+    def __call__(self, T: float) -> float:
+        if self.power == 0.0:
+            return self.coef
+        if not T > 0.0:
+            return 0.0
+        # sqrt is correctly rounded, T**0.5 is not
+        return self.coef * (math.sqrt(T) if self.power == 0.5 else T**self.power)
+
+    def root(self, y: float) -> tuple[float, bool]:
+        """(T, capped): the largest T with coef T^power <= y, from (y/coef)^inverse in log space.
+
+        A cap holds at every T (inf) or at none (0.0). A power bound is 0.0
+        for y <= 0 and inf for coef = 0; otherwise it falls below y as
+        T -> 0, so the root is at least 5e-324. A root from 1e300 on is
+        capped at 1e300 (capped = True), which keeps it a lower bound.
+        """
+        if self.power == 0.0:
+            return (math.inf if self.coef <= y else 0.0), False
+        if y <= 0.0:
+            return 0.0, False
+        if self.coef == 0.0:
+            return math.inf, False
+        log_t = self.inverse * (math.log(y) - math.log(self.coef))
+        if log_t >= math.log(_ROOT_CAP):
+            return _ROOT_CAP, True
+        return max(math.exp(log_t), math.ulp(0.0)), False
 
 
-def k0_bound_from_norms(norms: NormBundle, d: int, delta: float, T: float) -> float:
-    """Extra-integrability bound T^{theta delta/(2d)} 2^{d+theta} |a|_{d+theta}.
+def k0_norm_bound(norms: NormBundle, d: int, delta: float, sharp: bool) -> PowerBound:
+    """The extra-integrability bound K0(T) <= c T^{theta delta/(2d)} |a|_{d+theta}.
 
-    theta is the bundle's exponent. The crude constant 2^{d+theta}
-    majorizes the Young factor times the kernel envelope;
-    `sharp_k0_norm_coefficient` provides the sharp alternative with the
-    same T power.
+    c is the crude 2^{d+theta}, which majorizes the Young factor times the
+    kernel envelope, or with ``sharp`` the smaller of it and
+    ``sharp_k0_norm_coefficient``. This is the one place that writes the
+    power theta delta/(2d) and its inverse. The bundle's theta must lie in
+    (0, 1] (the paper's (0, min(1, (d-1)/delta)], as d >= 3 and delta < 1);
+    a theta whose 2^{d+theta} overflows (d + theta >= 1024) or whose power
+    underflows to 0 is rejected too.
     """
     _check_delta(delta)
     if norms.theta is None or norms.norm_d_plus_theta is None:
         raise UnavailableBoundError("bundle carries no (theta, |a|_{d+theta}) pair")
     theta = norms.theta
-    check_theta(d, delta, theta)
-    if T == 0:
-        return 0.0
-    return T ** (theta * delta / (2.0 * d)) * 2.0 ** (d + theta) * norms.norm_d_plus_theta
+    if not (0.0 < theta <= 1.0):
+        raise DomainError(f"theta must lie in (0, 1], got {theta}")
+    if d + theta >= 1024:
+        raise DomainError(f"2^(d+theta) leaves the range of the doubles for d={d}, theta={theta}")
+    power = theta * delta / (2.0 * d)
+    if power == 0.0:
+        raise DomainError(f"the power theta*delta/(2d) underflows to 0 for d={d}, delta={delta}, theta={theta}")
+    coef, note = 2.0 ** (d + theta), "k0 power bound uses the crude coefficient 2^{d+theta}"
+    if sharp:
+        sharp_coef = sharp_k0_norm_coefficient(d, delta, theta)
+        if sharp_coef is not None and sharp_coef < coef:
+            coef = sharp_coef
+            note = "k0 power bound uses the sharp Young*kernel coefficient (smaller than 2^{d+theta})"
+    return PowerBound(coef * norms.norm_d_plus_theta, power, 2.0 * d / (theta * delta), note)
 
 
-def k0_prime_bound_from_norms(norms: NormBundle, T: float) -> float:
-    """Unit-mass kernel bound sqrt(T) |grad a|_d for the gradient norm."""
+def k0_prime_norm_bound(norms: NormBundle) -> PowerBound:
+    """The unit-mass kernel bound K0'(T) <= sqrt(T) |grad a|_d."""
     if norms.grad_d_norm is None:
         raise UnavailableBoundError("bundle carries no gradient norm")
-    if T == 0:
-        return 0.0
-    return math.sqrt(T) * norms.grad_d_norm
+    return PowerBound(norms.grad_d_norm, 0.5, 2.0, "k0' bound includes sqrt(T)*|grad a|_d")
 
 
 def sharp_k0_norm_coefficient(d: int, delta: float, theta: float) -> float | None:

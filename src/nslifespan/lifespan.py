@@ -78,9 +78,7 @@ _INT64 = struct.Struct("<q")
 # the vortex evaluators stay below 4e-15 (tests/test_lifespan.py, mpmath).
 _BRACKET_EPS = 1e-13
 _EXPLICIT_SHRINK = 1.0 - 1e-12  # keeps closed-form replay margins nonnegative
-_EXPLICIT_CAP = 1e300  # horizon cap for the closed-form inversion
 _TINY = 1e-300
-_Part = tuple[Callable[[float], float], Callable[[float], float]]  # a bundle bound: (T -> bound, y -> its root)
 
 
 @dataclass(frozen=True)
@@ -158,81 +156,52 @@ def state_from_vortex(data: idmod.VortexGaussian, delta: float) -> KatoBoundStat
 def state_from_norms(bundle: idmod.NormBundle, d: int, delta: float) -> KatoBoundState:
     """Bound evaluators assembled from a norm bundle.
 
-    Each evaluator is the minimum of every bound the bundle supports: the
-    T-uniform semigroup envelopes S1 |a|_d and S2 |a|_d, the
-    extra-integrability power bound (with the smaller of the crude 2^{d+theta}
-    and the sharp Young-times-kernel coefficient; the choice is recorded),
-    and the sqrt(T) |grad a|_d bound. At least one bound per component must
-    be available.
+    Each evaluator is the least of the bounds (``idmod.PowerBound``) that
+    the bundle supports: for K0 the T-uniform cap S1 |a|_d and the
+    extra-integrability power bound with the smaller of the crude and the
+    sharp coefficient, for K0' the cap S2 |a|_d and sqrt(T) |grad a|_d. The
+    notes name each bound used. At least one bound per component must be
+    available.
     """
     constants = composite_constants(d, delta)
-    notes: list[str] = []
     a_d = bundle.lp_norms.get(float(d))
-
-    k0_parts: list[_Part] = []
+    k0_bounds, k0p_bounds = [], []
     if a_d is not None:
-        cap = constants.s1 * a_d
-        k0_parts.append((lambda T: cap, _cap_root(cap)))
-        notes.append("k0 bound includes the T-uniform envelope S1*|a|_d")
+        note = "k0 bound includes the T-uniform envelope S1*|a|_d"
+        k0_bounds.append(idmod.PowerBound(constants.s1 * a_d, note=note))
     if bundle.theta is not None:
-        theta = bundle.theta
-        idmod.check_theta(d, delta, theta)
-        crude = 2.0 ** (d + theta)
-        sharp = idmod.sharp_k0_norm_coefficient(d, delta, theta)
-        if sharp is not None and sharp < crude:
-            coef = sharp * bundle.norm_d_plus_theta
-            notes.append("k0 power bound uses the sharp Young*kernel coefficient (smaller than 2^{d+theta})")
-        else:
-            coef = crude * bundle.norm_d_plus_theta
-            notes.append("k0 power bound uses the crude coefficient 2^{d+theta}")
-        power = theta * delta / (2.0 * d)
-        k0_parts.append((lambda T: coef * T**power if T > 0 else 0.0, _power_root(coef, power)))
-    if not k0_parts:
+        k0_bounds.append(idmod.k0_norm_bound(bundle, d, delta, sharp=True))
+    if not k0_bounds:
         raise UnavailableBoundError("bundle supports no K0 bound (need |a|_d or a theta norm)")
-
-    k0p_parts: list[_Part] = []
     if a_d is not None:
-        cap2 = constants.s2 * a_d
-        k0p_parts.append((lambda T: cap2, _cap_root(cap2)))
-        notes.append("k0' bound includes the T-uniform envelope S2*|a|_d")
+        note = "k0' bound includes the T-uniform envelope S2*|a|_d"
+        k0p_bounds.append(idmod.PowerBound(constants.s2 * a_d, note=note))
     if bundle.grad_d_norm is not None:
-        grad = bundle.grad_d_norm
-        k0p_parts.append((lambda T: math.sqrt(T) * grad if T > 0 else 0.0, _power_root(grad, 0.5)))
-        notes.append("k0' bound includes sqrt(T)*|grad a|_d")
-    if not k0p_parts:
+        k0p_bounds.append(idmod.k0_prime_norm_bound(bundle))
+    if not k0p_bounds:
         raise UnavailableBoundError("bundle supports no K0' bound (need |a|_d or the gradient norm)")
 
-    # only the constant envelope part stays finite as T -> infinity
+    # only the caps stay finite as T -> infinity
     return KatoBoundState(
         d=d,
         delta=delta,
-        k0=_min_of_parts(k0_parts, a_d is not None),
-        k0_prime=_min_of_parts(k0p_parts, a_d is not None),
+        k0=_least_bound(k0_bounds, a_d is not None),
+        k0_prime=_least_bound(k0p_bounds, a_d is not None),
         constants=constants,
-        notes=tuple(notes),
+        notes=tuple(bound.note for bound in (*k0_bounds, *k0p_bounds)),
     )
 
 
-def _min_of_parts(parts: Sequence[_Part], finite_at_infinity: bool) -> KatoEvaluator:
-    """The evaluator T -> min of the part bounds.
+def _least_bound(bounds: Sequence[idmod.PowerBound], finite_at_infinity: bool) -> KatoEvaluator:
+    """The evaluator T -> the least of the bounds.
 
-    min(parts) <= y exactly where some part is, so its root is the largest part root.
+    It is <= y exactly where some bound is, so its root is the largest bound root.
     """
-    fns = tuple(fn for fn, _ in parts)
-    roots = tuple(root for _, root in parts)
     return KatoEvaluator(
-        lambda T: min(fn(T) for fn in fns), finite_at_infinity, lambda y: max(root(y) for root in roots)
+        lambda T: min(bound(T) for bound in bounds),
+        finite_at_infinity,
+        lambda y: max(bound.root(y)[0] for bound in bounds),
     )
-
-
-def _cap_root(cap: float) -> Callable[[float], float]:
-    """Root of the constant part T -> cap: every T or none."""
-    return lambda y: math.inf if cap <= y else 0.0
-
-
-def _power_root(coef: float, power: float) -> Callable[[float], float]:
-    """Root of the part T -> coef T^power: (y/coef)^(1/power), at least the smallest double."""
-    return lambda y: 0.0 if y <= 0.0 else max(_inverted_power(y, coef, 1.0 / power)[0], math.ulp(0.0))
 
 
 @dataclass(frozen=True)
@@ -499,16 +468,17 @@ def _derived_checks(theorem: str, t0: float, delta: float, inter: Mapping) -> tu
         raise DomainError(f"unknown theorem {theorem!r}")
     if not math.isfinite(t0):
         return ()
-    d, threshold = int(inter["d"]), inter["threshold"]
-    checks = []
-    if "term_theta" in inter:
-        norms = idmod.NormBundle({}, theta=inter["theta"], norm_d_plus_theta=inter["norm_d_plus_theta"])
-        bound = idmod.k0_bound_from_norms(norms, d, delta, t0)
-        checks.append(InequalityCheck("k0_norm_bound_at_t0", bound, "<=", threshold))
-    if "term_grad" in inter:
-        bound = idmod.k0_prime_bound_from_norms(idmod.NormBundle({}, grad_d_norm=inter["grad_d_norm"]), t0)
-        checks.append(InequalityCheck("k0_prime_norm_bound_at_t0", bound, "<=", threshold))
-    return tuple(checks)
+    theta_term = "term_theta" in inter
+    norms = idmod.NormBundle(
+        {},
+        grad_d_norm=inter["grad_d_norm"] if "term_grad" in inter else None,
+        theta=inter["theta"] if theta_term else None,
+        norm_d_plus_theta=inter["norm_d_plus_theta"] if theta_term else None,
+    )
+    return tuple(
+        InequalityCheck(check, bound(t0), "<=", inter["threshold"])
+        for _, check, _, bound in _explicit_terms(norms, int(inter["d"]), delta)
+    )
 
 
 def _feasible_certificate(theorem, t0, delta, intermediate, iterate_bound, notes) -> LifespanCertificate:
@@ -615,22 +585,16 @@ def _thm41_certificate(t0, state, detail, notes):
     return _feasible_certificate("thm41", t0, state.delta, intermediate, cs.iterate_bound, notes)
 
 
-def _inverted_power(threshold: float, denom: float, exponent: float) -> tuple[float, bool]:
-    """(threshold/denom)^exponent in log space; capped when it overflows.
-
-    Capping replaces an astronomically large horizon by a smaller one, which
-    keeps the certificate sound (any value below the true inversion is a
-    valid lower bound). Underflow to 0.0 is likewise sound: the crude route
-    then certifies nothing. A subnormal result counts as underflow, because
-    the relative shrink applied to t0 is lost to rounding there.
-    """
-    if denom == 0.0:
-        return math.inf, False  # the bound is identically zero: every horizon passes
-    log_term = exponent * (math.log(threshold) - math.log(denom))
-    if log_term >= math.log(_EXPLICIT_CAP):
-        return _EXPLICIT_CAP, True
-    value = math.exp(log_term)
-    return (value if value >= sys.float_info.min else 0.0), False
+def _explicit_terms(norms: idmod.NormBundle, d: int, delta: float) -> list:
+    """thm41-explicit's terms as (term, check, note, bound): the crude K0 bound and the gradient bound, no caps."""
+    terms = []
+    if norms.theta is not None:
+        bound = idmod.k0_norm_bound(norms, d, delta, sharp=False)
+        terms.append(("term_theta", "k0_norm_bound_at_t0", "theta-norm term present", bound))
+    if norms.grad_d_norm is not None:
+        bound = idmod.k0_prime_norm_bound(norms)
+        terms.append(("term_grad", "k0_prime_norm_bound_at_t0", "gradient term present", bound))
+    return terms
 
 
 def theorem41_explicit(norms: idmod.NormBundle, d: int, delta: float) -> LifespanCertificate:
@@ -638,26 +602,23 @@ def theorem41_explicit(norms: idmod.NormBundle, d: int, delta: float) -> Lifespa
 
     T0 = min( [C2 d^-2 / (2^{d+theta} |a|_{d+theta})]^{2d/(theta delta)},
               [C2 d^-2 / |grad a|_d]^2 )
-    over whichever terms the bundle supports; a hair of relative shrink
-    (1e-12) keeps the replayed threshold margins nonnegative after the
-    power-law round trip. The inversion exponent 2d/(theta delta) can reach
-    the hundreds, so terms are evaluated in log space and capped at 1e300
-    (downward, hence sound) instead of overflowing.
+    over whichever terms the bundle supports: the roots at the threshold
+    of the crude ``idmod.k0_norm_bound`` and of ``idmod.k0_prime_norm_bound``.
+    A hair of relative shrink (1e-12) keeps the replayed threshold margins
+    nonnegative after the power-law round trip. The inversion exponent
+    2d/(theta delta) can reach the hundreds, so a root is capped at 1e300
+    (downward, hence sound) instead of overflowing. A term below the
+    smallest normal double is 0.0, since the shrink is lost to rounding
+    there.
     """
     cs = composite_constants(d, delta)
     threshold = cs.threshold
     terms: dict[str, float] = {}
     notes: list[str] = []
-    if norms.theta is not None:
-        idmod.check_theta(d, delta, norms.theta)
-        denom = 2.0 ** (d + norms.theta) * norms.norm_d_plus_theta
-        value, capped = _inverted_power(threshold, denom, 2.0 * d / (norms.theta * delta))
-        terms["term_theta"] = value
-        notes.append("theta-norm term present" + (" (capped at 1e300)" if capped else ""))
-    if norms.grad_d_norm is not None:
-        value, capped = _inverted_power(threshold, norms.grad_d_norm, 2.0)
-        terms["term_grad"] = value
-        notes.append("gradient term present" + (" (capped at 1e300)" if capped else ""))
+    for term, _, note, bound in _explicit_terms(norms, d, delta):
+        value, capped = bound.root(threshold)
+        terms[term] = value if value >= sys.float_info.min else 0.0
+        notes.append(note + (" (capped at 1e300)" if capped else ""))
     if not terms:
         raise UnavailableBoundError(
             "explicit bound needs a theta norm or the gradient norm; the bundle has neither"

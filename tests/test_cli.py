@@ -450,7 +450,7 @@ class TestRuns:
 
     @pytest.mark.parametrize("mode", ["thm31", "thm41", "thm41_explicit", "forced"])
     def test_theta_out_of_range_is_input_error(self, tmp_path, mode):
-        # theta = 2.5 lies outside (0, min(1, (d-1)/delta)] = (0, 1]
+        # theta = 2.5 lies outside (0, 1]
         from nslifespan.extensions import matching_lambda_k0, matching_lambda_k0_prime
 
         cfg = {
@@ -784,7 +784,7 @@ class TestGoldenReports:
 
     DIGESTS = {
         "abstract_parabolic": "85101753fcaaa1da6f5eeb34a8a3d67a7b640514fd6af32e22fdedc5b4efd629",
-        "explicit_from_norms": "d3bfaa0a72fea878fec8a383ef4543a0e8c7a8ef60e186f4904428c1e9e21938",
+        "explicit_from_norms": "0d997bae56512dbf635630b877a2e3643048c47e7d40d0f5f960cb6e29af1c07",
         "forced_small": "f2a8cc3210668a930223c2d5df07c46145cc1a63b570722b511c8d94ea232382",
         "global_large_data": "c36d9b58fe07b75c9b323d4115ad5184da7acaffac93d91bca647d14bba26fb5",
         "global_small_data": "f910b96a25ca861b534eca83d87706d9b848fe1a2538e62d9c2b856a8b185039",
@@ -983,20 +983,20 @@ class TestGoldenCorpus:
     and entry prefixes. A mismatch names the entries whose outcome changed.
     """
 
-    DIGEST = "79a41b453d9fcb44b652fb59b5ebbd9c83367d1e09f958345286abc43e0c0013"
+    DIGEST = "6d497ffd75ede65ff0e04226b1a1bc3428370cf3ee0f6810c8ae08ebccfa80e0"
     # the first 8 hex digits of each entry's outcome sha256, in corpus order
     ENTRY_PREFIXES = """
         181d9f0e 17357b3c c23d9996 2576455b 1f1ac7c9 a6f1e886 c830970f 72217cfc 37c6710b 88619b78
         bdf438a6 afa72cbd ae2db0df 99536d6a 34e319d6 80ee9272 7b573386 7ee5f7a8 6aebc20c 653908eb
         04c89979 7b0a1c1e c32196a1 1a9d82bf 639c123d 3af143b6 eacf8f8c ec1c6b01 ee278ad9 7cd19137
         6ebc1468 a9d28a23 0d0db689 5ce79e79 0b3fc477 12843772 81e4fa2f a1e9c651 40d913f1 23a08784
-        1a9185b4 20a06664 66b27bf4 fc5a5dfd e131ffb1 e957825f 1252e661 042dc404 f871a0c3 454c0b4f
+        1a9185b4 20a06664 66b27bf4 92f04c46 e131ffb1 e957825f 1252e661 042dc404 24c97756 de2b1fed
         bd16a497 10aed622 dbac0537 0c4d0aec de146a30 a4f7db30 10f64d90 da52efbd 17c97559 bb99030c
         e9362a52 ebe08eff e0ccbb9c 86554dc1 2b95d92e 879840e0 42d77347 6eed9101 9b831924 f3ab01cf
         427bebe0 d49eaf55 45355a31 7f677f1c 364dda05 3a6800f9 c5dc1354 6bd94c95 ba7253f2 9ba90082
         579eb47b 1da378a3 9a253eef 25b0fce1 43ca45ae 7feb4749 6a81491d 84208814 48f07898 17309015
         18f92576 88ff8889 ab4f7383 5542a8ff 231a0b7b 2484fecd dfa62e49 4e270680 1f48bc07 aad4ba28
-        cd450655 a6aa56d4 da0b132b a5ea5a20 22b526b0 add08bca 87555b2a 0b2f2240 45e3c4c4 4b021577
+        cd450655 a6aa56d4 da0b132b a5ea5a20 a29d7439 04d43a9c 02c199a0 0b2f2240 a6c8c00f 4b021577
         13fed525 dc07f26e ec243ccd 544372ee 2c531e87 93624b5a 55262d53 9cdafbc3 eb1415c8 cfaeb05f
         ff97b234 6f2ed712 f54ae132 1685e22c e1948c65 83fc7492 70224b63 2468470f c6ca5c41 ae9110bf
         a30a6118 8a9bb260 b8733b54 58009ebc ed59f446 3ca53ad6 4e6ba4cd b146892c 632d1e06 847f3b74
@@ -1006,7 +1006,7 @@ class TestGoldenCorpus:
         6655b934 b383ab5b dc110fc7 d8570631 402cedd6 e4b43c9e 2f24e677 4814a106 62f66b74 c2c3b015
         f787771e cf7b8c14 e7d4d56d d9f24b5d ee92ea45 432f1464 c735dada a93a6282 3d991b0c b9a63653
         28f4ba8a bffad326 a2764166 bcdfa1db 3f72c501 4d567754 d78709b4 93b7d915 e5005423 3819f15e
-        8ae662f5 976c9e04 88fe97fa 9bbe3893 25c019eb 627fd7ea 8fd98443 d1d75c04
+        8ae662f5 985362eb 88fe97fa 9bbe3893 25c019eb 627fd7ea 8fd98443 d1d75c04
     """.split()
 
     @staticmethod

@@ -15,13 +15,14 @@ from nslifespan.initial_data import (
     _AXIAL_NODES,
     _GAUSS_NODES,
     NormBundle,
+    PowerBound,
     _gauss_laguerre,
     _grad_unit_constant,
     grad_norm,
-    k0_bound_from_norms,
     k0_exact,
-    k0_prime_bound_from_norms,
+    k0_norm_bound,
     k0_prime_exact,
+    k0_prime_norm_bound,
     k0_prime_root,
     k0_root,
     lp_norm,
@@ -453,34 +454,64 @@ class TestNormBundle:
 class TestNormBounds:
     def test_k0_bound_examples(self):
         bundle = NormBundle(lp_norms={3.0: 1.0}, theta=1.0, norm_d_plus_theta=1.0)
-        assert k0_bound_from_norms(bundle, 3, DELTA0, 0.0) == 0.0
-        assert k0_bound_from_norms(bundle, 3, DELTA0, 1.0) == pytest.approx(16.0, rel=1e-15)
+        bound = k0_norm_bound(bundle, 3, DELTA0, sharp=False)
+        assert bound(0.0) == 0.0
+        assert bound(1.0) == pytest.approx(16.0, rel=1e-15)
         doubled = NormBundle(lp_norms={3.0: 1.0}, theta=1.0, norm_d_plus_theta=2.0)
-        assert k0_bound_from_norms(doubled, 3, DELTA0, 1.0) == pytest.approx(32.0, rel=1e-15)
+        assert k0_norm_bound(doubled, 3, DELTA0, sharp=False)(1.0) == pytest.approx(32.0, rel=1e-15)
+        # the sharp coefficient is used only where it is the smaller one
+        assert k0_norm_bound(bundle, 3, DELTA0, sharp=True).coef <= bound.coef
 
     def test_k0_bound_missing_norm(self):
         bundle = NormBundle(lp_norms={3.0: 1.0})
-        with pytest.raises(UnavailableBoundError):
-            k0_bound_from_norms(bundle, 3, DELTA0, 1.0)
+        for sharp in (False, True):
+            with pytest.raises(UnavailableBoundError):
+                k0_norm_bound(bundle, 3, DELTA0, sharp=sharp)
 
     def test_k0_bound_theta_out_of_range(self):
-        # theta must lie in (0, min(1, (d-1)/delta)]; 1.0 is the upper end here
-        assert k0_bound_from_norms(NormBundle(lp_norms={}, theta=1.0, norm_d_plus_theta=1.0), 3, 0.5, 1.0) > 0
+        # theta must lie in (0, 1]; 1.0 is the upper end
+        assert k0_norm_bound(NormBundle(lp_norms={}, theta=1.0, norm_d_plus_theta=1.0), 3, 0.5, sharp=False)(1.0) > 0
         bundle = NormBundle(lp_norms={}, theta=2.5, norm_d_plus_theta=1.0)
-        with pytest.raises(DomainError):
-            k0_bound_from_norms(bundle, 3, 0.5, 1.0)
+        with pytest.raises(DomainError, match=r"theta must lie in \(0, 1\], got 2.5"):
+            k0_norm_bound(bundle, 3, 0.5, sharp=False)
+
+    @pytest.mark.parametrize("d", [3, 1000])
+    @pytest.mark.parametrize("delta", [1e-3, 0.999])
+    def test_theta_range_boundary(self, d, delta):
+        for sharp in (False, True):
+            accepted = k0_norm_bound(NormBundle(lp_norms={}, theta=1.0, norm_d_plus_theta=1.0), d, delta, sharp)
+            assert accepted.power == delta / (2.0 * d)
+            above = NormBundle(lp_norms={}, theta=math.nextafter(1.0, 2.0), norm_d_plus_theta=1.0)
+            with pytest.raises(DomainError, match=r"theta must lie in \(0, 1\]"):
+                k0_norm_bound(above, d, delta, sharp)
+
+    def test_k0_bound_power_underflow_rejected(self):
+        bundle = NormBundle(lp_norms={}, theta=1e-300, norm_d_plus_theta=1.0)
+        with pytest.raises(DomainError, match="underflows"):
+            k0_norm_bound(bundle, 3, 1e-30, sharp=False)
 
     def test_k0_prime_bound(self):
-        bundle = NormBundle(lp_norms={3.0: 1.0}, grad_d_norm=1.0)
-        assert k0_prime_bound_from_norms(bundle, 0.0) == 0.0
-        assert k0_prime_bound_from_norms(bundle, 4.0) == pytest.approx(2.0, rel=1e-15)
+        bound = k0_prime_norm_bound(NormBundle(lp_norms={3.0: 1.0}, grad_d_norm=1.0))
+        assert bound(0.0) == 0.0
+        assert bound(4.0) == pytest.approx(2.0, rel=1e-15)
         with pytest.raises(UnavailableBoundError):
-            k0_prime_bound_from_norms(NormBundle(lp_norms={3.0: 1.0}), 4.0)
+            k0_prime_norm_bound(NormBundle(lp_norms={3.0: 1.0}))
+
+    def test_root(self):
+        bound = PowerBound(3.0, 0.25, 4.0)
+        assert bound.root(6.0) == (pytest.approx(16.0, rel=1e-14), False)
+        assert bound.root(0.0) == (0.0, False)
+        assert bound.root(1e-300) == (math.ulp(0.0), False)  # a power bound passes at small enough T
+        assert bound.root(1e100) == (1e300, True)
+        assert PowerBound(0.0, 0.25, 4.0).root(1e-300) == (math.inf, False)
+        cap = PowerBound(2.0)
+        assert cap(0.0) == cap(math.inf) == 2.0
+        assert cap.root(2.0) == (math.inf, False) and cap.root(1.9) == (0.0, False)
 
     def test_exact_below_norm_bounds(self, rng):
         for _ in range(10):
             data = VortexGaussian(3, float(rng.uniform(0.6, 1.8)), float(rng.uniform(0.1, 3.0)))
             bundle = norm_bundle_from_vortex(data, theta=0.5)
             T = float(rng.uniform(0.05, 2.0))
-            assert k0_prime_exact(data, T) <= k0_prime_bound_from_norms(bundle, T) * (1 + 1e-12)
-            assert k0_exact(data, DELTA0, T) <= k0_bound_from_norms(bundle, 3, DELTA0, T) * (1 + 1e-12)
+            assert k0_prime_exact(data, T) <= k0_prime_norm_bound(bundle)(T) * (1 + 1e-12)
+            assert k0_exact(data, DELTA0, T) <= k0_norm_bound(bundle, 3, DELTA0, sharp=False)(T) * (1 + 1e-12)

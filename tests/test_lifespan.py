@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle_utils as oracle
+from nslifespan import initial_data as idmod
 from nslifespan.constants import DELTA0, composite_constants, default_delta_grid
 from nslifespan.errors import DomainError, UnavailableBoundError
 from nslifespan.extensions import ForceNorm, forced_lifespan, matching_lambda_k0, matching_lambda_k0_prime
@@ -706,6 +707,79 @@ class TestTheorem41Explicit:
             t_base = theorem41_explicit(base, 3, delta).t0
             t_scaled = theorem41_explicit(scaled, 3, delta).t0
             assert t_scaled <= t_base
+
+
+class TestNormBoundSources:
+    """Each norm-bundle bound has one constructor, which every route reads."""
+
+    # theta-only bundles (no |a|_d, so no caps); the theta term binds in the
+    # first on every route, the gradient term in the second
+    THETA_BINDS = NormBundle(lp_norms={}, grad_d_norm=0.05, theta=0.5, norm_d_plus_theta=1e-4)
+    GRAD_BINDS = NormBundle(lp_norms={}, grad_d_norm=0.05, theta=0.5, norm_d_plus_theta=1e-12)
+
+    @staticmethod
+    def horizons(bundle: NormBundle) -> dict:
+        state = state_from_norms(bundle, 3, DELTA0)
+        f1 = ForceNorm(2.7, matching_lambda_k0(3, DELTA0, 2.7), 1e-9)
+        f2 = ForceNorm(2.0, matching_lambda_k0_prime(3, 2.0), 1e-9)
+        certs = {
+            "thm31": theorem31_bound(state),
+            "thm41": theorem41_bound(state),
+            "forced": forced_lifespan(state, f1, f2),
+            "thm41-explicit": theorem41_explicit(bundle, 3, DELTA0),
+        }
+        assert all(cert.feasible and 0.0 < cert.t0 < math.inf for cert in certs.values())
+        return {route: cert.t0 for route, cert in certs.items()}
+
+    @pytest.mark.parametrize("constructor, bundle, check", [
+        ("k0_norm_bound", THETA_BINDS, "k0_norm_bound_at_t0"),
+        ("k0_prime_norm_bound", GRAD_BINDS, "k0_prime_norm_bound_at_t0"),
+    ])
+    def test_doubled_coefficient_moves_every_route(self, monkeypatch, constructor, bundle, check):
+        before = self.horizons(bundle)
+        cert = theorem41_explicit(bundle, 3, DELTA0)
+        original = getattr(idmod, constructor)
+
+        def doubled(*args, **kwargs):
+            bound = original(*args, **kwargs)
+            return replace(bound, coef=2.0 * bound.coef)
+
+        monkeypatch.setattr(idmod, constructor, doubled)
+        after = self.horizons(bundle)
+        assert all(after[route] != before[route] for route in before), (before, after)
+        # replay re-evaluates the stored certificate's bound through the same constructor
+        lhs = {c.name: c.lhs for c in cert.checks}[check]
+        rederived = _derived_checks(cert.theorem, cert.t0, cert.delta_used, cert.intermediate)
+        assert {c.name: c.lhs for c in rederived}[check] == pytest.approx(2.0 * lhs, rel=1e-15)
+        assert not replay_certificate(cert).all_passed
+
+    def test_explicit_horizon_is_the_largest_passing_double(self):
+        # the closed-form inversion lands within its 1e-12 shrink plus the
+        # log-space rounding (here 2d/(theta delta) <= 2000) below the largest
+        # double where the crude K0 bound and the gradient bound both pass
+        rng = np.random.default_rng(23)
+        checked = 0
+        for _ in range(300):
+            d, delta, theta = int(rng.integers(3, 6)), float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.1, 1.0))
+            has_theta, has_grad = [(True, True), (True, False), (False, True)][int(rng.integers(3))]
+            bundle = NormBundle(
+                lp_norms={},
+                grad_d_norm=10.0 ** rng.uniform(-6.0, 2.0) if has_grad else None,
+                theta=theta if has_theta else None,
+                norm_d_plus_theta=10.0 ** rng.uniform(-12.0, 1.0) if has_theta else None,
+            )
+            bounds = [idmod.k0_prime_norm_bound(bundle)] if has_grad else []
+            if has_theta:
+                bounds.append(idmod.k0_norm_bound(bundle, d, delta, sharp=False))
+            threshold = composite_constants(d, delta).threshold
+            cert = theorem41_explicit(bundle, d, delta)
+            t0 = cert.t0
+            if t0 < sys.float_info.min or any("capped" in note for note in cert.notes):
+                continue
+            largest = _largest_double(lambda T: all(bound(T) <= threshold for bound in bounds))
+            assert (1.0 - 2e-12) * largest <= t0 <= largest
+            checked += 1
+        assert checked > 200
 
 
 class TestOptimizeDelta:
