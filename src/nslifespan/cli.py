@@ -12,7 +12,6 @@ for identical input.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -254,9 +253,7 @@ def _mixed_norms_result(config: Mapping, deltas: tuple[float, ...]) -> tuple[dic
 
 def _abstract_parabolic_result(block: Mapping) -> tuple[dict, bool, list]:
     # the block's keys are the problem's field names
-    problem = AbstractParabolicProblem(
-        **{f.name: float(block[f.name]) for f in dataclasses.fields(AbstractParabolicProblem)}
-    )
+    problem = AbstractParabolicProblem(**{name: float(block[name]) for name in AbstractParabolicProblem.__slots__})
     res = abstract_parabolic_lifespan(problem)
     result = {"lifespan": res.t, "breakdown": res.breakdown()}
     replay_rows = [

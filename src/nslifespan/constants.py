@@ -15,10 +15,9 @@ All operations are pure functions; ``composite_constants`` is memoized per
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import ClassVar, Mapping
+from typing import Mapping
 
 from .errors import DomainError
 
@@ -130,7 +129,6 @@ def riesz_constant(p: float) -> float:
     return 1.0 / math.tan(math.pi / (2.0 * p_star))
 
 
-@dataclass(frozen=True)
 class ExponentPair:
     """Input exponents (p, q) of a convolution inequality on R^d.
 
@@ -140,12 +138,13 @@ class ExponentPair:
     1/r = 1/p + 1/q - 1 and is checked by `young_constant` at the call site.
     """
 
-    p: float
-    q: float
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if self.p < 1 or self.q < 1:
-            raise DomainError(f"exponents must be >= 1, got ({self.p}, {self.q})")
+    def __init__(self, p: float, q: float) -> None:
+        if p < 1 or q < 1:
+            raise DomainError(f"exponents must be >= 1, got ({p}, {q})")
+        self.p = p
+        self.q = q
 
     @property
     def conjugate_p(self) -> float:
@@ -261,7 +260,6 @@ _PROVENANCE = MappingProxyType({
 })
 
 
-@dataclass(frozen=True)
 class ConstantSet:
     """Every evaluated constant for a fixed (d, delta), with provenance.
 
@@ -271,36 +269,42 @@ class ConstantSet:
     delta0, j_bar, c1, c2, c3 and the threshold and iterate bound built from
     them) are derived on first use and cached on the instance; their
     formulas are in the provenance map.
+
+    ``composite_constants`` shares one instance across callers, so it is
+    read-only: setting or deleting an attribute raises AttributeError. The
+    fields and the cached values live in the instance dict, which
+    ``cached_property`` writes without going through ``__setattr__``.
     """
 
-    d: int
-    delta: float
-    ks: Mapping[float, float]
-    kr: Mapping[float, float]
-    m: Mapping[float, float]
-    m_prime: Mapping[float, float]
-    s1: float
-    s2: float
-    s2_alt: float
-    j1: float
-    j2: float
-    j_up1: float
-    j_up2: float
-    provenance: ClassVar[Mapping[str, str]] = _PROVENANCE
+    provenance: Mapping[str, str] = _PROVENANCE
 
-    def __post_init__(self) -> None:
-        scalars = {
-            "s1": self.s1,
-            "s2": self.s2,
-            "s2_alt": self.s2_alt,
-            "j1": self.j1,
-            "j2": self.j2,
-            "j_up1": self.j_up1,
-            "j_up2": self.j_up2,
-        }
+    def __init__(
+        self,
+        d: int,
+        delta: float,
+        ks: Mapping[float, float],
+        kr: Mapping[float, float],
+        m: Mapping[float, float],
+        m_prime: Mapping[float, float],
+        s1: float,
+        s2: float,
+        s2_alt: float,
+        j1: float,
+        j2: float,
+        j_up1: float,
+        j_up2: float,
+    ) -> None:
+        scalars = {"s1": s1, "s2": s2, "s2_alt": s2_alt, "j1": j1, "j2": j2, "j_up1": j_up1, "j_up2": j_up2}
         for name, value in scalars.items():
             if not (value > 0 and math.isfinite(value)):
                 raise DomainError(f"constant {name} must be finite and positive, got {value}")
+        self.__dict__.update(scalars, d=d, delta=delta, ks=ks, kr=kr, m=m, m_prime=m_prime)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"ConstantSet is read-only; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"ConstantSet is read-only; cannot delete {name!r}")
 
     @cached_property
     def j(self) -> float:

@@ -30,7 +30,6 @@ with a 1% margin below equality) and T4 makes the Duhamel map a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .constants import ExponentPair, _check_delta, beta_fn, heat_kernel_grad_norm, heat_kernel_norm, young_constant
 from .errors import DomainError, InfeasibleExponentError
@@ -55,42 +54,48 @@ _STRICT_MARGIN = 0.01  # T3 backs off the strict Duhamel inequality by 1% of alp
 _K0_BETA_NOTE = "literal kernel decay: Beta(1 - d(1-1/r1), 1 + lambda); needs the stricter d(1-1/r1) < 1"
 
 
-@dataclass(frozen=True)
 class ForceNorm:
     """A force norm value |||f|||_{theta, lambda} with its exponents."""
 
-    theta: float
-    lam: float
-    value: float
+    __slots__ = ("theta", "lam", "value")
 
-    def __post_init__(self) -> None:
-        if self.theta < 1:
-            raise DomainError(f"theta must be >= 1, got {self.theta}")
-        if not (-1.0 < self.lam < 0.0):
-            raise DomainError(f"lambda must lie in (-1, 0), got {self.lam}")
-        if self.value < 0 or not math.isfinite(self.value):
-            raise DomainError(f"force norm must be finite and nonnegative, got {self.value}")
+    def __init__(self, theta: float, lam: float, value: float) -> None:
+        if theta < 1:
+            raise DomainError(f"theta must be >= 1, got {theta}")
+        if not (-1.0 < lam < 0.0):
+            raise DomainError(f"lambda must lie in (-1, 0), got {lam}")
+        if value < 0 or not math.isfinite(value):
+            raise DomainError(f"force norm must be finite and nonnegative, got {value}")
+        self.theta = theta
+        self.lam = lam
+        self.value = value
 
 
-@dataclass(frozen=True)
 class FeasibilityCheck:
     """One named exponent condition with the quantity that must be positive."""
 
-    name: str
-    margin: float
+    __slots__ = ("name", "margin")
+
+    def __init__(self, name: str, margin: float) -> None:
+        self.name = name
+        self.margin = margin
 
     @property
     def ok(self) -> bool:
         return self.margin > 0
 
 
-@dataclass(frozen=True)
 class ForceContribution:
     """Additive contribution to a Kato norm, with its feasibility report."""
 
-    coefficient: float | None
-    checks: tuple[FeasibilityCheck, ...]
-    notes: tuple[str, ...] = ()
+    __slots__ = ("coefficient", "checks", "notes")
+
+    def __init__(
+        self, coefficient: float | None, checks: tuple[FeasibilityCheck, ...], notes: tuple[str, ...] = ()
+    ) -> None:
+        self.coefficient = coefficient
+        self.checks = checks
+        self.notes = notes
 
     @property
     def feasible(self) -> bool:
@@ -198,7 +203,14 @@ def forced_lifespan(state: KatoBoundState, f1: ForceNorm, f2: ForceNorm) -> Life
                 f"force contribution to {label} infeasible: {', '.join(failed)}"
             )
     assert c1.coefficient is not None and c2.coefficient is not None
-    aug = replace(state, k0=state.k0.shifted(c1.coefficient), k0_prime=state.k0_prime.shifted(c2.coefficient))
+    aug = KatoBoundState(
+        state.d,
+        state.delta,
+        state.k0.shifted(c1.coefficient),
+        state.k0_prime.shifted(c2.coefficient),
+        state.constants,
+        state.notes,
+    )
     cert = theorem41_bound(aug)
     inter = dict(cert.intermediate)
     inter["force_k0_coefficient"] = c1.coefficient
@@ -208,10 +220,11 @@ def forced_lifespan(state: KatoBoundState, f1: ForceNorm, f2: ForceNorm) -> Life
         *c1.notes,
         *c2.notes,
     )
-    return replace(cert, intermediate=inter, notes=notes)
+    return LifespanCertificate(
+        cert.t0, cert.theorem, cert.delta_used, inter, cert.iterate_bound, cert.feasible, cert.checks, notes
+    )
 
 
-@dataclass(frozen=True)
 class AbstractParabolicProblem:
     """Constants of the abstract mild formulation u' = Au + F(u, grad u).
 
@@ -221,34 +234,41 @@ class AbstractParabolicProblem:
     time of the semigroup at the initial datum.
     """
 
-    gamma: float
-    c_gamma: float
-    alpha: float
-    k1: float
-    k2: float
-    t1: float
-    t2: float
+    __slots__ = ("gamma", "c_gamma", "alpha", "k1", "k2", "t1", "t2")
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.gamma < 1.0):
-            raise DomainError(f"gamma must lie in (0, 1), got {self.gamma}")
-        for name in ("c_gamma", "alpha", "k1", "k2", "t1", "t2"):
-            v = getattr(self, name)
+    def __init__(self, gamma: float, c_gamma: float, alpha: float, k1: float, k2: float, t1: float, t2: float) -> None:
+        if not (0.0 < gamma < 1.0):
+            raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
+        for name, v in (("c_gamma", c_gamma), ("alpha", alpha), ("k1", k1), ("k2", k2), ("t1", t1), ("t2", t2)):
             if not (v > 0 and math.isfinite(v)):
                 raise DomainError(f"{name} must be finite and positive, got {v}")
+        self.gamma = gamma
+        self.c_gamma = c_gamma
+        self.alpha = alpha
+        self.k1 = k1
+        self.k2 = k2
+        self.t1 = t1
+        self.t2 = t2
 
 
-@dataclass(frozen=True)
 class ParabolicLifespan:
-    """min(T1..T4) with the per-term breakdown and the contraction factor."""
+    """min(T1..T4) with the per-term breakdown and the contraction factor.
 
-    t: float
-    t1: float
-    t2: float
-    t3: float
-    t4: float
-    contraction_factor: float
-    ball_fraction: float  # Duhamel sup term as a fraction of alpha/2
+    ``ball_fraction`` is the Duhamel sup term as a fraction of alpha/2.
+    """
+
+    __slots__ = ("t", "t1", "t2", "t3", "t4", "contraction_factor", "ball_fraction")
+
+    def __init__(
+        self, t: float, t1: float, t2: float, t3: float, t4: float, contraction_factor: float, ball_fraction: float
+    ) -> None:
+        self.t = t
+        self.t1 = t1
+        self.t2 = t2
+        self.t3 = t3
+        self.t4 = t4
+        self.contraction_factor = contraction_factor
+        self.ball_fraction = ball_fraction
 
     def breakdown(self) -> dict[str, float]:
         return {"t1": self.t1, "t2": self.t2, "t3": self.t3, "t4": self.t4,

@@ -18,11 +18,13 @@ Norm convention: |a(x)| is the pointwise Euclidean magnitude of the vector,
 rotation plane, so L_p norms separate into Gamma-function factors. The
 field depends on x only through (r, |y|) with y the remaining d-2
 coordinates. |grad a|_d is amplitude * sigma times one constant per
-dimension, a product Gauss-Laguerre rule in that plane, 150 nodes in the
-planar radius and 64 in the axial one, whose nodes Newton's method finds
-from extrapolated starts (``_gauss_laguerre``). Its direct sum overflows
-from d = 1854 on, which is a DomainError; no certificate reaches those d,
-since the composite constants leave the doubles from d = 1024 on.
+dimension: a product Gauss-Laguerre rule in that plane, 150 nodes in the
+planar radius and 64 in the axial one. The package ships its value for
+every d in 3..1023 (``grad_unit_constants.json``, read on the first
+nonzero ``grad_norm``); ``tests/oracle_utils.py`` builds the rule and
+regenerates the file bit for bit. Any other d is a DomainError; no
+certificate reaches d >= 1024, since the composite constants leave the
+doubles there.
 
 The weighted semigroup norms
 
@@ -46,8 +48,9 @@ evaluator, root and saturation time reads the one peak time (``_profile``).
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+import os
 from functools import lru_cache
 from typing import Mapping
 
@@ -71,17 +74,11 @@ __all__ = [
     "norm_bundle_from_vortex",
 ]
 
-# nodes of the gradient constant's product Gauss-Laguerre rule in the planar
-# and the axial variable (see _grad_unit_constant for why they differ)
-_GAUSS_NODES = 150
-_AXIAL_NODES = 64
-# Newton steps of the Kato-norm inversion and of each Gauss node; from
-# their starts both converge in a handful
+# Newton steps of the Kato-norm inversion; from its start it converges in a handful
 _NEWTON_STEPS = 40
 _ROOT_CAP = 1e300  # a PowerBound root at or above it is capped there
 
 
-@dataclass(frozen=True)
 class VortexGaussian:
     """Rotating Gaussian vortex a(x) = amplitude * A x * exp(-|x|^2/(2 sigma^2)).
 
@@ -89,18 +86,19 @@ class VortexGaussian:
     logarithm of sigma^2, and its evolution divides by it.
     """
 
-    d: int
-    sigma: float
-    amplitude: float
+    __slots__ = ("d", "sigma", "amplitude")
 
-    def __post_init__(self) -> None:
-        _check_dimension(self.d)
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
-        if self.amplitude < 0 or not math.isfinite(self.amplitude):
-            raise DomainError(f"amplitude must be nonnegative, got {self.amplitude}")
-        if self.amplitude > 0 and not (0.0 < self.sigma * self.sigma < math.inf):
-            raise DomainError(f"sigma^2 leaves the range of the doubles for sigma={self.sigma}")
+    def __init__(self, d: int, sigma: float, amplitude: float) -> None:
+        _check_dimension(d)
+        if not (sigma > 0 and math.isfinite(sigma)):
+            raise DomainError(f"sigma must be positive and finite, got {sigma}")
+        if amplitude < 0 or not math.isfinite(amplitude):
+            raise DomainError(f"amplitude must be nonnegative, got {amplitude}")
+        if amplitude > 0 and not (0.0 < sigma * sigma < math.inf):
+            raise DomainError(f"sigma^2 leaves the range of the doubles for sigma={sigma}")
+        self.d = d
+        self.sigma = sigma
+        self.amplitude = amplitude
 
     def evolve(self, t: float) -> "VortexGaussian":
         """Heat evolution e^{t Lap} a, exactly, inside the family.
@@ -143,148 +141,35 @@ def lp_norm(data: VortexGaussian, p: float) -> float:
     return amplitude * math.exp(log_pp / p)
 
 
-@lru_cache(maxsize=64)
-def _gauss_laguerre(n: int, alpha: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """n-point Gauss rule for the probability weight x^alpha e^{-x} / Gamma(alpha + 1).
-
-    The nodes are the eigenvalues of the Laguerre Jacobi matrix
-    J = L D L^T, D_k = k + alpha + 1, D_k l_k^2 = k + 1. The stationary qd
-    transform gives the pivots of J - x to small relative error: their
-    product is det(J - x), the negative ones count the nodes below x, and
-    p_k(x)^2 = prod_{j<k} pivot_j^2 / (D_j^2 l_j^2) for the orthonormal p_k.
-    Newton on det(J - x) / prod (x - x_j) over the nodes found (Maehly's
-    deflation) rises monotonically to the next node from any start below
-    it. A start extrapolates the last gaps and is halved toward the last
-    node while a new node lies below it. The first start is Numerical
-    Recipes' gaulag guess, raised to the lower turning point of the
-    Laguerre equation, and is halved toward that point (or toward 0 where
-    it is negative): no node lies below it, and at large alpha both the
-    guess and a halving toward 0 fall so far below the first node that
-    Newton would creep. The pass after a step below 1e-10 relative gives
-    the node, to a few ulps even where the recurrence for p_n loses three
-    digits. A node that has not converged after _NEWTON_STEPS raises
-    DomainError; it is never kept. A node's weight is 1 / sum_{k<n} p_k(x)^2,
-    to about 1e-13 relative even at 1e-250, and scaling the weights to
-    their exact sum 1 removes the rounding they share.
-
-    Each qd pass computes only what its caller reads. A start pass gives
-    the last pivot, its x-derivative, the sum of pivot'/pivot over the
-    others and the count of nodes below x; a Newton pass gives the same
-    without the count; one weight pass at the accepted node gives
-    sum_k p_k(x)^2. The rule is bit for bit what one pass computing all
-    of these gives.
-
-    Rules are cached, since every dimension shares the alpha = 0 rule, and
-    returned as tuples, since callers share them.
-    """
-    steps = [(k + 1.0, k + alpha + 1.0, (k + 1.0) * (k + alpha + 1.0)) for k in range(n - 1)]
-
-    def newton_pass(x):
-        # last pivot, its x-derivative, sum of pivot'/pivot over the rest
-        s, ds, rest = -x, -1.0, 0.0
-        for k, d_k, dl2 in steps:
-            pivot = d_k + s
-            rest += ds / pivot
-            ds = dl2 * ds / (pivot * pivot) - 1.0
-            s = k * s / pivot - x
-        return n + alpha + s, ds, rest
-
-    def start_pass(x):
-        # a Newton pass that also counts the negative pivots, the nodes below x
-        s, ds, rest, below = -x, -1.0, 0.0, 0
-        for k, d_k, dl2 in steps:
-            pivot = d_k + s
-            rest += ds / pivot
-            below += pivot < 0.0
-            ds = dl2 * ds / (pivot * pivot) - 1.0
-            s = k * s / pivot - x
-        pivot = n + alpha + s
-        return pivot, ds, rest, below + (pivot < 0.0)
-
-    def weight_sum(x):
-        # sum_k p_k(x)^2
-        s, term, total = -x, 1.0, 0.0
-        for k, d_k, dl2 in steps:
-            pivot = d_k + s
-            total += term
-            term *= pivot * pivot / dl2
-            s = k * s / pivot - x
-        return total + term
-
-    # the lower turning point b - sqrt(b^2 + 1 - alpha^2), b = 2n + alpha + 1, without cancellation
-    b = 2.0 * n + alpha + 1.0
-    turning = (alpha * alpha - 1.0) / (b + math.sqrt((2.0 * n + 1.0) * (b + alpha) + 1.0))
-    x = max((1.0 + alpha) * (3.0 + 0.92 * alpha) / (1.0 + 2.4 * n + 1.8 * alpha), turning)
-    nodes, totals, last, gap = [], [], max(turning, 0.0), 0.0
-    for i in range(n):
-        pivot, ds, rest, below = start_pass(x)
-        while below > i:
-            x = 0.5 * (x + last)
-            pivot, ds, rest, below = start_pass(x)
-        for _ in range(_NEWTON_STEPS):
-            step = pivot / (ds + pivot * (rest - math.fsum([1.0 / (x - node) for node in nodes])))
-            x -= step
-            if abs(step) <= 1e-10 * x:
-                break
-            pivot, ds, rest = newton_pass(x)
-        else:
-            raise DomainError(f"Newton finds no Gauss-Laguerre node {i} of {n} for alpha={alpha}")
-        nodes.append(x)
-        totals.append(weight_sum(x))
-        gap, last, x = x - last, x, x + max(x - last, 2.0 * (x - last) - gap)
-    norm = math.fsum(1.0 / total for total in totals)
-    return tuple(nodes), tuple(1.0 / total / norm for total in totals)
+_GRAD_UNIT_FIRST_D, _GRAD_UNIT_LAST_D = 3, 1023  # the dimensions of the shipped gradient constants
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=None)
+def _grad_unit_table() -> tuple[float, ...]:
+    """The shipped |grad a|_d of the unit vortex for d = 3..1023, read once, on first use."""
+    with open(os.path.join(os.path.dirname(__file__), "grad_unit_constants.json"), encoding="utf-8") as fh:
+        return tuple(json.load(fh)["values"])
+
+
 def _grad_unit_constant(d: int) -> float:
-    """|grad a|_d for the unit vortex (sigma = amplitude = 1), by a Gauss rule.
+    """|grad a|_d for the unit vortex (sigma = amplitude = 1), from the shipped table.
 
-    In the planar radius r and the axial radius eta, the d-th power of the
-    Frobenius density is Q^{d/2} e^{-d (r^2 + eta^2)/2} with
-    Q = 2 - 2 r^2 + r^2 (r^2 + eta^2) >= 1. With the angular factors
-    2 pi r and omega_{d-2} eta^{d-3}, the substitution u = d r^2/2,
-    v = d eta^2/2 turns |grad a|_d^d into
-
-        2 pi omega_{d-2} d^{-2} (2/d)^{(d-4)/2} Int Int Q^{d/2} e^{-u} v^{(d-4)/2} e^{-v} du dv,
-
-    a product generalized Gauss-Laguerre rule, summed as a double loop:
-    _GAUSS_NODES in u (alpha = 0) and _AXIAL_NODES in v (alpha = (d-4)/2).
-    Q is quadratic in u and linear in v, so for even d Q^{d/2} has degree d
-    in u and d/2 in v, and the rule is exact up to d = 254; beyond that,
-    and for odd d, the integrand is smooth and the rule converges to
-    rounding level. The planar rule needs its 150 nodes, since with 100
-    d = 3 keeps an error of 7e-15; the axial rule gives the same doubles
-    with 64 as with 150 up to d = 88, and moves no constant of d <= 876 by
-    more than 3 ulps. The rule's weights are normalized to sum 1, and the
-    Gamma((d-2)/2) they take out cancels the one in
-    omega_{d-2} = 2 pi^{(d-2)/2} / Gamma((d-2)/2), which leaves the
-    prefactor 4 pi^{d/2} d^{-2} (2/d)^{(d-4)/2}. It is taken in logarithms
-    because (2/d)^{(d-4)/2} underflows at a few hundred dimensions. Where
-    Q^{d/2} overflows at the largest nodes (from d = 1854 on), the constant
-    is a DomainError; every certificate has d < 1024, where the composite
-    constants stay inside the doubles.
+    The table holds a product Gauss-Laguerre rule's value for every d in
+    3..1023 (module docstring); any other d is a DomainError.
     """
-    u, wu = _gauss_laguerre(_GAUSS_NODES, 0.0)
-    v, wv = _gauss_laguerre(_AXIAL_NODES, (d - 4) / 2.0)
-    power, dd = d / 2.0, d * d
-    try:
-        total = math.fsum(
-            wi * math.fsum(wj * (2.0 - 4.0 * ui / d + 4.0 * ui * (ui + vj) / dd) ** power for vj, wj in zip(v, wv))
-            for ui, wi in zip(u, wu)
+    if not _GRAD_UNIT_FIRST_D <= d <= _GRAD_UNIT_LAST_D:
+        raise DomainError(
+            f"the gradient constant is tabulated for d = {_GRAD_UNIT_FIRST_D}..{_GRAD_UNIT_LAST_D}, got d={d}"
         )
-    except OverflowError:
-        raise DomainError(f"the gradient constant's sum leaves the range of the doubles for d={d}") from None
-    log_scale = math.log(4.0 / (d * d)) + (d / 2.0) * math.log(math.pi) + ((d - 4) / 2.0) * math.log(2.0 / d)
-    return math.exp((log_scale + math.log(total)) / d)
+    return _grad_unit_table()[d - _GRAD_UNIT_FIRST_D]
 
 
 def grad_norm(data: VortexGaussian) -> float:
     """L_d norm of the Jacobian magnitude |grad a|_F.
 
     Scales exactly like amplitude * sigma: substituting x = sigma u removes
-    sigma from the Frobenius density, so only one quadrature per dimension is
-    ever performed (cached).
+    sigma from the Frobenius density, so one constant per dimension, from
+    the shipped table, gives every field.
     """
     if data.amplitude == 0:
         return 0.0
@@ -392,7 +277,6 @@ def peak_times(data: VortexGaussian, delta: float) -> tuple[float, float]:
     return _profile(data.d, delta, s2)[2], _profile(data.d, 0.0, s2)[2]
 
 
-@dataclass(frozen=True)
 class NormBundle:
     """Externally supplied norm values of an initial datum.
 
@@ -401,24 +285,36 @@ class NormBundle:
     the extra-integrability bound. Field names match the CLI JSON keys.
     """
 
-    lp_norms: Mapping[float, float]
-    grad_d_norm: float | None = None
-    theta: float | None = None
-    norm_d_plus_theta: float | None = None
+    __slots__ = ("lp_norms", "grad_d_norm", "theta", "norm_d_plus_theta")
 
-    def __post_init__(self) -> None:
-        for p, v in self.lp_norms.items():
+    def __init__(
+        self,
+        lp_norms: Mapping[float, float],
+        grad_d_norm: float | None = None,
+        theta: float | None = None,
+        norm_d_plus_theta: float | None = None,
+    ) -> None:
+        for p, v in lp_norms.items():
             if p < 1 or v < 0 or not math.isfinite(v):
                 raise DomainError(f"invalid lp norm entry ({p}, {v})")
-        if self.grad_d_norm is not None and (self.grad_d_norm < 0 or not math.isfinite(self.grad_d_norm)):
-            raise DomainError(f"invalid grad_d_norm {self.grad_d_norm}")
-        if (self.theta is None) != (self.norm_d_plus_theta is None):
+        if grad_d_norm is not None and (grad_d_norm < 0 or not math.isfinite(grad_d_norm)):
+            raise DomainError(f"invalid grad_d_norm {grad_d_norm}")
+        if (theta is None) != (norm_d_plus_theta is None):
             raise DomainError("theta and norm_d_plus_theta must be supplied together")
-        if self.theta is not None:
-            if self.theta <= 0:
-                raise DomainError(f"theta must be positive, got {self.theta}")
-            if self.norm_d_plus_theta < 0 or not math.isfinite(self.norm_d_plus_theta):
-                raise DomainError(f"invalid norm_d_plus_theta {self.norm_d_plus_theta}")
+        if theta is not None:
+            if theta <= 0:
+                raise DomainError(f"theta must be positive, got {theta}")
+            if norm_d_plus_theta < 0 or not math.isfinite(norm_d_plus_theta):
+                raise DomainError(f"invalid norm_d_plus_theta {norm_d_plus_theta}")
+        self.lp_norms = lp_norms
+        self.grad_d_norm = grad_d_norm
+        self.theta = theta
+        self.norm_d_plus_theta = norm_d_plus_theta
+
+    def __eq__(self, other: object) -> bool:  # a bundle read back from its dict equals the one written
+        if other.__class__ is not NormBundle:
+            return NotImplemented
+        return [getattr(self, name) for name in self.__slots__] == [getattr(other, name) for name in self.__slots__]
 
     def to_dict(self) -> dict:
         out: dict = {"lp_norms": {repr(float(p)): v for p, v in sorted(self.lp_norms.items())}}
@@ -445,7 +341,6 @@ class NormBundle:
         )
 
 
-@dataclass(frozen=True)
 class PowerBound:
     """A norm-bundle bound T -> coef T^power on K0 or K0'; power 0 is a T-uniform cap.
 
@@ -454,10 +349,13 @@ class PowerBound:
     which bound this is, in the words of a certificate note.
     """
 
-    coef: float
-    power: float = 0.0
-    inverse: float = math.inf
-    note: str = ""
+    __slots__ = ("coef", "power", "inverse", "note")
+
+    def __init__(self, coef: float, power: float = 0.0, inverse: float = math.inf, note: str = "") -> None:
+        self.coef = coef
+        self.power = power
+        self.inverse = inverse
+        self.note = note
 
     def __call__(self, T: float) -> float:
         if self.power == 0.0:

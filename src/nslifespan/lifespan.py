@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from . import initial_data as idmod
@@ -81,7 +80,6 @@ _EXPLICIT_SHRINK = 1.0 - 1e-12  # keeps closed-form replay margins nonnegative
 _TINY = 1e-300
 
 
-@dataclass(frozen=True)
 class KatoEvaluator:
     """A nondecreasing map T -> weighted-norm bound, with its infinity status.
 
@@ -98,10 +96,19 @@ class KatoEvaluator:
     root is inf exactly where y is at or above fn at the peak.
     """
 
-    fn: Callable[[float], float]
-    finite_at_infinity: bool
-    root: Callable[[float], float] | None = None
-    saturation: float = math.inf
+    __slots__ = ("fn", "finite_at_infinity", "root", "saturation")
+
+    def __init__(
+        self,
+        fn: Callable[[float], float],
+        finite_at_infinity: bool,
+        root: Callable[[float], float] | None = None,
+        saturation: float = math.inf,
+    ) -> None:
+        self.fn = fn
+        self.finite_at_infinity = finite_at_infinity
+        self.root = root
+        self.saturation = saturation
 
     def __call__(self, t: float) -> float:
         if math.isinf(t) and not self.finite_at_infinity:
@@ -123,16 +130,26 @@ class KatoEvaluator:
         )
 
 
-@dataclass(frozen=True)
 class KatoBoundState:
     """Evaluators for K0(T), K0'(T) plus the constants of the pair (d, delta)."""
 
-    d: int
-    delta: float
-    k0: KatoEvaluator
-    k0_prime: KatoEvaluator
-    constants: ConstantSet
-    notes: tuple[str, ...] = ()
+    __slots__ = ("d", "delta", "k0", "k0_prime", "constants", "notes")
+
+    def __init__(
+        self,
+        d: int,
+        delta: float,
+        k0: KatoEvaluator,
+        k0_prime: KatoEvaluator,
+        constants: ConstantSet,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        self.d = d
+        self.delta = delta
+        self.k0 = k0
+        self.k0_prime = k0_prime
+        self.constants = constants
+        self.notes = notes
 
 
 def state_from_vortex(data: idmod.VortexGaussian, delta: float) -> KatoBoundState:
@@ -204,14 +221,25 @@ def _least_bound(bounds: Sequence[idmod.PowerBound], finite_at_infinity: bool) -
     )
 
 
-@dataclass(frozen=True)
 class InequalityCheck:
-    """One certified inequality lhs <relation> rhs with its evaluated sides."""
+    """One certified inequality lhs <relation> rhs, relation "<" or "<=", with its evaluated sides.
 
-    name: str
-    lhs: float
-    relation: str  # "<" or "<="
-    rhs: float
+    Equal checks have equal fields; replay compares the stored checks with
+    the derived ones.
+    """
+
+    __slots__ = ("name", "lhs", "relation", "rhs")
+
+    def __init__(self, name: str, lhs: float, relation: str, rhs: float) -> None:
+        self.name = name
+        self.lhs = lhs
+        self.relation = relation
+        self.rhs = rhs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not InequalityCheck:
+            return NotImplemented
+        return (self.name, self.lhs, self.relation, self.rhs) == (other.name, other.lhs, other.relation, other.rhs)
 
     @property
     def margin(self) -> float:
@@ -231,18 +259,40 @@ class InequalityCheck:
         return cls(str(data["name"]), float(data["lhs"]), str(data["relation"]), float(data["rhs"]))
 
 
-@dataclass(frozen=True)
 class LifespanCertificate:
-    """A certified lifespan lower bound with everything needed to replay it."""
+    """A certified lifespan lower bound with everything needed to replay it.
 
-    t0: float
-    theorem: str  # thm31 | thm41 | thm41-explicit | global
-    delta_used: float
-    intermediate: Mapping[str, float]
-    iterate_bound: float | None
-    feasible: bool
-    checks: tuple[InequalityCheck, ...]
-    notes: tuple[str, ...] = ()
+    ``theorem`` is one of thm31, thm41, thm41-explicit and global. Equal
+    certificates have equal fields: a certificate read back from its dict
+    equals the one written.
+    """
+
+    __slots__ = ("t0", "theorem", "delta_used", "intermediate", "iterate_bound", "feasible", "checks", "notes")
+
+    def __init__(
+        self,
+        t0: float,
+        theorem: str,
+        delta_used: float,
+        intermediate: Mapping[str, float],
+        iterate_bound: float | None,
+        feasible: bool,
+        checks: tuple[InequalityCheck, ...],
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        self.t0 = t0
+        self.theorem = theorem
+        self.delta_used = delta_used
+        self.intermediate = intermediate
+        self.iterate_bound = iterate_bound
+        self.feasible = feasible
+        self.checks = checks
+        self.notes = notes
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not LifespanCertificate:
+            return NotImplemented
+        return [getattr(self, name) for name in self.__slots__] == [getattr(other, name) for name in self.__slots__]
 
     def to_dict(self) -> dict:
         return {
@@ -270,12 +320,14 @@ class LifespanCertificate:
         )
 
 
-@dataclass(frozen=True)
 class DeltaSweep:
-    """Result of certifying over a delta grid: the winner plus the profile."""
+    """Result of certifying over a delta grid: the winner plus the (delta, t0, feasible) profile."""
 
-    best: LifespanCertificate
-    profile: tuple[tuple[float, float, bool], ...]  # (delta, t0, feasible)
+    __slots__ = ("best", "profile")
+
+    def __init__(self, best: LifespanCertificate, profile: tuple[tuple[float, float, bool], ...]) -> None:
+        self.best = best
+        self.profile = profile
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +709,16 @@ def optimize_delta(certify: Callable[[float], LifespanCertificate], grid: Sequen
     certs = [certify(dlt) for dlt in grid]
     _, best = max(zip(grid, certs), key=lambda pair: (pair[1].feasible, pair[1].t0, -pair[0]))
     if not best.feasible:
-        best = replace(best, notes=best.notes + ("all deltas on the grid were infeasible",))
+        best = LifespanCertificate(
+            best.t0,
+            best.theorem,
+            best.delta_used,
+            best.intermediate,
+            best.iterate_bound,
+            best.feasible,
+            best.checks,
+            best.notes + ("all deltas on the grid were infeasible",),
+        )
     return DeltaSweep(best=best, profile=tuple((dlt, c.t0, c.feasible) for dlt, c in zip(grid, certs)))
 
 
@@ -696,12 +757,14 @@ def global_certificate(a_d_norm: float, d: int, delta: float) -> LifespanCertifi
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ReplayReport:
     """Result of re-validating a certificate from its stored intermediates."""
 
-    all_passed: bool
-    results: tuple[tuple[str, bool, str], ...]
+    __slots__ = ("all_passed", "results")
+
+    def __init__(self, all_passed: bool, results: tuple[tuple[str, bool, str], ...]) -> None:
+        self.all_passed = all_passed
+        self.results = results
 
 
 # the intermediates that every feasible certificate of a theorem stores; a

@@ -17,7 +17,6 @@ constraint named rather than clamping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .constants import (
@@ -43,7 +42,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ThetaExponents:
     """The seven derived exponents for the pair of mixed-norm bounds.
 
@@ -59,16 +57,31 @@ class ThetaExponents:
     so the closed interval is allowed there.
     """
 
-    d: int
-    q: float
-    delta: float
-    theta1: float
-    theta2: float
-    theta3: float
-    theta4: float
-    theta5: float
-    theta6: float
-    theta7: float
+    __slots__ = ("d", "q", "delta", "theta1", "theta2", "theta3", "theta4", "theta5", "theta6", "theta7")
+
+    def __init__(
+        self,
+        d: int,
+        q: float,
+        delta: float,
+        theta1: float,
+        theta2: float,
+        theta3: float,
+        theta4: float,
+        theta5: float,
+        theta6: float,
+        theta7: float,
+    ) -> None:
+        self.d = d
+        self.q = q
+        self.delta = delta
+        self.theta1 = theta1
+        self.theta2 = theta2
+        self.theta3 = theta3
+        self.theta4 = theta4
+        self.theta5 = theta5
+        self.theta6 = theta6
+        self.theta7 = theta7
 
     @classmethod
     def create(cls, d: int, q: float, delta: float) -> "ThetaExponents":
@@ -117,7 +130,6 @@ class ThetaExponents:
         }
 
 
-@dataclass(frozen=True)
 class SolutionNormInputs:
     """Certified sup bounds feeding the mixed-norm formulas.
 
@@ -126,15 +138,15 @@ class SolutionNormInputs:
     |a|_d of the initial datum.
     """
 
-    k_sup: float
-    k_prime_sup: float
-    a_d_norm: float
+    __slots__ = ("k_sup", "k_prime_sup", "a_d_norm")
 
-    def __post_init__(self) -> None:
-        for name in ("k_sup", "k_prime_sup", "a_d_norm"):
-            v = getattr(self, name)
+    def __init__(self, k_sup: float, k_prime_sup: float, a_d_norm: float) -> None:
+        for name, v in (("k_sup", k_sup), ("k_prime_sup", k_prime_sup), ("a_d_norm", a_d_norm)):
             if v < 0 or not math.isfinite(v):
                 raise DomainError(f"{name} must be finite and nonnegative, got {v}")
+        self.k_sup = k_sup
+        self.k_prime_sup = k_prime_sup
+        self.a_d_norm = a_d_norm
 
 
 def psi_bound(d: int, q: float, delta: float, inputs: SolutionNormInputs) -> float:
@@ -168,13 +180,23 @@ def psi_bound(d: int, q: float, delta: float, inputs: SolutionNormInputs) -> flo
     return quad_term + data_term
 
 
-@dataclass(frozen=True)
 class PsiMin:
-    """Grid infimum of psi over delta with the argmin and the full profile."""
+    """Grid infimum of psi over delta with the argmin and the full profile.
 
-    value: float
-    delta: float
-    profile: tuple[tuple[float, float], ...]  # (delta, psi) over admissible grid points
+    ``profile`` holds (delta, psi) over the admissible grid points.
+    """
+
+    __slots__ = ("value", "delta", "profile")
+
+    def __init__(self, value: float, delta: float, profile: tuple[tuple[float, float], ...]) -> None:
+        self.value = value
+        self.delta = delta
+        self.profile = profile
+
+    def __eq__(self, other: object) -> bool:  # equal grids and inputs give equal results
+        if other.__class__ is not PsiMin:
+            return NotImplemented
+        return (self.value, self.delta, self.profile) == (other.value, other.delta, other.profile)
 
 
 def psi_min(d: int, q: float, inputs: SolutionNormInputs, delta_grid: Sequence[float]) -> PsiMin:

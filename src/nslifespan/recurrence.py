@@ -22,7 +22,6 @@ dynamics, which dominate every obedient sequence pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -35,24 +34,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CoupledRecurrence:
     """Coefficients of the coupled product system with start (x0, y0)."""
 
-    alpha1: float
-    alpha2: float
-    beta1: float
-    beta2: float
-    x0: float
-    y0: float
+    __slots__ = ("alpha1", "alpha2", "beta1", "beta2", "x0", "y0")
 
-    def __post_init__(self) -> None:
-        if min(self.alpha1, self.alpha2, self.beta1, self.beta2) <= 0:
-            raise DomainError(
-                f"coupled coefficients must be positive, got {self}"
-            )
-        if self.x0 <= 0 or self.y0 <= 0:
+    def __init__(self, alpha1: float, alpha2: float, beta1: float, beta2: float, x0: float, y0: float) -> None:
+        self.alpha1 = alpha1
+        self.alpha2 = alpha2
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.x0 = x0
+        self.y0 = y0
+        if min(alpha1, alpha2, beta1, beta2) <= 0:
+            raise DomainError(f"coupled coefficients must be positive, got {self}")
+        if x0 <= 0 or y0 <= 0:
             raise DomainError(f"start values must be positive, got {self}")
+
+    def __repr__(self) -> str:  # the error messages above print it
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"CoupledRecurrence({fields})"
 
     @property
     def det1(self) -> float:
@@ -73,7 +74,6 @@ class CoupledRecurrence:
         return _discriminant(self.alpha2, self.det2, self.beta1)
 
 
-@dataclass(frozen=True)
 class HypothesisFailure:
     """A named hypothesis with the (nonpositive) margin by which it failed.
 
@@ -83,17 +83,22 @@ class HypothesisFailure:
     whose quantities overflow the doubles.
     """
 
-    condition: str
-    margin: float
+    __slots__ = ("condition", "margin")
+
+    def __init__(self, condition: str, margin: float) -> None:
+        self.condition = condition
+        self.margin = margin
 
 
-@dataclass(frozen=True)
 class CoupledBound:
     """Result of the coupled fixed-point bound."""
 
-    x_bound: float | None
-    y_bound: float | None
-    failures: tuple[HypothesisFailure, ...]
+    __slots__ = ("x_bound", "y_bound", "failures")
+
+    def __init__(self, x_bound: float | None, y_bound: float | None, failures: tuple[HypothesisFailure, ...]) -> None:
+        self.x_bound = x_bound
+        self.y_bound = y_bound
+        self.failures = failures
 
     @property
     def ok(self) -> bool:

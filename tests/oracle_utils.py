@@ -6,8 +6,10 @@ a plain tensor Simpson grid), the heat evolution is checked against direct
 convolution with the Gaussian kernel, and suprema are brute-forced on dense
 grids. The report encoder is checked against a plain recursive encoder.
 It also holds what only the tests use: the pointwise vortex field
-(``VortexGaussian``) and the worst-case iteration of the recurrences, the
-ground truth for their fixed-point bounds.
+(``VortexGaussian``), the worst-case iteration of the recurrences, the
+ground truth for their fixed-point bounds, and the Gauss-Laguerre builder
+of the package's gradient-constant table (``python tests/oracle_utils.py``
+rewrites the table).
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 from typing import Any, Union
 
 import numpy as np
@@ -172,6 +176,165 @@ def grad_unit_constant_even_exact(d: int) -> float:
         + math.log(total.numerator) - math.log(total.denominator)
     )
     return math.exp(log_value / d)
+
+
+# -- the builder of the package's gradient-constant table ----------------------
+
+# nodes of the gradient constant's product Gauss-Laguerre rule in the planar
+# and the axial variable (see grad_unit_constant_gauss for why they differ)
+GAUSS_NODES = 150
+AXIAL_NODES = 64
+_NEWTON_STEPS = 40  # Newton steps of each Gauss node; from its start it converges in a handful
+GRAD_UNIT_TABLE = Path(initial_data.__file__).with_name("grad_unit_constants.json")
+
+
+@lru_cache(maxsize=64)
+def gauss_laguerre(n: int, alpha: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """n-point Gauss rule for the probability weight x^alpha e^{-x} / Gamma(alpha + 1).
+
+    The nodes are the eigenvalues of the Laguerre Jacobi matrix
+    J = L D L^T, D_k = k + alpha + 1, D_k l_k^2 = k + 1. The stationary qd
+    transform gives the pivots of J - x to small relative error: their
+    product is det(J - x), the negative ones count the nodes below x, and
+    p_k(x)^2 = prod_{j<k} pivot_j^2 / (D_j^2 l_j^2) for the orthonormal p_k.
+    Newton on det(J - x) / prod (x - x_j) over the nodes found (Maehly's
+    deflation) rises monotonically to the next node from any start below
+    it. A start extrapolates the last gaps and is halved toward the last
+    node while a new node lies below it. The first start is Numerical
+    Recipes' gaulag guess, raised to the lower turning point of the
+    Laguerre equation, and is halved toward that point (or toward 0 where
+    it is negative): no node lies below it, and at large alpha both the
+    guess and a halving toward 0 fall so far below the first node that
+    Newton would creep. The pass after a step below 1e-10 relative gives
+    the node, to a few ulps even where the recurrence for p_n loses three
+    digits. A node that has not converged after _NEWTON_STEPS raises
+    DomainError; it is never kept. A node's weight is 1 / sum_{k<n} p_k(x)^2,
+    to about 1e-13 relative even at 1e-250, and scaling the weights to
+    their exact sum 1 removes the rounding they share.
+
+    Each qd pass computes only what its caller reads. A start pass gives
+    the last pivot, its x-derivative, the sum of pivot'/pivot over the
+    others and the count of nodes below x; a Newton pass gives the same
+    without the count; one weight pass at the accepted node gives
+    sum_k p_k(x)^2. The rule is bit for bit what one pass computing all
+    of these gives (``gauss_laguerre_single_loop``).
+
+    Rules are cached, since every dimension shares the alpha = 0 rule, and
+    returned as tuples, since callers share them.
+    """
+    steps = [(k + 1.0, k + alpha + 1.0, (k + 1.0) * (k + alpha + 1.0)) for k in range(n - 1)]
+
+    def newton_pass(x):
+        # last pivot, its x-derivative, sum of pivot'/pivot over the rest
+        s, ds, rest = -x, -1.0, 0.0
+        for k, d_k, dl2 in steps:
+            pivot = d_k + s
+            rest += ds / pivot
+            ds = dl2 * ds / (pivot * pivot) - 1.0
+            s = k * s / pivot - x
+        return n + alpha + s, ds, rest
+
+    def start_pass(x):
+        # a Newton pass that also counts the negative pivots, the nodes below x
+        s, ds, rest, below = -x, -1.0, 0.0, 0
+        for k, d_k, dl2 in steps:
+            pivot = d_k + s
+            rest += ds / pivot
+            below += pivot < 0.0
+            ds = dl2 * ds / (pivot * pivot) - 1.0
+            s = k * s / pivot - x
+        pivot = n + alpha + s
+        return pivot, ds, rest, below + (pivot < 0.0)
+
+    def weight_sum(x):
+        # sum_k p_k(x)^2
+        s, term, total = -x, 1.0, 0.0
+        for k, d_k, dl2 in steps:
+            pivot = d_k + s
+            total += term
+            term *= pivot * pivot / dl2
+            s = k * s / pivot - x
+        return total + term
+
+    # the lower turning point b - sqrt(b^2 + 1 - alpha^2), b = 2n + alpha + 1, without cancellation
+    b = 2.0 * n + alpha + 1.0
+    turning = (alpha * alpha - 1.0) / (b + math.sqrt((2.0 * n + 1.0) * (b + alpha) + 1.0))
+    x = max((1.0 + alpha) * (3.0 + 0.92 * alpha) / (1.0 + 2.4 * n + 1.8 * alpha), turning)
+    nodes, totals, last, gap = [], [], max(turning, 0.0), 0.0
+    for i in range(n):
+        pivot, ds, rest, below = start_pass(x)
+        while below > i:
+            x = 0.5 * (x + last)
+            pivot, ds, rest, below = start_pass(x)
+        for _ in range(_NEWTON_STEPS):
+            step = pivot / (ds + pivot * (rest - math.fsum([1.0 / (x - node) for node in nodes])))
+            x -= step
+            if abs(step) <= 1e-10 * x:
+                break
+            pivot, ds, rest = newton_pass(x)
+        else:
+            raise DomainError(f"Newton finds no Gauss-Laguerre node {i} of {n} for alpha={alpha}")
+        nodes.append(x)
+        totals.append(weight_sum(x))
+        gap, last, x = x - last, x, x + max(x - last, 2.0 * (x - last) - gap)
+    norm = math.fsum(1.0 / total for total in totals)
+    return tuple(nodes), tuple(1.0 / total / norm for total in totals)
+
+
+def grad_unit_constant_gauss(d: int) -> float:
+    """|grad a|_d for the unit vortex (sigma = amplitude = 1), by a Gauss rule: one entry of the package's table.
+
+    In the planar radius r and the axial radius eta, the d-th power of the
+    Frobenius density is Q^{d/2} e^{-d (r^2 + eta^2)/2} with
+    Q = 2 - 2 r^2 + r^2 (r^2 + eta^2) >= 1. With the angular factors
+    2 pi r and omega_{d-2} eta^{d-3}, the substitution u = d r^2/2,
+    v = d eta^2/2 turns |grad a|_d^d into
+
+        2 pi omega_{d-2} d^{-2} (2/d)^{(d-4)/2} Int Int Q^{d/2} e^{-u} v^{(d-4)/2} e^{-v} du dv,
+
+    a product generalized Gauss-Laguerre rule, summed as a double loop:
+    GAUSS_NODES in u (alpha = 0) and AXIAL_NODES in v (alpha = (d-4)/2).
+    Q is quadratic in u and linear in v, so for even d Q^{d/2} has degree d
+    in u and d/2 in v, and the rule is exact up to d = 254; beyond that,
+    and for odd d, the integrand is smooth and the rule converges to
+    rounding level. The planar rule needs its 150 nodes, since with 100
+    d = 3 keeps an error of 7e-15; the axial rule gives the same doubles
+    with 64 as with 150 up to d = 88, and moves no constant of d <= 876 by
+    more than 3 ulps. The rule's weights are normalized to sum 1, and the
+    Gamma((d-2)/2) they take out cancels the one in
+    omega_{d-2} = 2 pi^{(d-2)/2} / Gamma((d-2)/2), which leaves the
+    prefactor 4 pi^{d/2} d^{-2} (2/d)^{(d-4)/2}. It is taken in logarithms
+    because (2/d)^{(d-4)/2} underflows at a few hundred dimensions. Where
+    Q^{d/2} overflows at the largest nodes (from d = 1854 on), the constant
+    is a DomainError.
+    """
+    u, wu = gauss_laguerre(GAUSS_NODES, 0.0)
+    v, wv = gauss_laguerre(AXIAL_NODES, (d - 4) / 2.0)
+    power, dd = d / 2.0, d * d
+    try:
+        total = math.fsum(
+            wi * math.fsum(wj * (2.0 - 4.0 * ui / d + 4.0 * ui * (ui + vj) / dd) ** power for vj, wj in zip(v, wv))
+            for ui, wi in zip(u, wu)
+        )
+    except OverflowError:
+        raise DomainError(f"the gradient constant's sum leaves the range of the doubles for d={d}") from None
+    log_scale = math.log(4.0 / (d * d)) + (d / 2.0) * math.log(math.pi) + ((d - 4) / 2.0) * math.log(2.0 / d)
+    return math.exp((log_scale + math.log(total)) / d)
+
+
+def grad_unit_table_text(values: list[float]) -> str:
+    """The text of the package's ``grad_unit_constants.json`` for the constants of d = 3, 4, ...
+
+    ``python tests/oracle_utils.py`` writes it from ``grad_unit_constant_gauss``
+    for d = 3..1023, in about 8 s.
+    """
+    payload = {
+        "about": "|grad a|_d of the unit vortex (sigma = amplitude = 1) for d = first_d, first_d + 1, ...; "
+                 "written by tests/oracle_utils.py (grad_unit_constant_gauss)",
+        "first_d": 3,
+        "values": values,
+    }
+    return json.dumps(payload, indent=1) + "\n"
 
 
 def gauss_laguerre_golub_welsch(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -615,3 +778,8 @@ def iterate_coupled_batch(
             np.maximum(sx, x, out=sx)
             np.maximum(sy, y, out=sy)
     return sx, sy
+
+
+if __name__ == "__main__":  # regenerate the package's gradient-constant table
+    text = grad_unit_table_text([grad_unit_constant_gauss(d) for d in range(3, 1024)])
+    GRAD_UNIT_TABLE.write_text(text, encoding="utf-8")

@@ -748,6 +748,14 @@ class TestStartUp:
             if name.partition(".")[0] not in sys.stdlib_module_names and name.partition(".")[0] != "nslifespan"
         ]
         assert outside == []
+        # importing these (with ast, dis and tokenize) and building records with them cost a cold start about 30 ms
+        assert not {"dataclasses", "inspect"} & set(loaded)
+
+    def test_package_source_has_no_dataclass_or_gauss_rule(self):
+        # the records are plain classes, and the gradient constants are shipped data
+        for path in sorted((REPO_ROOT / "src" / "nslifespan").glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            assert "@dataclass" not in text and "_gauss_laguerre" not in text, path.name
 
 
 class TestExampleCorpus:

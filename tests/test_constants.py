@@ -258,6 +258,25 @@ class TestComposite:
         b = composite_constants(4, 0.25)
         assert a is b
 
+    # the fields, the values derived on first use, the shared provenance map and a new name
+    NAMES = (
+        "d", "delta", "ks", "kr", "m", "m_prime", "s1", "s2", "s2_alt", "j1", "j2", "j_up1", "j_up2",
+        "j", "delta0", "j_bar", "c1", "c2", "c3", "threshold", "iterate_bound", "table", "provenance", "extra",
+    )
+
+    def test_shared_set_is_read_only(self):
+        # every caller of composite_constants(d, delta) shares one set, before and after its values are derived
+        cs = composite_constants(3, 0.5)
+        for touched in (False, True):
+            before = {name: getattr(cs, name, None) for name in self.NAMES} if touched else {}
+            for name in self.NAMES:
+                with pytest.raises(AttributeError):
+                    setattr(cs, name, 1.0)
+                with pytest.raises(AttributeError):
+                    delattr(cs, name)
+            for name, value in before.items():
+                assert getattr(cs, name, None) is value, name
+
     def test_table_contains_riesz(self):
         cs = composite_constants(3, DELTA0)
         rows = {name: value for name, value, _ in cs.table}

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -12,11 +13,8 @@ from nslifespan import initial_data as idmod
 from nslifespan.constants import DELTA0, composite_constants
 from nslifespan.errors import DomainError, UnavailableBoundError
 from nslifespan.initial_data import (
-    _AXIAL_NODES,
-    _GAUSS_NODES,
     NormBundle,
     PowerBound,
-    _gauss_laguerre,
     _grad_unit_constant,
     grad_norm,
     k0_exact,
@@ -129,15 +127,15 @@ class TestGradNorm:
         assert _grad_unit_constant(d) == pytest.approx(oracle.grad_unit_constant_even_exact(d), rel=1e-14)
 
     def test_gauss_rules_cached_read_only_and_unchanged(self):
-        nodes, weights = _gauss_laguerre(150, 0.5)
-        cached_nodes, cached_weights = _gauss_laguerre(150, 0.5)
+        nodes, weights = oracle.gauss_laguerre(150, 0.5)
+        cached_nodes, cached_weights = oracle.gauss_laguerre(150, 0.5)
         assert cached_nodes is nodes and cached_weights is weights
         assert type(nodes) is tuple and type(weights) is tuple
         with pytest.raises(TypeError):
             nodes[0] = 0.0
         with pytest.raises(TypeError):
             weights[0] = 0.0
-        assert _gauss_laguerre.__wrapped__(150, 0.5) == (nodes, weights)
+        assert oracle.gauss_laguerre.__wrapped__(150, 0.5) == (nodes, weights)
 
     @pytest.mark.parametrize(
         "d", [3, 4, 5, 6, 7, 11, 20, 37, 38, 64, 101, 150, 201, 333, 499, 500, 877, 878, 963, 2000, 3828]
@@ -146,8 +144,8 @@ class TestGradNorm:
         # both rule sizes at the axial alpha; the 150-node rule once kept an unconverged first
         # node at d = 877 and 878, and the 64-node rule from d = 2264 on (a crash or hang from 3828)
         alpha = (d - 4) / 2.0
-        for n in (_GAUSS_NODES, _AXIAL_NODES):
-            nodes, weights = _gauss_laguerre(n, alpha)
+        for n in (oracle.GAUSS_NODES, oracle.AXIAL_NODES):
+            nodes, weights = oracle.gauss_laguerre(n, alpha)
             ref_nodes, ref_weights = oracle.gauss_laguerre_golub_welsch(n, alpha)
             assert all(a < b for a, b in zip(nodes, nodes[1:]))
             # the eigensolve's smallest nodes are off by up to 1e-13 relative against mpmath, where
@@ -163,12 +161,12 @@ class TestGradNorm:
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
     def test_split_passes_keep_the_rule_bits(self, alpha):
         # the planar rule and the axial rules of d = 3, 4, 5, against the single-pass builder
-        for n in (_GAUSS_NODES, _AXIAL_NODES):
-            assert _gauss_laguerre.__wrapped__(n, alpha) == oracle.gauss_laguerre_single_loop(n, alpha)
+        for n in (oracle.GAUSS_NODES, oracle.AXIAL_NODES):
+            assert oracle.gauss_laguerre.__wrapped__(n, alpha) == oracle.gauss_laguerre_single_loop(n, alpha)
 
     def test_smallest_nodes_to_a_few_ulps(self):
         for alpha in (-0.5, 0.0, 0.5):
-            nodes, _ = _gauss_laguerre(150, alpha)
+            nodes, _ = oracle.gauss_laguerre(150, alpha)
             for x in nodes[:5]:
                 with mpmath.workdps(40):
                     root = float(mpmath.findroot(lambda t: mpmath.laguerre(150, alpha, t), mpmath.mpf(x)))
@@ -180,7 +178,28 @@ class TestGradNorm:
         for d in (963, 1000):
             assert _grad_unit_constant(d) == pytest.approx(oracle.grad_unit_constant_scaled_quad(d), rel=1e-12, abs=0.0)
         with pytest.raises(DomainError, match="^the gradient constant's sum leaves the range of the doubles for d=2000$"):
-            _grad_unit_constant(2000)
+            oracle.grad_unit_constant_gauss(2000)
+
+    # d 3-8, the dimensions of TestStartUp.GRADIENT_CONSTANT_BITS, every 50th d and the last
+    @pytest.mark.parametrize("d", [*range(3, 9), 20, *range(50, 1024, 50), 1023])
+    def test_shipped_table_is_the_gauss_rule_bit_for_bit(self, d):
+        assert _grad_unit_constant(d).hex() == oracle.grad_unit_constant_gauss(d).hex()
+
+    def test_shipped_table_text_is_the_builders(self):
+        # with the sample above, `python tests/oracle_utils.py` writes the shipped file unchanged
+        text = oracle.GRAD_UNIT_TABLE.read_text(encoding="utf-8")
+        values = json.loads(text)["values"]
+        assert len(values) == 1021
+        assert text == oracle.grad_unit_table_text(values)
+
+    @pytest.mark.parametrize("d", [2, 1024])
+    def test_untabulated_dimension_rejected(self, d):
+        message = f"the gradient constant is tabulated for d = 3..1023, got d={d}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            _grad_unit_constant(d)
+        if d > 2:  # the constructor admits every d >= 3
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                grad_norm(VortexGaussian(d, 1.0, 1.0))
 
     def test_constants_match_benchmark_reference(self):
         stored = json.loads((REPO_ROOT / "perfbench" / "grad_unit_constants.json").read_text(encoding="utf-8"))

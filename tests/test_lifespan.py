@@ -2,7 +2,6 @@ import importlib.util
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -330,11 +329,16 @@ def _forces(d, delta, u1, u2, value1, value2):
 def _shifted(state, cert):
     """The state forced_lifespan solved: both evaluators shifted by the force coefficients."""
     c1, c2 = cert.intermediate["force_k0_coefficient"], cert.intermediate["force_k0_prime_coefficient"]
-    return replace(
+    return _with_evaluators(
         state,
-        k0=KatoEvaluator(lambda T: state.k0(T) + c1, state.k0.finite_at_infinity),
-        k0_prime=KatoEvaluator(lambda T: state.k0_prime(T) + c2, state.k0_prime.finite_at_infinity),
+        KatoEvaluator(lambda T: state.k0(T) + c1, state.k0.finite_at_infinity),
+        KatoEvaluator(lambda T: state.k0_prime(T) + c2, state.k0_prime.finite_at_infinity),
     )
+
+
+def _with_evaluators(state, k0, k0_prime):
+    """The state with its evaluators replaced."""
+    return KatoBoundState(state.d, state.delta, k0, k0_prime, state.constants, state.notes)
 
 
 def _assert_largest_passing_double(state, cert):
@@ -471,10 +475,10 @@ class TestNavierStokesScaling:
 
 def _rootless(state):
     """The state with the roots removed: theorem41_bound then bisects all 63 levels unbracketed."""
-    return replace(
+    return _with_evaluators(
         state,
-        k0=KatoEvaluator(state.k0.fn, state.k0.finite_at_infinity),
-        k0_prime=KatoEvaluator(state.k0_prime.fn, state.k0_prime.finite_at_infinity),
+        KatoEvaluator(state.k0.fn, state.k0.finite_at_infinity),
+        KatoEvaluator(state.k0_prime.fn, state.k0_prime.finite_at_infinity),
     )
 
 
@@ -742,7 +746,7 @@ class TestNormBoundSources:
 
         def doubled(*args, **kwargs):
             bound = original(*args, **kwargs)
-            return replace(bound, coef=2.0 * bound.coef)
+            return idmod.PowerBound(2.0 * bound.coef, bound.power, bound.inverse, bound.note)
 
         monkeypatch.setattr(idmod, constructor, doubled)
         after = self.horizons(bundle)
@@ -947,10 +951,10 @@ class TestCoupledVerdict:
 
 def _unsaturated(state):
     """The state with the evaluators' saturation times removed: the coupled scan then probes every point."""
-    return replace(
+    return _with_evaluators(
         state,
-        k0=replace(state.k0, saturation=math.inf),
-        k0_prime=replace(state.k0_prime, saturation=math.inf),
+        KatoEvaluator(state.k0.fn, state.k0.finite_at_infinity, state.k0.root),
+        KatoEvaluator(state.k0_prime.fn, state.k0_prime.finite_at_infinity, state.k0_prime.root),
     )
 
 
@@ -1230,7 +1234,10 @@ class TestReplayMutations:
             data = cert.to_dict()
             data["intermediate"][name] = "not a number"
             assert not replay_certificate(data).all_passed, name
-            stored = replace(cert, intermediate={**cert.intermediate, name: None})
+            stored = LifespanCertificate(
+                cert.t0, cert.theorem, cert.delta_used, {**cert.intermediate, name: None},
+                cert.iterate_bound, cert.feasible, cert.checks, cert.notes,
+            )
             assert not replay_certificate(stored).all_passed, name
 
 
