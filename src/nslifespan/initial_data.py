@@ -40,10 +40,13 @@ are closed forms too. On the evolution, |e^{t Lap} a|_{d/delta} is
 with (a, b, norm0) = ((1-delta)/2, (d+1-delta)/2, |a|_{d/delta}) for K0 and
 the same exponents at delta = 0 with norm0 = |grad a|_d for K0'. The profile
 rises up to its peak time t* = a sigma^2 / (2 (b - a)) and falls after it,
-so K0(T) and K0'(T) are its value at min(T, t*) (``_weighted_norm``). Both
-vanish as T -> 0+ and saturate at their peak as T -> infinity, and
-``k0_root``/``k0_prime_root`` invert them by Newton's method in log T. Every
-evaluator, root and saturation time reads the one peak time (``_profile``).
+so K0(T) and K0'(T) are its value at min(T, t*). Both vanish as T -> 0+ and
+saturate at their peak as T -> infinity. ``k0_exact(data, delta)`` and
+``k0_prime_exact(data)`` build this profile once per (datum, delta) as a
+``KatoProfile``. It reads a, b and t* at the build, and norm0 and the value
+at t* at its first use, so an evaluation costs two powers. The profile's
+``root`` inverts it by Newton's method in log T, and its ``t_peak`` is the
+saturation time.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import json
 import math
 import os
 from functools import lru_cache
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .constants import ExponentPair, _check_delta, _check_dimension, heat_kernel_norm, log_gamma, young_constant
 from .errors import DomainError, UnavailableBoundError
@@ -62,11 +65,9 @@ __all__ = [
     "NormBundle",
     "lp_norm",
     "grad_norm",
+    "KatoProfile",
     "k0_exact",
     "k0_prime_exact",
-    "peak_times",
-    "k0_root",
-    "k0_prime_root",
     "PowerBound",
     "k0_norm_bound",
     "k0_prime_norm_bound",
@@ -176,105 +177,99 @@ def grad_norm(data: VortexGaussian) -> float:
     return data.amplitude * data.sigma * _grad_unit_constant(data.d)
 
 
-def _profile(d: int, delta: float, s2: float) -> tuple[float, float, float]:
-    """(a, b, t*) of the K0 profile norm0 t^a (1 + 2t/s2)^{-b}; delta = 0 gives the K0' profile.
+class KatoProfile:
+    """T -> norm0 t^a (1 + 2t/s2)^{-b} at t = min(T, t*): K0 or K0' of one vortex and one delta.
 
     a = (1-delta)/2 and b = (d+1-delta)/2, and the profile peaks at
-    t* = a s2 / (2 (b - a)). For norm0 > 0 it is positive at every t > 0,
-    so a t* that underflows to 0 has no clamp that gives it: DomainError.
+    t* = a s2 / (2 (b - a)) (``t_peak``); ``peak`` is its value there. From
+    t* on the value is ``peak`` bit for bit. For norm0 > 0 the profile is
+    positive at every t > 0, so a t* that underflows to 0 has no clamp that
+    gives it: the build raises DomainError. The zero field (whose s2 may be
+    infinite) has t* = inf, and every profile with norm0 = 0 is 0.0 at
+    every T.
+
+    norm0 and ``peak`` are read once, at the first value or root, from
+    ``read_norm0``: a route that rejects its inputs between the build and
+    its first probe (an infeasible force) keeps that error ahead of the
+    norm's own.
     """
-    a, b = (1.0 - delta) / 2.0, (d + 1.0 - delta) / 2.0
-    t_peak = a * s2 / (2.0 * (b - a))
-    if not t_peak > 0.0:
-        raise DomainError(f"the peak time of the weighted norm leaves the range of the doubles for sigma^2={s2}")
-    return a, b, t_peak
+
+    __slots__ = ("read_norm0", "norm0", "a", "b", "s2", "t_peak", "peak")
+
+    def __init__(self, data: VortexGaussian, delta: float, read_norm0: Callable[[], float]) -> None:
+        s2 = data.sigma * data.sigma
+        a, b = (1.0 - delta) / 2.0, (data.d + 1.0 - delta) / 2.0
+        t_peak = math.inf
+        if data.amplitude != 0:
+            t_peak = a * s2 / (2.0 * (b - a))
+            if not t_peak > 0.0:
+                raise DomainError(f"the peak time of the weighted norm leaves the range of the doubles for sigma^2={s2}")
+        self.read_norm0, self.norm0, self.a, self.b, self.s2, self.t_peak = read_norm0, None, a, b, s2, t_peak
+
+    def _read(self) -> float:
+        norm0 = self.norm0 = self.read_norm0()
+        t_peak = self.t_peak
+        self.peak = 0.0 if norm0 == 0.0 else norm0 * t_peak**self.a * (1.0 + 2.0 * t_peak / self.s2) ** -self.b
+        return norm0
+
+    def __call__(self, T: float) -> float:
+        """The supremum of the profile over (0, T); T = infinity is allowed."""
+        norm0 = self.norm0
+        if norm0 is None:
+            norm0 = self._read()
+        if norm0 == 0.0:
+            return 0.0
+        if not T > 0:
+            raise DomainError(f"horizon T must be positive, got {T}")
+        if T >= self.t_peak:
+            return self.peak
+        return norm0 * T**self.a * (1.0 + 2.0 * T / self.s2) ** -self.b
+
+    def root(self, y: float) -> float:
+        """Approximate largest T with self(T) <= y.
+
+        Returns 0.0 when y <= 0 or norm0 is inf, and inf when y is at or
+        above the peak. The log of the profile is concave and increasing in
+        u = log t below t*, and the small-T power-law root (y / norm0)^{1/a}
+        lies below the root, so Newton in u rises monotonically to it. An
+        underflowing root is returned as the smallest positive double.
+        """
+        norm0, a, b, s2 = self.norm0, self.a, self.b, self.s2
+        if norm0 is None:
+            norm0 = self._read()
+        if norm0 == 0.0:
+            return math.inf if y >= 0.0 else 0.0
+        if y <= 0.0:
+            return 0.0
+        if y >= self.peak:
+            return math.inf
+        if norm0 == math.inf:  # the profile is inf at every T > 0
+            return 0.0
+        log_ratio = math.log(y) - math.log(norm0)
+        u_peak = math.log(self.t_peak)
+        u = min(log_ratio / a, u_peak)
+        for _ in range(_NEWTON_STEPS):
+            x = 2.0 * math.exp(u) / s2
+            slope = a - b * x / (1.0 + x)
+            if slope <= 0.0:
+                break
+            step = (log_ratio - a * u + b * math.log1p(x)) / slope
+            u = min(u + step, u_peak)
+            if abs(step) <= 1e-15 * max(1.0, abs(u)):
+                break
+        return max(math.exp(u), math.ulp(0.0))
 
 
-def _weighted_norm(norm0: float, d: int, delta: float, s2: float, T: float) -> float:
-    """norm0 t^a (1 + 2t/s2)^{-b} at t = min(T, t*), the supremum of the profile over (0, T).
-
-    T = infinity is allowed. norm0 = 0 (the zero field, whose s2 may be
-    infinite) gives 0.0 at every T.
-    """
-    if norm0 == 0.0:
-        return 0.0
-    if not T > 0:
-        raise DomainError(f"horizon T must be positive, got {T}")
-    a, b, t_peak = _profile(d, delta, s2)
-    t = min(T, t_peak)
-    return norm0 * t**a * (1.0 + 2.0 * t / s2) ** -b
-
-
-def _weighted_norm_root(norm0: float, d: int, delta: float, s2: float, y: float) -> float:
-    """Approximate largest T with _weighted_norm(norm0, d, delta, s2, T) <= y.
-
-    Returns 0.0 when y <= 0 or norm0 is inf, and inf when y is at or
-    above the value at the peak t*. The log of the profile is concave and
-    increasing in u = log t below t*, and the small-T power-law root
-    (y / norm0)^{1/a} lies below the root, so Newton in u rises
-    monotonically to it. An underflowing root is returned as the smallest
-    positive double.
-    """
-    if norm0 == 0.0:
-        return math.inf if y >= 0.0 else 0.0
-    if y <= 0.0:
-        return 0.0
-    a, b, t_peak = _profile(d, delta, s2)
-    if y >= _weighted_norm(norm0, d, delta, s2, t_peak):
-        return math.inf
-    if norm0 == math.inf:  # the profile is inf at every T > 0
-        return 0.0
-    log_ratio = math.log(y) - math.log(norm0)
-    u_peak = math.log(t_peak)
-    u = min(log_ratio / a, u_peak)
-    for _ in range(_NEWTON_STEPS):
-        x = 2.0 * math.exp(u) / s2
-        slope = a - b * x / (1.0 + x)
-        if slope <= 0.0:
-            break
-        step = (log_ratio - a * u + b * math.log1p(x)) / slope
-        u = min(u + step, u_peak)
-        if abs(step) <= 1e-15 * max(1.0, abs(u)):
-            break
-    return max(math.exp(u), math.ulp(0.0))
-
-
-def k0_exact(data: VortexGaussian, delta: float, T: float) -> float:
-    """sup_{t in (0,T)} t^{(1-delta)/2} |e^{t Lap} a|_{d/delta}: the profile of |a|_{d/delta} (module docstring)."""
+def k0_exact(data: VortexGaussian, delta: float) -> KatoProfile:
+    """T -> sup_{t in (0,T)} t^{(1-delta)/2} |e^{t Lap} a|_{d/delta}: the profile of |a|_{d/delta} (module docstring)."""
     if not 0.0 < delta < 1.0:
         _check_delta(delta)
-    d = data.d
-    return _weighted_norm(lp_norm(data, d / delta), d, delta, data.sigma * data.sigma, T)
+    return KatoProfile(data, delta, lambda: lp_norm(data, data.d / delta))
 
 
-def k0_prime_exact(data: VortexGaussian, T: float) -> float:
-    """sup_{t in (0,T)} t^{1/2} |grad e^{t Lap} a|_d: the profile of |grad a|_d at delta = 0."""
-    return _weighted_norm(grad_norm(data), data.d, 0.0, data.sigma * data.sigma, T)
-
-
-def k0_root(data: VortexGaussian, delta: float, y: float) -> float:
-    """Approximate largest T with k0_exact(data, delta, T) <= y; no evaluator calls."""
-    d = data.d
-    return _weighted_norm_root(lp_norm(data, d / delta), d, delta, data.sigma * data.sigma, y)
-
-
-def k0_prime_root(data: VortexGaussian, y: float) -> float:
-    """Approximate largest T with k0_prime_exact(data, T) <= y; no evaluator calls."""
-    return _weighted_norm_root(grad_norm(data), data.d, 0.0, data.sigma * data.sigma, y)
-
-
-def peak_times(data: VortexGaussian, delta: float) -> tuple[float, float]:
-    """The peak times of K0 and K0', the doubles ``k0_exact`` and ``k0_prime_exact`` clamp T to.
-
-    From each on, its evaluator gives bit for bit its value at infinity.
-    Both are inf for the zero field, which never saturates (its sigma^2
-    may overflow); a nonzero field whose peak time underflows to 0 raises
-    DomainError.
-    """
-    if data.amplitude == 0:
-        return math.inf, math.inf
-    s2 = data.sigma * data.sigma
-    return _profile(data.d, delta, s2)[2], _profile(data.d, 0.0, s2)[2]
+def k0_prime_exact(data: VortexGaussian) -> KatoProfile:
+    """T -> sup_{t in (0,T)} t^{1/2} |grad e^{t Lap} a|_d: the profile of |grad a|_d at delta = 0."""
+    return KatoProfile(data, 0.0, lambda: grad_norm(data))
 
 
 class NormBundle:

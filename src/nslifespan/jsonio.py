@@ -18,7 +18,6 @@ every bool before the int check.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -155,5 +154,10 @@ def decode_infinities(obj: Any) -> Any:
 
 
 def fingerprint(obj: Any) -> str:
-    """sha256 of the canonical serialization; deterministic run identifier."""
+    """sha256 of the canonical serialization; deterministic run identifier.
+
+    hashlib loads OpenSSL (about 3 ms), so only a run that writes a report imports it.
+    """
+    import hashlib
+
     return "sha256:" + hashlib.sha256(canonical_dumps(obj).encode("utf-8")).hexdigest()

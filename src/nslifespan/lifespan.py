@@ -92,8 +92,8 @@ class KatoEvaluator:
     ``saturation`` is a time from which on fn(T) is bit for bit fn(inf),
     or inf where none is known; the coupled route does not probe past it.
     On vortex data fn clamps T to the profile's peak time and the
-    saturation is that same double (``initial_data.peak_times``); the vortex
-    root is inf exactly where y is at or above fn at the peak.
+    saturation is that same double (``initial_data.KatoProfile.t_peak``); the
+    vortex root is inf exactly where y is at or above fn at the peak.
     """
 
     __slots__ = ("fn", "finite_at_infinity", "root", "saturation")
@@ -155,16 +155,12 @@ class KatoBoundState:
 def state_from_vortex(data: idmod.VortexGaussian, delta: float) -> KatoBoundState:
     """Exact evaluators from the closed-form vortex evolution, saturating at the peak times they clamp to."""
     constants = composite_constants(data.d, delta)
-    k0_peak, k0_prime_peak = idmod.peak_times(data, delta)
+    k0, k0_prime = idmod.k0_exact(data, delta), idmod.k0_prime_exact(data)
     return KatoBoundState(
         d=data.d,
         delta=delta,
-        k0=KatoEvaluator(
-            lambda T: idmod.k0_exact(data, delta, T), True, lambda y: idmod.k0_root(data, delta, y), k0_peak
-        ),
-        k0_prime=KatoEvaluator(
-            lambda T: idmod.k0_prime_exact(data, T), True, lambda y: idmod.k0_prime_root(data, y), k0_prime_peak
-        ),
+        k0=KatoEvaluator(k0, True, k0.root, k0.t_peak),
+        k0_prime=KatoEvaluator(k0_prime, True, k0_prime.root, k0_prime.t_peak),
         constants=constants,
         notes=(f"vortex_gaussian d={data.d} sigma={data.sigma} amplitude={data.amplitude}",),
     )

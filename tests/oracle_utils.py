@@ -567,6 +567,65 @@ def k0_prime_by_evolution(data: initial_data.VortexGaussian, T: float) -> float:
     return math.sqrt(t) * initial_data.grad_norm(initial_data.VortexGaussian.evolve(data, t))
 
 
+# The Kato profile arithmetic as it stood before ``initial_data.KatoProfile``
+# read norm0, a, b and t* once per (datum, delta): every value and root
+# recomputes them. The profile must equal these bit for bit.
+_REFERENCE_NEWTON_STEPS = 40
+
+
+def reference_profile(d: int, delta: float, s2: float) -> tuple[float, float, float]:
+    """(a, b, t*) of the profile norm0 t^a (1 + 2t/s2)^{-b}; DomainError when t* underflows to 0."""
+    a, b = (1.0 - delta) / 2.0, (d + 1.0 - delta) / 2.0
+    t_peak = a * s2 / (2.0 * (b - a))
+    if not t_peak > 0.0:
+        raise DomainError(f"the peak time of the weighted norm leaves the range of the doubles for sigma^2={s2}")
+    return a, b, t_peak
+
+
+def reference_weighted_norm(norm0: float, d: int, delta: float, s2: float, T: float) -> float:
+    """norm0 t^a (1 + 2t/s2)^{-b} at t = min(T, t*); 0.0 at every T for norm0 = 0."""
+    if norm0 == 0.0:
+        return 0.0
+    if not T > 0:
+        raise DomainError(f"horizon T must be positive, got {T}")
+    a, b, t_peak = reference_profile(d, delta, s2)
+    t = min(T, t_peak)
+    return norm0 * t**a * (1.0 + 2.0 * t / s2) ** -b
+
+
+def reference_weighted_norm_root(norm0: float, d: int, delta: float, s2: float, y: float) -> float:
+    """Largest T with reference_weighted_norm(..., T) <= y, by Newton's method in log T."""
+    if norm0 == 0.0:
+        return math.inf if y >= 0.0 else 0.0
+    if y <= 0.0:
+        return 0.0
+    a, b, t_peak = reference_profile(d, delta, s2)
+    if y >= reference_weighted_norm(norm0, d, delta, s2, t_peak):
+        return math.inf
+    if norm0 == math.inf:
+        return 0.0
+    log_ratio = math.log(y) - math.log(norm0)
+    u_peak = math.log(t_peak)
+    u = min(log_ratio / a, u_peak)
+    for _ in range(_REFERENCE_NEWTON_STEPS):
+        x = 2.0 * math.exp(u) / s2
+        slope = a - b * x / (1.0 + x)
+        if slope <= 0.0:
+            break
+        step = (log_ratio - a * u + b * math.log1p(x)) / slope
+        u = min(u + step, u_peak)
+        if abs(step) <= 1e-15 * max(1.0, abs(u)):
+            break
+    return max(math.exp(u), math.ulp(0.0))
+
+
+def reference_peak_time(data: initial_data.VortexGaussian, delta: float) -> float:
+    """The saturation time of the profile at delta (delta = 0 for K0'): inf for the zero field."""
+    if data.amplitude == 0:
+        return math.inf
+    return reference_profile(data.d, delta, data.sigma * data.sigma)[2]
+
+
 def canonical_dumps_recursive(obj: Any) -> str:
     """Reference for `nslifespan.jsonio.canonical_dumps`: the recursive encoder.
 

@@ -238,12 +238,12 @@ def test_criterion_6_semigroup_bound_dominance():
         delta = float(rng.uniform(0.15, 0.85))
         cs = composite_constants(d, delta)
         a_d = lp_norm(data, float(d))
-        assert k0_exact(data, delta, math.inf) <= cs.s1 * a_d * (1 + 1e-12)
-        k0p_inf = k0_prime_exact(data, math.inf)
+        assert k0_exact(data, delta)(math.inf) <= cs.s1 * a_d * (1 + 1e-12)
+        k0p_inf = k0_prime_exact(data)(math.inf)
         assert k0p_inf <= cs.s2 * a_d * (1 + 1e-12)
         # the sqrt(T) form at T = infinity is vacuous; check it at finite T
         T = float(rng.uniform(0.01, 10.0))
-        assert k0_prime_exact(data, T) <= min(
+        assert k0_prime_exact(data)(T) <= min(
             cs.s2 * a_d, math.sqrt(T) * grad_norm(data)
         ) * (1 + 1e-12)
     _report(6, "K0 and K0' suprema dominated by their envelopes over 100 random instances")

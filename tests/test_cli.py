@@ -614,6 +614,17 @@ class TestRuns:
         assert main(["--config", str(write_config(tmp_path, config)), "--out", str(tmp_path / "r.json")]) == 1
         assert f"input error: {message}" in capsys.readouterr().err
 
+    def test_infeasible_force_is_reported_before_the_vortex_norm(self, tmp_path, capsys):
+        # |a|_{d/delta} of this field leaves the doubles (the thm41 entry above); the force
+        # exponents are checked between the Kato profiles' build and their first probe
+        config = copy.deepcopy(self.EXTREME_INPUTS["vortex_tiny_delta_scaled_sigma_squared_underflows"][0])
+        config["mode"] = "forced"
+        config["force"] = load_config(REPO_ROOT / "docs" / "examples" / "forced_small.json")["force"]
+        validate_config(config)
+        with pytest.raises(InfeasibleExponentError, match="^force contribution to k0 infeasible: "):
+            build_report(config)
+        assert main(["--config", str(write_config(tmp_path, config)), "--out", str(tmp_path / "r.json")]) == 2
+
     @pytest.mark.parametrize("sigma", [1e-200, 1e200])
     def test_zero_vortex_with_extreme_sigma_certifies(self, sigma):
         config = {"d": 3, "mode": "thm41", "data": {"family": "vortex_gaussian", "sigma": sigma, "amplitude": 0.0}}
@@ -676,6 +687,45 @@ class TestRuns:
         report, certified = build_report(config)
         assert certified and len(report["result"]["delta_profile"]) == 3
         assert len(bundles) == 1
+
+    @pytest.mark.parametrize("mode", ["thm31", "thm41", "forced"])
+    def test_vortex_norms_are_read_once_per_delta(self, monkeypatch, mode):
+        # each delta builds its two Kato profiles once; every probe and root reuses their norm0
+        calls = {name: 0 for name in ("lp_norm", "grad_norm", "k0_exact", "k0_prime_exact")}
+        for name in calls:
+            original = getattr(idmod, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(idmod, name, counted)
+        from nslifespan.extensions import matching_lambda_k0, matching_lambda_k0_prime
+
+        rand = random.Random(25)
+        for _ in range(6):
+            data = {
+                "family": "vortex_gaussian",
+                "sigma": 10.0 ** rand.uniform(-1.0, 1.0),
+                "amplitude": 10.0 ** rand.uniform(-7.0, 0.0),
+            }
+            deltas = sorted(rand.uniform(0.1, 0.9) for _ in range(3))
+            d = rand.randint(3, 6)
+            # exponents that match the weights at every delta of the grid (perfbench/workloads.py)
+            theta1, theta2 = d * (1.0 + 0.5 * deltas[0]) / (1.0 + deltas[0]), 0.75 * d
+            force = {
+                "k0": {"theta": theta1, "lambda": matching_lambda_k0(d, deltas[0], theta1), "value": 1e-9},
+                "k0_prime": {"theta": theta2, "lambda": matching_lambda_k0_prime(d, theta2), "value": 1e-9},
+            }
+            for grid in ({"delta": deltas[0]}, {"delta_grid": deltas}):
+                config = {"d": d, "mode": mode, "data": data, **grid}
+                if mode == "forced":
+                    config["force"] = force
+                for name in calls:
+                    calls[name] = 0
+                build_report(config)
+                certified = len(grid.get("delta_grid", [None]))
+                assert calls == dict.fromkeys(calls, certified), config
 
     def test_force_dominated_forced_run_is_infeasible(self, tmp_path):
         # forced_small with a k0 force of 1.0: its coefficient 35.55 exceeds
@@ -750,6 +800,22 @@ class TestStartUp:
         assert outside == []
         # importing these (with ast, dis and tokenize) and building records with them cost a cold start about 30 ms
         assert not {"dataclasses", "inspect"} & set(loaded)
+
+    @pytest.mark.parametrize("argv, code, loads_hashlib", [
+        (["--config", str(REPO_ROOT / "docs" / "examples" / "invalid_missing_d.json"), "--out", "OUT"], 1, False),
+        (["--print-constants", "3", "0.5"], 0, False),
+        (["--config", str(REPO_ROOT / "docs" / "examples" / "thm41_vortex.json"), "--out", "OUT"], 0, True),
+    ])
+    def test_only_a_report_writing_run_loads_hashlib(self, tmp_path, argv, code, loads_hashlib):
+        # hashlib loads OpenSSL's _hashlib, about 3 ms; only the fingerprint needs it
+        argv = [str(tmp_path / "out.json") if arg == "OUT" else arg for arg in argv]
+        program = (
+            "import sys; from nslifespan.cli import main; "
+            f"code = main({argv!r}); print(code, '_hashlib' in sys.modules, file=sys.stderr)"
+        )
+        result = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines()[-1] == f"{code} {loads_hashlib}"
 
     def test_package_source_has_no_dataclass_or_gauss_rule(self):
         # the records are plain classes, and the gradient constants are shipped data

@@ -21,11 +21,8 @@ from nslifespan.initial_data import (
     k0_norm_bound,
     k0_prime_exact,
     k0_prime_norm_bound,
-    k0_prime_root,
-    k0_root,
     lp_norm,
     norm_bundle_from_vortex,
-    peak_times,
 )
 from oracle_utils import VortexGaussian
 
@@ -290,7 +287,7 @@ class TestHeatEvolution:
 class TestWeightedSup:
     def test_k0_vanishes_at_zero_and_is_monotone(self):
         data = VortexGaussian(3, 1.0, 1.0)
-        values = [k0_exact(data, DELTA0, 10.0 ** (-k)) for k in range(1, 7)]
+        values = [k0_exact(data, DELTA0)(10.0 ** (-k)) for k in range(1, 7)]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier * (1 + 1e-12)
         assert 0 < values[-1] < 0.05 * values[0]
@@ -299,7 +296,7 @@ class TestWeightedSup:
 
     def test_k0_prime_vanishes_at_zero_and_is_monotone(self):
         data = VortexGaussian(3, 1.0, 1.0)
-        values = [k0_prime_exact(data, 10.0 ** (-k)) for k in range(1, 7)]
+        values = [k0_prime_exact(data)(10.0 ** (-k)) for k in range(1, 7)]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier * (1 + 1e-12)
         assert values[-1] < 1e-2 * values[0]
@@ -307,7 +304,7 @@ class TestWeightedSup:
     def test_k0_monotone_in_horizon(self):
         data = VortexGaussian(3, 1.3, 0.5)
         ts = [0.01, 0.1, 1.0, 10.0, math.inf]
-        vals = [k0_exact(data, 0.4, t) for t in ts]
+        vals = [k0_exact(data, 0.4)(t) for t in ts]
         assert vals == sorted(vals)
 
     def test_k0_infinity_matches_analytic_argmax(self):
@@ -317,13 +314,13 @@ class TestWeightedSup:
         delta = 0.35
         t_star = (1 - delta) * data.sigma**2 / (2 * data.d)
         phi = lambda t: t ** ((1 - delta) / 2) * lp_norm(data.evolve(t), data.d / delta)
-        assert k0_exact(data, delta, math.inf) == pytest.approx(phi(t_star), rel=1e-9)
+        assert k0_exact(data, delta)(math.inf) == pytest.approx(phi(t_star), rel=1e-9)
 
     def test_k0_prime_infinity_matches_analytic_argmax(self):
         data = VortexGaussian(4, 0.8, 1.1)
         t_star = data.sigma**2 / (2 * data.d)
         psi = lambda t: math.sqrt(t) * grad_norm(data.evolve(t))
-        assert k0_prime_exact(data, math.inf) == pytest.approx(psi(t_star), rel=1e-9)
+        assert k0_prime_exact(data)(math.inf) == pytest.approx(psi(t_star), rel=1e-9)
 
     def test_semigroup_envelope_dominates(self, rng):
         for _ in range(20):
@@ -332,43 +329,42 @@ class TestWeightedSup:
             delta = float(rng.uniform(0.15, 0.85))
             cs = composite_constants(d, delta)
             a_d = lp_norm(data, float(d))
-            assert k0_exact(data, delta, math.inf) <= cs.s1 * a_d * (1 + 1e-12)
-            assert k0_prime_exact(data, math.inf) <= cs.s2 * a_d * (1 + 1e-12)
+            assert k0_exact(data, delta)(math.inf) <= cs.s1 * a_d * (1 + 1e-12)
+            assert k0_prime_exact(data)(math.inf) <= cs.s2 * a_d * (1 + 1e-12)
 
     def test_k0_prime_below_sqrt_t_bound(self, rng):
         data = VortexGaussian(3, 1.0, 2.0)
         gn = grad_norm(data)
         for T in (0.01, 0.5, 3.0, 40.0):
-            assert k0_prime_exact(data, T) <= math.sqrt(T) * gn * (1 + 1e-12)
+            assert k0_prime_exact(data)(T) <= math.sqrt(T) * gn * (1 + 1e-12)
 
     def test_zero_amplitude(self):
         data = VortexGaussian(3, 1.0, 0.0)
-        assert k0_exact(data, 0.3, 1.0) == 0.0
-        assert k0_prime_exact(data, 1.0) == 0.0
+        assert k0_exact(data, 0.3)(1.0) == 0.0
+        assert k0_prime_exact(data)(1.0) == 0.0
 
     def test_k0_tiny_horizon(self):
         # a horizon far below the peak time returns the weighted norm at T
         data = VortexGaussian(3, 1.0, 1.0)
         T = 1e-30
         expected = T ** ((1 - 0.3) / 2) * lp_norm(data.evolve(T), 3 / 0.3)
-        assert k0_exact(data, 0.3, T) == pytest.approx(expected, rel=1e-15)
+        assert k0_exact(data, 0.3)(T) == pytest.approx(expected, rel=1e-15)
 
     def test_horizon_must_be_positive(self):
         data = VortexGaussian(3, 1.0, 1.0)
         for T in (0.0, -1.0, math.nan):
             with pytest.raises(DomainError):
-                k0_exact(data, 0.3, T)
+                k0_exact(data, 0.3)(T)
             with pytest.raises(DomainError):
-                k0_prime_exact(data, T)
+                k0_prime_exact(data)(T)
 
     @pytest.mark.parametrize("d, sigma, amplitude, delta", [
         (3, 1.0, 1.0, 0.3), (4, 0.01, 1e3, 0.001), (5, 5.0, 1e-4, 0.97), (3, 0.2, 25.0, DELTA0),
     ])
     def test_roots_invert_the_evaluators(self, d, sigma, amplitude, delta):
         data = VortexGaussian(d, sigma, amplitude)
-        evaluators = ((lambda T: k0_exact(data, delta, T), lambda y: k0_root(data, delta, y)),
-                      (lambda T: k0_prime_exact(data, T), lambda y: k0_prime_root(data, y)))
-        for fn, root in evaluators:
+        for fn in (k0_exact(data, delta), k0_prime_exact(data)):
+            root = fn.root
             peak = fn(math.inf)
             for fraction in (1e-12, 1e-3, 0.5, 0.999999):
                 T = root(fraction * peak)
@@ -387,8 +383,8 @@ class TestWeightedSup:
         # the coupled route does not probe past these times, so every horizon from
         # the exact double on must give the value at infinity bit for bit
         data = VortexGaussian(d, sigma, amplitude)
-        evaluators = (lambda T: k0_exact(data, delta, T), lambda T: k0_prime_exact(data, T))
-        for peak, fn in zip(peak_times(data, delta), evaluators):
+        for fn in (k0_exact(data, delta), k0_prime_exact(data)):
+            peak = fn.t_peak
             assert 0.0 < peak < math.inf
             at_infinity = fn(math.inf).hex()
             for T in (peak, math.nextafter(peak, math.inf), peak * (1.0 + 1e-9), 2.0 * peak, 1e300 * peak):
@@ -398,27 +394,25 @@ class TestWeightedSup:
     def test_zero_field_never_saturates(self, sigma):
         # sigma^2 overflows at 1e200, which a zero field allows
         data = VortexGaussian(3, sigma, 0.0)
-        assert peak_times(data, 0.3) == (math.inf, math.inf)
+        assert (k0_exact(data, 0.3).t_peak, k0_prime_exact(data).t_peak) == (math.inf, math.inf)
 
     def test_underflowing_peak_time_is_an_error_for_every_reader(self):
         # K0 of this field is positive at every T > 0, but its peak time underflows to 0;
         # K0''s peak time does not
         data = VortexGaussian(3, 1e-161, 1.0)
         message = "^the peak time of the weighted norm leaves the range of the doubles for sigma\\^2=1e-322$"
-        for read in (lambda: k0_exact(data, 0.97, 1e-300), lambda: k0_exact(data, 0.97, math.inf),
-                     lambda: k0_root(data, 0.97, 1e-3), lambda: peak_times(data, 0.97)):
-            with pytest.raises(DomainError, match=message):
-                read()
-        assert k0_prime_exact(data, math.inf) > 0.0 and peak_times(data, 0.5)[1] > 0.0
+        with pytest.raises(DomainError, match=message):  # every value, root and t_peak reads the built profile
+            k0_exact(data, 0.97)
+        assert k0_prime_exact(data)(math.inf) > 0.0 and k0_prime_exact(data).t_peak > 0.0
 
     def test_roots_of_zero_data(self):
         data = VortexGaussian(3, 1.0, 0.0)
-        assert k0_root(data, 0.3, 0.0) == math.inf and k0_prime_root(data, 1e-9) == math.inf
-        assert k0_root(data, 0.3, -1e-9) == 0.0 and k0_prime_root(data, -1.0) == 0.0
+        assert k0_exact(data, 0.3).root(0.0) == math.inf and k0_prime_exact(data).root(1e-9) == math.inf
+        assert k0_exact(data, 0.3).root(-1e-9) == 0.0 and k0_prime_exact(data).root(-1.0) == 0.0
         # and inf data: |grad a|_d overflows, so K0' is inf at every T > 0
         data = VortexGaussian(3, 1.0, 1e308)
-        assert k0_prime_exact(data, 1e-300) == math.inf
-        assert k0_prime_root(data, 1e-3) == 0.0 and k0_prime_root(data, math.inf) == math.inf
+        assert k0_prime_exact(data)(1e-300) == math.inf
+        assert k0_prime_exact(data).root(1e-3) == 0.0 and k0_prime_exact(data).root(math.inf) == math.inf
 
     def test_evaluators_equal_the_evolved_field_composition(self, rng):
         # k0_exact and k0_prime_exact evaluate the profile norm0 t^a (1 + 2t/sigma^2)^{-b};
@@ -430,17 +424,43 @@ class TestWeightedSup:
             )
             delta = float(rng.uniform(1e-3, 0.97))
             horizons = [10.0 ** rng.uniform(-40.0, 4.0), math.inf, 5e-324]
-            horizons += list(peak_times(data, delta))
+            horizons += [k0_exact(data, delta).t_peak, k0_prime_exact(data).t_peak]
             cases += [(data, delta, T) for T in horizons]
         for data, delta, T in cases:
-            assert k0_exact(data, delta, T) == pytest.approx(oracle.k0_by_evolution(data, delta, T), rel=1e-14, abs=0.0)
-            assert k0_prime_exact(data, T) == pytest.approx(oracle.k0_prime_by_evolution(data, T), rel=1e-14, abs=0.0)
+            assert k0_exact(data, delta)(T) == pytest.approx(oracle.k0_by_evolution(data, delta, T), rel=1e-14, abs=0.0)
+            assert k0_prime_exact(data)(T) == pytest.approx(oracle.k0_prime_by_evolution(data, T), rel=1e-14, abs=0.0)
 
     def test_brute_force_grid_agrees(self):
         data = VortexGaussian(3, 1.0, 1.0)
         fn = lambda t: t ** ((1 - 0.3) / 2) * lp_norm(data.evolve(t), 10.0)
         brute = oracle.brute_force_weighted_sup(fn, math.inf, 40001)
-        assert k0_exact(data, 0.3, math.inf) == pytest.approx(brute, rel=1e-7)
+        assert k0_exact(data, 0.3)(math.inf) == pytest.approx(brute, rel=1e-7)
+
+    def test_profiles_equal_the_reference_arithmetic_bit_for_bit(self, rng):
+        # the profiles read norm0, a, b, t* and the peak value once; every value, root and
+        # saturation time must stay the double the per-call arithmetic gives, so reports cannot move
+        checked = 0
+        for _ in range(150):
+            d = int(rng.choice([3, 4, 5, 1023]))
+            sigma = 10.0 ** rng.uniform(-3.0, 3.0)
+            delta = 10.0 ** rng.uniform(-3.0, 0.0)
+            for amplitude in (0.0, 1e-300, 10.0 ** rng.uniform(-3.0, 1.0), 1e308):
+                data = VortexGaussian(d, sigma, amplitude)
+                s2 = sigma * sigma
+                for dl, profile, norm0 in ((delta, k0_exact(data, delta), lp_norm(data, d / delta)),
+                                           (0.0, k0_prime_exact(data), grad_norm(data))):
+                    t_peak = oracle.reference_peak_time(data, dl)
+                    assert profile.t_peak.hex() == t_peak.hex()
+                    peak = oracle.reference_weighted_norm(norm0, d, dl, s2, t_peak)
+                    for T in (5e-324, t_peak, math.nextafter(t_peak, math.inf), math.inf,
+                              t_peak * rng.uniform(1e-6, 1.0)):
+                        assert profile(T).hex() == oracle.reference_weighted_norm(norm0, d, dl, s2, T).hex(), T
+                    for y in (-1.0, 0.0, math.nextafter(peak, 0.0), peak, math.nextafter(peak, math.inf),
+                              math.inf, peak * rng.uniform(1e-6, 1.0)):
+                        reference = oracle.reference_weighted_norm_root(norm0, d, dl, s2, y)
+                        assert profile.root(y).hex() == reference.hex(), y
+                        checked += 0.0 < reference < math.inf
+        assert checked > 500  # most draws reach the Newton loop
 
 
 class TestNormBundle:
@@ -532,5 +552,5 @@ class TestNormBounds:
             data = VortexGaussian(3, float(rng.uniform(0.6, 1.8)), float(rng.uniform(0.1, 3.0)))
             bundle = norm_bundle_from_vortex(data, theta=0.5)
             T = float(rng.uniform(0.05, 2.0))
-            assert k0_prime_exact(data, T) <= k0_prime_norm_bound(bundle)(T) * (1 + 1e-12)
-            assert k0_exact(data, DELTA0, T) <= k0_norm_bound(bundle, 3, DELTA0, sharp=False)(T) * (1 + 1e-12)
+            assert k0_prime_exact(data)(T) <= k0_prime_norm_bound(bundle)(T) * (1 + 1e-12)
+            assert k0_exact(data, DELTA0)(T) <= k0_norm_bound(bundle, 3, DELTA0, sharp=False)(T) * (1 + 1e-12)

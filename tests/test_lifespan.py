@@ -569,8 +569,8 @@ class TestInversionBracket:
         T = data.sigma**2 * 10.0**log_t
         k0_ref, k0_prime_ref = oracle.kato_norms_mpmath(data, delta, T, _grad_unit_constant(d))
         with mpmath.workprec(120):
-            assert abs(mpmath.mpf(k0_exact(data, delta, T)) / k0_ref - 1) < _BRACKET_EPS / 8
-            assert abs(mpmath.mpf(k0_prime_exact(data, T)) / k0_prime_ref - 1) < _BRACKET_EPS / 8
+            assert abs(mpmath.mpf(k0_exact(data, delta)(T)) / k0_ref - 1) < _BRACKET_EPS / 8
+            assert abs(mpmath.mpf(k0_prime_exact(data)(T)) / k0_prime_ref - 1) < _BRACKET_EPS / 8
 
 
 class TestEnvelopeWorkCount:
@@ -872,7 +872,7 @@ class TestGlobalThreshold:
         cs = composite_constants(3, DELTA0)
         from nslifespan.initial_data import k0_exact, k0_prime_exact
 
-        per_amp = max(k0_exact(unit, DELTA0, math.inf), k0_prime_exact(unit, math.inf))
+        per_amp = max(k0_exact(unit, DELTA0)(math.inf), k0_prime_exact(unit)(math.inf))
         amp_flip = cs.threshold / per_amp
         below = theorem41_bound(state_from_vortex(VortexGaussian(3, 1.0, 0.98 * amp_flip), DELTA0))
         above = theorem41_bound(state_from_vortex(VortexGaussian(3, 1.0, 1.2 * amp_flip), DELTA0))
