@@ -42,9 +42,10 @@ from .lifespan import (
     theorem41_explicit,
 )
 from .mixed_norms import SolutionNormInputs, ThetaExponents, grand_lebesgue_norm, nu_bound, psi_bound, psi_min
-from .validation import NAN_MESSAGE, best_error
+from .validation import NAN_MESSAGE, CompiledSchema
 
 SCHEMA: dict = json.loads(Path(__file__).with_name("schema.json").read_text(encoding="utf-8"))
+_COMPILED_SCHEMA = CompiledSchema(SCHEMA)
 
 
 class ConfigError(ValueError):
@@ -75,7 +76,7 @@ def _reject_nan(name: str) -> float:
 
 def validate_config(config: Mapping) -> None:
     # best_error picks the error jsonschema.validate would raise, and its message
-    error = best_error(config, SCHEMA)
+    error = _COMPILED_SCHEMA.best_error(config)
     if error is not None:
         path, message = error
         field = "/".join(str(p) for p in path) or "<root>"
@@ -329,9 +330,8 @@ def build_report(config: Mapping) -> tuple[dict, bool]:
             "all_passed": all_passed,
             "replay": replay_rows,
         },
-        "fingerprint": "",
     }
-    report["fingerprint"] = fingerprint({k: v for k, v in report.items() if k != "fingerprint"})
+    report["fingerprint"] = fingerprint(report)
     return report, feasible and all_passed
 
 
@@ -383,12 +383,12 @@ def _summarize(report: Mapping) -> str:
 def print_constants(d: int, delta: float) -> int:
     """Print the full constant table for (d, delta); returns the exit code."""
     try:
-        cs = composite_constants(d, delta)
+        rows = composite_constants(d, delta).table
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 1
     print(f"constants for d={d}, delta={delta!r}")
-    for name, value, formula in cs.table:
+    for name, value, formula in rows:
         print(f"  {name:<14s} = {value:<24.17g} {formula}")
     return 0
 

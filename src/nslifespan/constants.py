@@ -267,13 +267,15 @@ class ConstantSet:
     the defining formula as it is implemented (including the known c3
     reference discrepancy note). The constants fixed by identities (j,
     delta0, j_bar, c1, c2, c3 and the threshold and iterate bound built from
-    them) are derived on first use and cached on the instance; their
-    formulas are in the provenance map.
+    them) are set with the fields; their formulas are in the provenance map.
+    The constants that only ``--print-constants`` shows (the Sobolev, Riesz
+    and kernel-envelope tables and s2_alt) are built by ``table``, on first
+    use.
 
     ``composite_constants`` shares one instance across callers, so it is
     read-only: setting or deleting an attribute raises AttributeError. The
-    fields and the cached values live in the instance dict, which
-    ``cached_property`` writes without going through ``__setattr__``.
+    values live in the instance dict, which ``cached_property`` writes
+    without going through ``__setattr__``.
     """
 
     provenance: Mapping[str, str] = _PROVENANCE
@@ -282,23 +284,28 @@ class ConstantSet:
         self,
         d: int,
         delta: float,
-        ks: Mapping[float, float],
-        kr: Mapping[float, float],
-        m: Mapping[float, float],
-        m_prime: Mapping[float, float],
         s1: float,
         s2: float,
-        s2_alt: float,
         j1: float,
         j2: float,
         j_up1: float,
         j_up2: float,
     ) -> None:
-        scalars = {"s1": s1, "s2": s2, "s2_alt": s2_alt, "j1": j1, "j2": j2, "j_up1": j_up1, "j_up2": j_up2}
+        scalars = {"s1": s1, "s2": s2, "j1": j1, "j2": j2, "j_up1": j_up1, "j_up2": j_up2}
         for name, value in scalars.items():
             if not (value > 0 and math.isfinite(value)):
                 raise DomainError(f"constant {name} must be finite and positive, got {value}")
-        self.__dict__.update(scalars, d=d, delta=delta, ks=ks, kr=kr, m=m, m_prime=m_prime)
+        j_bar = 4.5 * d * d / (DELTA0 * DELTA0)
+        c1 = j_bar / (d * d)
+        c2 = 3.0 / (16.0 * c1)
+        c3 = 4.0 * c2
+        self.__dict__.update(
+            scalars, d=d, delta=delta, j=max(j_up1, j_up2), delta0=DELTA0, j_bar=j_bar, c1=c1, c2=c2, c3=c3,
+            # smallness threshold 3/(16 Jbar) = c2/d^2 of the one-variable envelope
+            threshold=c2 / (d * d),
+            # certified sup bound 3/(4 Jbar) = c3/d^2 for the Picard iterates
+            iterate_bound=c3 / (d * d),
+        )
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"ConstantSet is read-only; cannot set {name!r}")
@@ -307,54 +314,25 @@ class ConstantSet:
         raise AttributeError(f"ConstantSet is read-only; cannot delete {name!r}")
 
     @cached_property
-    def j(self) -> float:
-        return max(self.j_up1, self.j_up2)
-
-    @cached_property
-    def delta0(self) -> float:
-        return DELTA0
-
-    @cached_property
-    def j_bar(self) -> float:
-        return 4.5 * self.d * self.d / (DELTA0 * DELTA0)
-
-    @cached_property
-    def c1(self) -> float:
-        return self.j_bar / (self.d * self.d)
-
-    @cached_property
-    def c2(self) -> float:
-        return 3.0 / (16.0 * self.c1)
-
-    @cached_property
-    def c3(self) -> float:
-        return 4.0 * self.c2
-
-    @cached_property
-    def threshold(self) -> float:
-        """Smallness threshold 3/(16 Jbar) = c2/d^2 of the one-variable envelope."""
-        return self.c2 / (self.d * self.d)
-
-    @cached_property
-    def iterate_bound(self) -> float:
-        """Certified sup bound 3/(4 Jbar) = c3/d^2 for the Picard iterates."""
-        return self.c3 / (self.d * self.d)
-
-    @cached_property
     def table(self) -> tuple[tuple[str, float, str], ...]:
         """Flat (name, value, formula) rows of every constant, for ``--print-constants``; built once."""
+        d, delta = self.d, self.delta
+        r_alt = d * d / (d - 1.0)
+        # dicts, since r_s1 can round to 1 and d/delta to d
+        riesz = {p: riesz_constant(p) for p in (float(d), d / delta)}
+        kernel = {r: heat_kernel_norm(d, r) for r in (1.0, _s1_exponent(d, delta), r_alt)}
+        named = {**vars(self), "s2_alt": 0.5 * 1.0 * kernel[r_alt]}
         rows: list[tuple[str, float, str]] = []
-        for p, v in sorted(self.ks.items()):
-            rows.append((f"K_S({self.d},{p:g})", v, "sharp Sobolev (Talenti) constant"))
-        for p, v in sorted(self.kr.items()):
+        for p in (1.0, 2.0):
+            rows.append((f"K_S({d},{p:g})", sobolev_constant(d, p), "sharp Sobolev (Talenti) constant"))
+        for p, v in riesz.items():
             rows.append((f"K_R({p:g})", v, "Riesz transform norm cot(pi/(2 p*)) (Pichorides)"))
-        for r, v in sorted(self.m.items()):
-            rows.append((f"M({self.d},{r:g})", v, "heat kernel L_r envelope 2^{d/r} pi^{-d(1-1/r)/2} r^{-d/2r}"))
-        for r, v in sorted(self.m_prime.items()):
-            rows.append((f"M'({self.d},{r:g})", v, "gradient kernel envelope 0.5 M(d, d+r)"))
+        for r, v in kernel.items():
+            rows.append((f"M({d},{r:g})", v, "heat kernel L_r envelope 2^{d/r} pi^{-d(1-1/r)/2} r^{-d/2r}"))
+        rows.append((f"M'({d},1)", heat_kernel_grad_norm(d, 1.0), "gradient kernel envelope 0.5 M(d, d+r)"))
         for name in ("s1", "s2", "s2_alt", "j1", "j2", "j_up1", "j_up2", "j",
                      "delta0", "j_bar", "c1", "c2", "c3"):
-            rows.append((name, getattr(self, name), self.provenance.get(name, "")))
+            rows.append((name, named[name], self.provenance.get(name, "")))
         return tuple(rows)
 
 
@@ -368,54 +346,31 @@ def _check_delta(delta: float) -> None:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
 
 
-@lru_cache(maxsize=256)
-def _composite(d: int, delta: float) -> ConstantSet:
-    k_r_d = riesz_constant(float(d))
-    k_r_dd = riesz_constant(d / delta)
-
+def _s1_exponent(d: int, delta: float) -> float:
     # Kernel exponent for the weighted d/delta envelope. The Young relation
     # with data in L_d and output L_{d/delta} forces 1/r1 = (d - 1 + delta)/d,
     # which is also the unique exponent whose kernel decay t^{-d(1-1/r1)/2}
     # cancels the weight t^{(1-delta)/2} exactly.
-    r_s1 = d / (d - 1.0 + delta)
+    return d / (d - 1.0 + delta)
+
+
+@lru_cache(maxsize=256)
+def _composite(d: int, delta: float) -> ConstantSet:
+    k_r_d = riesz_constant(float(d))
+    r_s1 = _s1_exponent(d, delta)
     s1 = young_constant(d, ExponentPair(float(d), r_s1)) * heat_kernel_norm(d, r_s1)
 
     # Gradient-kernel envelope: the pairing puts the kernel in L_1, where the
     # sharp Young factor is exactly 1.
     s2 = 0.5 * 1.0 * heat_kernel_norm(d, 1.0)
-    r_alt = d * d / (d - 1.0)
-    s2_alt = 0.5 * 1.0 * heat_kernel_norm(d, r_alt)
 
-    j1 = k_r_dd * k_r_d * math.exp(
+    j1 = riesz_constant(d / delta) * k_r_d * math.exp(
         0.5 * math.log(math.pi) + math.lgamma(delta / 2.0) - math.lgamma((1.0 + delta) / 2.0)
     )
     j2 = k_r_d * k_r_d * math.exp(
         math.lgamma((1.0 - delta) / 2.0) + math.lgamma(delta / 2.0) - 0.5 * math.log(math.pi)
     )
-    j_up1 = j_upper_1(d, delta)
-    j_up2 = j_upper_2(d, delta)
-
-    ks = {1.0: sobolev_constant(d, 1.0), 2.0: sobolev_constant(d, 2.0)}
-    kr = {float(d): k_r_d, d / delta: k_r_dd}
-    m = {1.0: heat_kernel_norm(d, 1.0), r_s1: heat_kernel_norm(d, r_s1),
-         r_alt: heat_kernel_norm(d, r_alt)}
-    m_prime = {1.0: heat_kernel_grad_norm(d, 1.0)}
-
-    return ConstantSet(
-        d=d,
-        delta=delta,
-        ks=MappingProxyType(ks),
-        kr=MappingProxyType(kr),
-        m=MappingProxyType(m),
-        m_prime=MappingProxyType(m_prime),
-        s1=s1,
-        s2=s2,
-        s2_alt=s2_alt,
-        j1=j1,
-        j2=j2,
-        j_up1=j_up1,
-        j_up2=j_up2,
-    )
+    return ConstantSet(d, delta, s1, s2, j1, j2, j_upper_1(d, delta), j_upper_2(d, delta))
 
 
 def composite_constants(d: int, delta: float) -> ConstantSet:

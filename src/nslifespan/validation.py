@@ -1,16 +1,14 @@
-"""Config validation: a standard-library interpreter of ``schema.json``.
+"""Config validation: ``schema.json`` compiled to closures, once per process.
 
-It interprets the draft-07 keywords that the schema uses, the keys of
-``KEYWORDS``; ``ANNOTATIONS`` name the keywords that assert nothing. For an
-invalid instance it reports the error that jsonschema 4.26 reports: the same
-message, and the same choice among several errors as
-``jsonschema.exceptions.best_match``. Each subschema's keywords are walked in
-the order the schema lists them, as jsonschema walks them, because that order
-breaks ties between errors. Numbers follow drafts 6 and later: a bool is never
-a number, and an integral float is an integer. Unlike jsonschema, ``type``
-rejects a NaN that has the schema's type, with ``NAN_MESSAGE``: NaN passes
-every bound, and a report cannot encode it. The test suite checks the
-interpreter against jsonschema and fails on a schema keyword it lacks.
+Each subschema compiles to a verdict ``valid(x)``, which builds no error, and
+an error collector, run only where the verdict fails, that reports the error
+jsonschema 4.26 reports: its message, and best_match's choice among several.
+Only the keywords in ``KEYWORDS`` and ``ANNOTATIONS`` compile, and ``type``
+only with one type name; anything else raises ValueError. Keywords are
+checked in the schema's order, as jsonschema checks them, because that order
+breaks ties. A bool is never a number, and an integral float is an integer
+(drafts 6 on). Unlike jsonschema, ``type`` rejects a NaN with
+``NAN_MESSAGE``: NaN passes every bound, and a report cannot encode it.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from __future__ import annotations
 import numbers
 import operator
 import re
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 ANNOTATIONS = frozenset({"$schema", "title", "description"})
 NAN_MESSAGE = "NaN is not a valid number in a config"
@@ -44,9 +42,11 @@ class Violation:
 
 
 def _is_number(instance: Any) -> bool:
-    return isinstance(instance, numbers.Number) and not isinstance(instance, bool)
+    tp = type(instance)
+    return tp is float or tp is int or (tp is not bool and isinstance(instance, numbers.Number))
 
 
+# a "type" keyword names one of these; a list of types does not compile
 _TYPES = {
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, list),
@@ -56,112 +56,140 @@ _TYPES = {
 }
 
 
-def _is_type(instance: Any, types: str | list) -> bool:
-    if isinstance(types, str):
-        return _TYPES[types](instance)
-    return any(_TYPES[t](instance) for t in types)
+# Each keyword compiles, given its value and its subschema, to (holds, report):
+# its verdict on x, and report(x, path, out), which returns the messages of
+# its own errors (jsonschema's) and appends the errors of the subschemas it
+# applies to `out`. A leaf reports where its verdict fails; a keyword with
+# subschemas loops over them once for each, and a test checks that they agree.
 
 
-# Each keyword returns the messages of its own errors and appends the errors
-# of the subschemas it descends into to `out`. The messages are jsonschema's.
+def _leaf(holds: Callable, messages: Callable) -> tuple[Callable, Callable]:
+    """(holds, report) of a keyword with no subschema; messages(x) runs only where holds(x) fails."""
+    return holds, lambda x, path, out: () if holds(x) else messages(x)
 
 
-def _type(types, instance, schema, path, out):
-    if _is_type(instance, types):
-        if isinstance(instance, float) and instance != instance:
-            return (NAN_MESSAGE,)
+def _descend(kind: type, holds: Callable, members: Callable) -> tuple[Callable, Callable]:
+    """(holds, report) of a keyword on a `kind` x; members(x) lists (collect, value, path step or None)."""
+
+    def report(x, path, out):
+        if isinstance(x, kind):
+            for collect, value, step in members(x):
+                collect(value, path if step is None else (*path, step), out)
         return ()
-    names = [types] if isinstance(types, str) else types
-    return (f"{instance!r} is not of type {', '.join(repr(t) for t in names)}",)
+
+    return holds, report
 
 
-def _properties(properties, instance, schema, path, out):
-    if isinstance(instance, dict):
-        for name, subschema in properties.items():
-            if name in instance:
-                _collect(instance[name], subschema, (*path, name), out)
-    return ()
+def _type(name, schema):
+    if not isinstance(name, str) or name not in _TYPES:
+        raise ValueError(f"schema type {name!r} is not supported")
+    is_type = _TYPES[name]
+    return _leaf(
+        lambda x: is_type(x) and not (isinstance(x, float) and x != x),
+        lambda x: (NAN_MESSAGE if is_type(x) else f"{x!r} is not of type {name!r}",),
+    )
 
 
-def _required(names, instance, schema, path, out):
-    if not isinstance(instance, dict):
-        return ()
-    return [f"{name!r} is a required property" for name in names if name not in instance]
+def _properties(properties, schema):
+    nodes = [(name, *_compile(subschema)) for name, subschema in properties.items()]
+
+    def holds(x):
+        if isinstance(x, dict):
+            for name, valid, _ in nodes:
+                if name in x and not valid(x[name]):
+                    return False
+        return True
+
+    return _descend(dict, holds, lambda x: [(collect, x[name], name) for name, _, collect in nodes if name in x])
 
 
-def _additional_properties(allowed, instance, schema, path, out):
-    if not isinstance(instance, dict):
-        return ()
-    extras = [name for name in instance if name not in schema.get("properties", {})]
+def _required(names, schema):
+    wanted = frozenset(names)
+    return _leaf(
+        lambda x: not isinstance(x, dict) or x.keys() >= wanted,
+        lambda x: [f"{name!r} is a required property" for name in names if name not in x],
+    )
+
+
+def _additional_properties(allowed, schema):
+    declared = schema.get("properties", {}).keys()
     if isinstance(allowed, dict):
-        for name in extras:
-            _collect(instance[name], allowed, (*path, name), out)
-    elif not allowed and extras:
+        valid, collect = _compile(allowed)
+
+        def holds(x):
+            if isinstance(x, dict):
+                for name, value in x.items():
+                    if name not in declared and not valid(value):
+                        return False
+            return True
+
+        return _descend(dict, holds, lambda x: [(collect, x[name], name) for name in x if name not in declared])
+
+    def messages(x):
+        extras = sorted((name for name in x if name not in declared), key=str)
         verb = "was" if len(extras) == 1 else "were"
-        return (f"Additional properties are not allowed ({', '.join(map(repr, sorted(extras, key=str)))} {verb} unexpected)",)
-    return ()
+        return (f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)",)
+
+    return _leaf(lambda x: allowed or not isinstance(x, dict) or x.keys() <= declared, messages)
 
 
-def _property_names(names_schema, instance, schema, path, out):
-    if isinstance(instance, dict):
-        for name in instance:
-            _collect(name, names_schema, path, out)
-    return ()
+def _property_names(names_schema, schema):
+    valid, collect = _compile(names_schema)
+    return _descend(dict, lambda x: not isinstance(x, dict) or all(map(valid, x)),
+                    lambda x: [(collect, name, None) for name in x])
 
 
-def _pattern(pattern, instance, schema, path, out):
-    if isinstance(instance, str) and not re.search(pattern, instance):
-        return (f"{instance!r} does not match {pattern!r}",)
-    return ()
+# re compiles the pattern at its first search, which a config without a
+# string to match never pays for
+def _pattern(pattern, schema):
+    return _leaf(lambda x: not isinstance(x, str) or re.search(pattern, x) is not None,
+                 lambda x: (f"{x!r} does not match {pattern!r}",))
 
 
 def _bound(fails, relation: str):
-    def check(bound, instance, schema, path, out):
-        if _is_number(instance) and fails(instance, bound):
-            return (f"{instance!r} is {relation} of {bound!r}",)
-        return ()
-
-    return check
+    return lambda bound, schema: _leaf(
+        lambda x: not (_is_number(x) and fails(x, bound)), lambda x: (f"{x!r} is {relation} of {bound!r}",)
+    )
 
 
-def _items(items, instance, schema, path, out):
-    if isinstance(instance, list):
-        for index, item in enumerate(instance):
-            _collect(item, items, (*path, index), out)
-    return ()
+def _items(items, schema):
+    valid, collect = _compile(items)
+    return _descend(list, lambda x: not isinstance(x, list) or all(map(valid, x)),
+                    lambda x: [(collect, item, index) for index, item in enumerate(x)])
 
 
-def _min_items(count, instance, schema, path, out):
-    if isinstance(instance, list) and len(instance) < count:
-        return (f"{instance!r} {'should be non-empty' if count == 1 else 'is too short'}",)
-    return ()
+def _min_items(count, schema):
+    too_short = "should be non-empty" if count == 1 else "is too short"
+    return _leaf(lambda x: not isinstance(x, list) or len(x) >= count, lambda x: (f"{x!r} {too_short}",))
 
 
 # const and enum values in the schema are strings, for which jsonschema's
 # equality is ==; a test keeps them strings
-def _const(value, instance, schema, path, out):
-    return (f"{value!r} was expected",) if instance != value else ()
+def _const(value, schema):
+    return _leaf(lambda x: x == value, lambda x: (f"{value!r} was expected",))
 
 
-def _enum(values, instance, schema, path, out):
-    return (f"{instance!r} is not one of {values!r}",) if instance not in values else ()
+def _enum(values, schema):
+    return _leaf(lambda x: x in values, lambda x: (f"{x!r} is not one of {values!r}",))
 
 
-def _one_of(branches, instance, schema, path, out):
-    context: list[Violation] = []
-    for index, branch in enumerate(branches):
-        errors = _collect(instance, branch, (), [])
-        if not errors:
-            break
-        context += errors
-    else:
-        message = f"{instance!r} is not valid under any of the given schemas"
-        out.append(Violation("oneOf", message, path, instance, schema, context))
+def _one_of(branches, schema):
+    nodes = [_compile(branch) for branch in branches]
+
+    def holds(x):
+        return sum(1 for valid, _ in nodes if valid(x)) == 1
+
+    def report(x, path, out):
+        passing = [branch for branch, (valid, _) in zip(branches, nodes) if valid(x)]
+        if len(passing) == 1:
+            return ()
+        if passing:
+            return (f"{x!r} is valid under each of {', '.join(repr(b) for b in [*passing[1:], passing[0]])}",)
+        context = [error for _, collect in nodes for error in collect(x, (), [])]
+        out.append(Violation("oneOf", f"{x!r} is not valid under any of the given schemas", path, x, schema, context))
         return ()
-    more = [b for b in branches[index + 1:] if not _collect(instance, b, (), [])]
-    if more:
-        return (f"{instance!r} is valid under each of {', '.join(repr(b) for b in [*more, branches[index]])}",)
-    return ()
+
+    return holds, report
 
 
 KEYWORDS = {
@@ -182,14 +210,27 @@ KEYWORDS = {
 }
 
 
-def _collect(instance: Any, schema: Mapping, path: tuple, out: list) -> list:
-    """Append the errors of `instance` under `schema` to `out`, in jsonschema's order."""
-    for keyword, value in schema.items():
-        check = KEYWORDS.get(keyword)
-        if check is not None:
-            for message in check(value, instance, schema, path, out):
-                out.append(Violation(keyword, message, path, instance, schema))
-    return out
+def _compile(schema: Mapping) -> tuple[Callable, Callable]:
+    """(valid, collect) of one subschema; collect(x, path, out) appends the errors of x to out."""
+    unknown = schema.keys() - KEYWORDS.keys() - ANNOTATIONS
+    if unknown:
+        raise ValueError(f"schema keywords {sorted(unknown)} are not supported")
+    keywords = [(key, *KEYWORDS[key](value, schema)) for key, value in schema.items() if key not in ANNOTATIONS]
+    verdicts = tuple(holds for _, holds, _ in keywords)
+
+    def valid(x):
+        for holds in verdicts:
+            if not holds(x):
+                return False
+        return True
+
+    def collect(x, path, out):
+        for keyword, _, report in keywords:
+            for message in report(x, path, out):
+                out.append(Violation(keyword, message, path, x, schema))
+        return out
+
+    return (verdicts[0] if len(verdicts) == 1 else valid), collect
 
 
 def _relevance(error: Violation) -> tuple:
@@ -197,25 +238,42 @@ def _relevance(error: Violation) -> tuple:
     # is False for every keyword: path length, path, keyword not oneOf, and
     # whether the instance lacks the type of the keyword's subschema
     expected = error.schema.get("type")
-    matches_type = expected is not None and _is_type(error.instance, expected)
+    matches_type = expected is not None and _TYPES[expected](error.instance)
     return (-len(error.path), error.path, error.keyword != "oneOf", not matches_type)
 
 
-def best_error(instance: Any, schema: Mapping) -> tuple[tuple, str] | None:
-    """(absolute path, message) of the error best_match picks; None if valid.
+class CompiledSchema:
+    """A schema compiled to closures: the verdict ``valid`` and the errors of an instance."""
 
-    The error with the greatest relevance key wins: a short path first. From
-    a failed oneOf, best_match then takes the branch error with the least
-    key, a deep one, unless two branch errors tie for least.
-    """
-    best = max(_collect(instance, schema, (), []), key=_relevance, default=None)
-    if best is None:
-        return None
-    prefix: tuple = ()
-    while best.context:
-        ranked = sorted(best.context, key=_relevance)
-        if len(ranked) > 1 and _relevance(ranked[0]) == _relevance(ranked[1]):
-            break
-        prefix += best.path
-        best = ranked[0]
-    return (*prefix, *best.path), best.message
+    __slots__ = ("valid", "_collect")
+
+    def __init__(self, schema: Mapping) -> None:
+        self.valid, self._collect = _compile(schema)
+
+    def errors(self, instance: Any) -> list[Violation]:
+        """Every error of `instance`, in jsonschema's order; empty exactly where `valid` holds."""
+        return self._collect(instance, (), [])
+
+    def best_error(self, instance: Any) -> tuple[tuple, str] | None:
+        """(absolute path, message) of the error best_match picks; None if valid.
+
+        The error with the greatest relevance key wins: a short path first.
+        From a failed oneOf, best_match then takes the branch error with the
+        least key, a deep one, unless two branch errors tie for least.
+        """
+        if self.valid(instance):
+            return None
+        best = max(self.errors(instance), key=_relevance)
+        prefix: tuple = ()
+        while best.context:
+            ranked = sorted(best.context, key=_relevance)
+            if len(ranked) > 1 and _relevance(ranked[0]) == _relevance(ranked[1]):
+                break
+            prefix += best.path
+            best = ranked[0]
+        return (*prefix, *best.path), best.message
+
+
+def best_error(instance: Any, schema: Mapping) -> tuple[tuple, str] | None:
+    """``CompiledSchema(schema).best_error(instance)``, compiling `schema` for this one call."""
+    return CompiledSchema(schema).best_error(instance)

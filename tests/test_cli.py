@@ -18,7 +18,7 @@ from nslifespan.cli import SCHEMA, ConfigError, build_report, load_config, main,
 from nslifespan.constants import DELTA0, composite_constants
 from nslifespan.errors import DomainError, InfeasibleExponentError, UnavailableBoundError
 from nslifespan.jsonio import canonical_dumps, decode_infinities
-from nslifespan.validation import ANNOTATIONS, KEYWORDS, best_error
+from nslifespan.validation import ANNOTATIONS, KEYWORDS, CompiledSchema, best_error
 
 from oracle_utils import canonical_dumps_recursive
 
@@ -187,7 +187,7 @@ class TestConfigValidation:
 
     def test_matches_jsonschema_on_mutants(self):
         # seeded mutations of the golden corpus and of SCHEMA_VIOLATIONS: the
-        # interpreter rejects exactly what jsonschema rejects, with its best_match
+        # compiled schema rejects exactly what jsonschema rejects, with its best_match
         validator = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
         rng = random.Random(11)
         counts = {"accepted": 0, "rejected": 0}
@@ -208,6 +208,38 @@ class TestConfigValidation:
                     assert got == f"config field '{field}': {expected.message}", config
                     counts["rejected"] += 1
         assert counts["accepted"] > 200 and counts["rejected"] > 1000, counts
+
+    def test_verdict_agrees_with_collector(self):
+        # the verdict builds no error; it must fail exactly where the collector finds one
+        compiled = CompiledSchema(SCHEMA)
+        rng = random.Random(11)
+        configs = [
+            config
+            for base in [*_golden_corpus(), *SCHEMA_VIOLATIONS.values()]
+            for config in [base, *(_mutant(base, rng) for _ in range(8))]
+        ]
+        configs += [request["config"] for workload in ("vortex_sweep", "norms_mix")
+                    for request in _workload_block(workload, seed=0)]
+        verdicts = [compiled.valid(config) for config in configs]
+        assert verdicts == [not compiled.errors(config) for config in configs]
+        assert sum(verdicts) > 300 and verdicts.count(False) > 1000
+
+    @pytest.mark.parametrize("schema", [
+        {"maxLength": 3},
+        {"type": "object", "properties": {"x": {"type": "number", "format": "date"}}},
+        {"oneOf": [{"not": {}}, {}]},
+        {"additionalProperties": {"minLength": 1}},
+        {"type": ["number", "boolean"]},
+        {"properties": {"x": {"type": "string"}}},
+    ], ids=["root", "property", "oneOf_branch", "additionalProperties", "type_list", "unknown_type"])
+    def test_compiling_an_unknown_keyword_raises(self, schema):
+        # a keyword or type the compiler lacks would otherwise be ignored, not enforced
+        with pytest.raises(ValueError, match="not supported"):
+            CompiledSchema(schema)
+
+    def test_annotations_assert_nothing(self):
+        compiled = CompiledSchema({"$schema": "http://json-schema.org/draft-07/schema#", "title": "t", "description": "d"})
+        assert compiled.valid(None) and compiled.best_error([1, "x"]) is None
 
     # Cases SCHEMA does not reach: its keys are sorted, and the branches of
     # its one oneOf exclude each other and both need an object
@@ -1217,6 +1249,26 @@ class TestPrintConstants:
     def test_unparseable_arguments(self):
         result = run_cli("--print-constants", "three", "0.5")
         assert result.returncode == 1
+
+    # sha256 of the standard output; it stays byte-identical while the constants are unchanged
+    DIGESTS = {
+        ("3", "0.5"): "199b0151617c7d42feca39ba8f7adf2f3140bb11fe46ace8beec2e8d8cda8eb6",
+        ("4", repr(DELTA0)): "f91640890ba85684b4e1114946e93dd94d655c9ff4f9f69dcd228a298c10de16",
+        ("5", "0.9"): "6ed7a963368def7383b1fe9a7c5eb89cfff2f8a8215ab6439666dc02e4e012bf",
+    }
+
+    @pytest.mark.parametrize("d, delta", sorted(DIGESTS))
+    def test_output_digest(self, capsys, d, delta):
+        assert main(["--print-constants", d, delta]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == self.DIGESTS[d, delta]
+
+    @pytest.mark.parametrize("d, delta", [("1023", "1e-150"), ("1023", "0.9999999"), ("3", "1e-150"), ("1023", "0.5")])
+    def test_print_only_rows_are_finite_at_the_edges(self, capsys, d, delta):
+        # the table builds its print-only rows on demand; where the route
+        # constants exist, so do they
+        assert main(["--print-constants", d, delta]) == 0
+        values = [float(line.split("=")[1].split()[0]) for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(values) == 21 and all(0.0 < value < math.inf for value in values)
 
     @pytest.mark.parametrize("d, delta", [("3", "1e-300"), ("1024", "0.5")])
     def test_constants_out_of_double_range(self, capsys, d, delta):
