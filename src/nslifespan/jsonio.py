@@ -14,6 +14,19 @@ falls back to isinstance checks, in the order int, float, str, list/tuple,
 dict, for ints, tuples and subclasses of the exact types. bool is an int
 subclass but cannot itself be subclassed, so the exact dispatch catches
 every bool before the int check.
+
+Each process remembers the text of every nonzero float it writes, and the
+'"key": ' head of every str key, in two module dicts. A send encodes its
+report twice (the body for the fingerprint, then the whole report), and a
+report repeats many of its values, so most floats and keys after the first
+are a dict hit instead of a ``format`` call. 0.0 and -0.0 are never
+remembered: they are equal dict keys with different texts. A NaN is never
+remembered and always raises. Each dict is emptied when it holds
+_MEMO_SIZE entries; full, the float dict takes about 135 KB, and the
+reports of the benchmark workloads use fewer than 100 distinct keys. A
+float subclass is written as its value, like the float it equals. The
+texts are a pure function of the value, so every caller in the process
+may share them.
 """
 
 from __future__ import annotations
@@ -26,6 +39,9 @@ __all__ = ["canonical_dumps", "decode_infinities", "fingerprint"]
 
 _INDENT = 2
 _NONFINITE = {"inf": '"infinity"', "-inf": '"-infinity"'}
+_MEMO_SIZE = 1024  # entries at which a text memo is emptied
+_FLOAT_TEXTS: dict[float, str] = {}  # nonzero float -> its text
+_KEY_TEXTS: dict[str, str] = {}  # str key -> '"key": '
 
 
 class _Punctuation(dict):
@@ -47,11 +63,28 @@ _ARRAY = _Punctuation("[]")
 
 
 def _format_float(x: float) -> str:
-    text = format(x, ".17g")
-    if text[-1] in "fn":  # "inf", "-inf" or "nan"
-        if text == "nan":
-            raise ValueError("NaN is not representable in a certificate report")
-        return _NONFINITE[text]
+    """The text of a float, remembered unless x is zero; the only place a float is formatted."""
+    text = _FLOAT_TEXTS.get(x)
+    if text is None:
+        text = format(x, ".17g")
+        if text[-1] in "fn":  # "inf", "-inf" or "nan"
+            if text == "nan":
+                raise ValueError("NaN is not representable in a certificate report")
+            text = _NONFINITE[text]
+        if x:
+            if len(_FLOAT_TEXTS) >= _MEMO_SIZE:
+                _FLOAT_TEXTS.clear()
+            _FLOAT_TEXTS[x] = text
+    return text
+
+
+def _key_text(key: Any) -> str:
+    """'"key": ' for a str key, remembered."""
+    if not isinstance(key, str):
+        raise TypeError("report keys must be strings")
+    if len(_KEY_TEXTS) >= _MEMO_SIZE:
+        _KEY_TEXTS.clear()
+    text = _KEY_TEXTS[key] = encode_basestring_ascii(key) + ": "
     return text
 
 
@@ -89,13 +122,11 @@ def _encode_items(items: Any, level: int, out: list[str]) -> None:
         return
     lead, sep, closing = _ARRAY[level]
     append = out.append
+    float_texts = _FLOAT_TEXTS
     for value in items:
         tp = type(value)
         if tp is float:
-            text = format(value, ".17g")
-            if text[-1] in "fn":
-                text = _format_float(value)
-            append(f"{lead}{text}")
+            append(f"{lead}{float_texts.get(value) or _format_float(value)}")
         elif tp is str:
             append(f"{lead}{encode_basestring_ascii(value)}")
         else:
@@ -111,20 +142,17 @@ def _encode_members(members: Any, level: int, out: list[str]) -> None:
         return
     lead, sep, closing = _OBJECT[level]
     append = out.append
+    float_texts, key_texts = _FLOAT_TEXTS, _KEY_TEXTS
     for key in sorted(members):
-        if not isinstance(key, str):
-            raise TypeError("report keys must be strings")
+        head = key_texts.get(key) or _key_text(key)
         value = members[key]
         tp = type(value)
         if tp is float:
-            text = format(value, ".17g")
-            if text[-1] in "fn":
-                text = _format_float(value)
-            append(f"{lead}{encode_basestring_ascii(key)}: {text}")
+            append(f"{lead}{head}{float_texts.get(value) or _format_float(value)}")
         elif tp is str:
-            append(f"{lead}{encode_basestring_ascii(key)}: {encode_basestring_ascii(value)}")
+            append(f"{lead}{head}{encode_basestring_ascii(value)}")
         else:
-            append(f"{lead}{encode_basestring_ascii(key)}: ")
+            append(f"{lead}{head}")
             _encode(value, level + 1, out)
         lead = sep
     append(closing)

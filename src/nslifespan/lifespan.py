@@ -206,15 +206,22 @@ def state_from_norms(bundle: idmod.NormBundle, d: int, delta: float) -> KatoBoun
 
 
 def _least_bound(bounds: Sequence[idmod.PowerBound], finite_at_infinity: bool) -> KatoEvaluator:
-    """The evaluator T -> the least of the bounds.
+    """The evaluator T -> the least of one or two bounds.
 
-    It is <= y exactly where some bound is, so its root is the largest bound root.
+    It is <= y exactly where some bound is, so its root is the largest bound
+    root. One bound is its own fn; two give min(b0(T), b1(T)), which keeps
+    the first of two equal values as a generator ``min`` does.
+    ``state_from_norms`` builds at most a cap and a power bound per
+    component, so any other count is refused.
     """
-    return KatoEvaluator(
-        lambda T: min(bound(T) for bound in bounds),
-        finite_at_infinity,
-        lambda y: max(bound.root(y)[0] for bound in bounds),
-    )
+    if len(bounds) == 1:
+        fn = bounds[0]
+    elif len(bounds) == 2:
+        b0, b1 = bounds
+        fn = lambda T: min(b0(T), b1(T))
+    else:
+        raise ValueError(f"a least bound takes one or two bounds, got {len(bounds)}")
+    return KatoEvaluator(fn, finite_at_infinity, lambda y: max(bound.root(y)[0] for bound in bounds))
 
 
 class InequalityCheck:
@@ -553,17 +560,19 @@ def theorem31_bound(state: KatoBoundState) -> LifespanCertificate:
     failed one at infinity. The search sees only the verdict of
     ``_coupled_feasible``; the intermediates are built by
     ``_coupled_quantities`` once, at the certified T, or at the floor 1e-12
-    when no T is feasible.
+    when no T is feasible. Each probe calls both ``KatoEvaluator``s, K0
+    first, so ``lifespan.probes_per_cert`` in perfbench counts it.
     """
-    feasible = lambda T: thm31_feasible_at(state, T)
-    at_infinity = state.k0.finite_at_infinity and state.k0_prime.finite_at_infinity
+    k0, k0p, j1, j2 = state.k0, state.k0_prime, state.constants.j1, state.constants.j2
+    feasible = lambda T: _coupled_feasible(k0(T), k0p(T), j1, j2)
+    at_infinity = k0.finite_at_infinity and k0p.finite_at_infinity
     if at_infinity and feasible(math.inf):
         t0, notes = math.inf, ["inequalities hold at T = infinity; solution is global"]
     else:
-        saturated = max(state.k0.saturation, state.k0_prime.saturation) if at_infinity else math.inf
+        saturated = max(k0.saturation, k0p.saturation) if at_infinity else math.inf
         t0, notes = _largest_feasible(feasible, saturated)
     T = _COUPLED_FLOOR if t0 is None else t0
-    q = _coupled_quantities(state.k0(T), state.k0_prime(T), state.constants.j1, state.constants.j2)
+    q = _coupled_quantities(k0(T), k0p(T), j1, j2)
     if t0 is None:
         return _infeasible_certificate("thm31", state.delta, q, (*notes, *state.notes))
     intermediate = {**q, "margin": _COUPLED_MARGIN}
@@ -590,7 +599,9 @@ def theorem41_bound(state: KatoBoundState) -> LifespanCertificate:
     lo passes and every one at or above hi fails, just as a probe finds, so
     t0 is the same double as without the bracket, found by probing only the
     evaluator that binds, a few thousand ulps around its root. Without roots
-    the bisection probes K0' and K0 at all 63 levels.
+    the bisection probes K0' and K0 at all 63 levels. Every probe calls the
+    ``KatoEvaluator``s themselves, K0' first and K0 only if K0' passes, so
+    ``lifespan.probes_per_cert`` in perfbench counts it.
 
     The certificate stores the Picard iterate bound 3/(4 Jbar) = C3/d^2 and
     carries the c3 reference-discrepancy note.
@@ -616,8 +627,9 @@ def theorem41_bound(state: KatoBoundState) -> LifespanCertificate:
             return _thm41_certificate(math.inf, state, detail, notes)
     los = [_bracket_lo(e, threshold) if inverted and hi > 0.0 else 0.0 for e in evaluators]
     # each evaluator passes without a probe at T <= its lo
+    (e0, e1), (lo0, lo1) = evaluators, los
     t0 = _largest_double(
-        lambda T: all(T <= lo or e(T) <= threshold for e, lo in zip(evaluators, los)), (min(los), hi)
+        lambda T: (T <= lo0 or e0(T) <= threshold) and (T <= lo1 or e1(T) <= threshold), (min(los), hi)
     )
     if t0 > 0.0:
         return _thm41_certificate(t0, state, _envelope_probe(state, t0)[1], notes)

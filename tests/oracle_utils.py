@@ -4,7 +4,9 @@ Everything here deliberately avoids the closed forms under test: norms are
 integrated numerically (adaptive QUADPACK through a different reduction, or
 a plain tensor Simpson grid), the heat evolution is checked against direct
 convolution with the Gaussian kernel, and suprema are brute-forced on dense
-grids. The report encoder is checked against a plain recursive encoder.
+grids. The report encoder is checked against a plain recursive encoder and
+against its own single-pass form without text memos, and the envelope and
+coupled certifiers against their first probe forms.
 It also holds what only the tests use: the pointwise vortex field
 (``VortexGaussian``), the worst-case iteration of the recurrences, the
 ground truth for their fixed-point bounds, and the Gauss-Laguerre builder
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +28,7 @@ from typing import Any, Union
 import numpy as np
 from scipy import integrate
 
-from nslifespan import initial_data
+from nslifespan import initial_data, lifespan
 from nslifespan.constants import _check_delta
 from nslifespan.errors import DomainError
 from nslifespan.recurrence import CoupledRecurrence, HypothesisFailure, z_root
@@ -673,6 +676,168 @@ def canonical_dumps_recursive(obj: Any) -> str:
         raise TypeError(f"unsupported type in report: {type(obj)!r}")
 
     return encode(obj, 0) + "\n"
+
+
+_REF_NONFINITE = {"inf": '"infinity"', "-inf": '"-infinity"'}
+
+
+def _reference_format_float(x: float) -> str:
+    text = format(x, ".17g")
+    if text[-1] in "fn":  # "inf", "-inf" or "nan"
+        if text == "nan":
+            raise ValueError("NaN is not representable in a certificate report")
+        return _REF_NONFINITE[text]
+    return text
+
+
+def _reference_punctuation(brackets: str, level: int) -> tuple[str, str, str]:
+    pad = "  " * level
+    sep = ",\n" + pad + "  "
+    return brackets[0] + sep[1:], sep, "\n" + pad + brackets[1]
+
+
+def _reference_encode(obj: Any, level: int, out: list[str]) -> None:
+    tp = type(obj)
+    if tp is dict:
+        _reference_members(obj, level, out)
+    elif tp is list:
+        _reference_items(obj, level, out)
+    elif obj is None:
+        out.append("null")
+    elif tp is bool:
+        out.append("true" if obj else "false")
+    elif tp is float:
+        out.append(_reference_format_float(obj))
+    elif tp is str:
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_reference_format_float(obj))
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, (list, tuple)):
+        _reference_items(obj, level, out)
+    elif isinstance(obj, dict):
+        _reference_members(obj, level, out)
+    else:
+        raise TypeError(f"unsupported type in report: {type(obj)!r}")
+
+
+def _reference_items(items: Any, level: int, out: list[str]) -> None:
+    if not items:
+        out.append("[]")
+        return
+    lead, sep, closing = _reference_punctuation("[]", level)
+    for value in items:
+        tp = type(value)
+        if tp is float:
+            text = format(value, ".17g")
+            if text[-1] in "fn":
+                text = _reference_format_float(value)
+            out.append(f"{lead}{text}")
+        elif tp is str:
+            out.append(f"{lead}{encode_basestring_ascii(value)}")
+        else:
+            out.append(lead)
+            _reference_encode(value, level + 1, out)
+        lead = sep
+    out.append(closing)
+
+
+def _reference_members(members: Any, level: int, out: list[str]) -> None:
+    if not members:
+        out.append("{}")
+        return
+    lead, sep, closing = _reference_punctuation("{}", level)
+    for key in sorted(members):
+        if not isinstance(key, str):
+            raise TypeError("report keys must be strings")
+        value = members[key]
+        tp = type(value)
+        if tp is float:
+            text = format(value, ".17g")
+            if text[-1] in "fn":
+                text = _reference_format_float(value)
+            out.append(f"{lead}{encode_basestring_ascii(key)}: {text}")
+        elif tp is str:
+            out.append(f"{lead}{encode_basestring_ascii(key)}: {encode_basestring_ascii(value)}")
+        else:
+            out.append(f"{lead}{encode_basestring_ascii(key)}: ")
+            _reference_encode(value, level + 1, out)
+        lead = sep
+    out.append(closing)
+
+
+def reference_canonical_dumps(obj: Any) -> str:
+    """Reference for `nslifespan.jsonio.canonical_dumps`: the single-pass encoder without text memos.
+
+    It formats every float and key each time it meets one, as the package
+    did before it remembered their texts per process; the package must
+    match it byte for byte, whatever its memos hold.
+    """
+    out: list[str] = []
+    _reference_encode(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+# -- certifier probes ----------------------------------------------------------
+# The first forms of the envelope and coupled probes and of a norm bundle's
+# least bound. Each reference makes the package certifier's evaluator calls,
+# in its order, so a test can compare t0 bits and KatoEvaluator.__call__ counts.
+
+
+def reference_least_bound(bounds, finite_at_infinity: bool) -> lifespan.KatoEvaluator:
+    """The evaluator T -> min over a generator of the bounds, with the largest bound root."""
+    return lifespan.KatoEvaluator(
+        lambda T: min(bound(T) for bound in bounds),
+        finite_at_infinity,
+        lambda y: max(bound.root(y)[0] for bound in bounds),
+    )
+
+
+def reference_theorem41_t0(state: lifespan.KatoBoundState) -> float:
+    """t0 of `lifespan.theorem41_bound`, probing with a generator ``all`` over (evaluator, lo) pairs.
+
+    The infinity probe, the bracket and the intermediates at t0 (or at
+    5e-324 when nothing passes) are the package's.
+    """
+    threshold = state.constants.threshold
+    evaluators = (state.k0_prime, state.k0)
+    inverted = all(e.root is not None for e in evaluators)
+    hi = lifespan._bracket_hi(evaluators, threshold) if inverted else math.inf
+    if hi == math.inf and all(e.finite_at_infinity for e in evaluators):
+        if lifespan._envelope_probe(state, math.inf)[0]:
+            return math.inf
+    los = [lifespan._bracket_lo(e, threshold) if inverted and hi > 0.0 else 0.0 for e in evaluators]
+    t0 = lifespan._largest_double(
+        lambda T: all(T <= lo or e(T) <= threshold for e, lo in zip(evaluators, los)), (min(los), hi)
+    )
+    lifespan._envelope_probe(state, t0 if t0 > 0.0 else math.ulp(0.0))
+    return t0
+
+
+def reference_theorem31_t0(state: lifespan.KatoBoundState) -> float:
+    """t0 of `lifespan.theorem31_bound` (0.0 when infeasible), scanning with the state-reading probe.
+
+    Each probe reads the evaluators and J1, J2 from the state, as
+    ``thm31_feasible_at`` does; the intermediates are evaluated at t0, or
+    at the floor 1e-12 when nothing is feasible.
+    """
+
+    def feasible(T: float) -> bool:
+        return lifespan._coupled_feasible(state.k0(T), state.k0_prime(T), state.constants.j1, state.constants.j2)
+
+    at_infinity = state.k0.finite_at_infinity and state.k0_prime.finite_at_infinity
+    if at_infinity and feasible(math.inf):
+        t0 = math.inf
+    else:
+        saturated = max(state.k0.saturation, state.k0_prime.saturation) if at_infinity else math.inf
+        t0, _ = lifespan._largest_feasible(feasible, saturated)
+    T = lifespan._COUPLED_FLOOR if t0 is None else t0
+    state.k0(T), state.k0_prime(T)
+    return 0.0 if t0 is None else t0
 
 
 # -- recurrences --------------------------------------------------------------

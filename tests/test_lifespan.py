@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from nslifespan.lifespan import (
     _derived_checks,
     _largest_double,
     _largest_feasible,
+    _least_bound,
     InequalityCheck,
     KatoBoundState,
     KatoEvaluator,
@@ -627,6 +629,111 @@ class TestEnvelopeWorkCount:
         expected += [t0, t0]  # the intermediates at t0
         assert _evaluations(monkeypatch, lambda: theorem41_bound(state)) == expected
         assert len(expected) > 2 + 63
+
+
+def _probe_draw(rng, monkeypatch):
+    """(state, reference state, f1, f2) for one seeded draw, delta log-uniform in (1e-3, 1).
+
+    Even draws are vortex states, which the reference shares; odd draws are
+    norm-bundle states with one or two bounds per component, whose reference
+    is built with the generator least bound.
+    """
+    d = rng.randint(3, 5)
+    delta = math.exp(rng.uniform(math.log(1e-3), 0.0))
+    f1, f2 = _forces(d, delta, rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9),
+                     10.0 ** rng.uniform(-12.0, 1.0), 10.0 ** rng.uniform(-12.0, 1.0))
+    if rng.random() < 0.5:
+        data = _vortex_by_invariant(d, rng.uniform(math.log10(0.005), math.log10(5.0)), rng.uniform(-3.0, 1.0))
+        state = state_from_vortex(data, delta)
+        return state, state, f1, f2
+    has_a_d = rng.random() < 0.7
+    has_theta = not has_a_d or rng.random() < 0.6
+    has_grad = not has_a_d or rng.random() < 0.6
+    bundle = NormBundle(
+        lp_norms={float(d): 10.0 ** rng.uniform(-8.0, -1.0)} if has_a_d else {},
+        grad_d_norm=10.0 ** rng.uniform(-6.0, 2.0) if has_grad else None,
+        theta=rng.uniform(0.05, 1.0) if has_theta else None,
+        norm_d_plus_theta=10.0 ** rng.uniform(-8.0, 1.0) if has_theta else None,
+    )
+    state = state_from_norms(bundle, d, delta)
+    with monkeypatch.context() as patched:
+        patched.setattr("nslifespan.lifespan._least_bound", oracle.reference_least_bound)
+        reference = state_from_norms(bundle, d, delta)
+    return state, reference, f1, f2
+
+
+class TestFirstProbeForms:
+    """thm41, forced and thm31 keep the t0 bits and evaluator calls of their first probe forms.
+
+    The references (``oracle_utils.reference_theorem41_t0``,
+    ``reference_theorem31_t0`` and ``reference_least_bound``) probe through
+    generators and read the state on every probe. Calls are counted at
+    ``KatoEvaluator.__call__``, where perfbench counts
+    ``lifespan.probes_per_cert``, so a probe that bypasses it fails here.
+    """
+
+    DRAWS = 160
+
+    def test_seeded_draws(self, monkeypatch):
+        rng = random.Random(1306_6211)
+        branches = {"thm41": set(), "forced": set(), "thm31": set()}
+        for draw in range(self.DRAWS):
+            state, reference, f1, f2 = _probe_draw(rng, monkeypatch)
+            forced_cert = forced_lifespan(state, f1, f2)
+            c1 = forced_cert.intermediate["force_k0_coefficient"]
+            c2 = forced_cert.intermediate["force_k0_prime_coefficient"]
+            forced_reference = _with_evaluators(
+                reference, reference.k0.shifted(c1), reference.k0_prime.shifted(c2)
+            )
+            routes = (
+                ("thm41", lambda: theorem41_bound(state), lambda: oracle.reference_theorem41_t0(reference)),
+                ("forced", lambda: forced_lifespan(state, f1, f2),
+                 lambda: oracle.reference_theorem41_t0(forced_reference)),
+                ("thm31", lambda: theorem31_bound(state), lambda: oracle.reference_theorem31_t0(reference)),
+            )
+            for route, certify, first_form in routes:
+                certs, t0s = [], []
+                calls = _evaluations(monkeypatch, lambda: certs.append(certify()))
+                reference_calls = _evaluations(monkeypatch, lambda: t0s.append(first_form()))
+                assert certs[0].t0.hex() == t0s[0].hex(), (draw, route)
+                assert len(calls) == len(reference_calls), (draw, route)
+                branches[route].add("0" if t0s[0] == 0.0 else "inf" if t0s[0] == math.inf else "finite")
+        # every route bisected, and thm41 also hit both ends
+        assert all("finite" in seen for seen in branches.values()), branches
+        assert branches["thm41"] == {"0", "finite", "inf"}, branches
+
+
+class TestLeastBound:
+    """``_least_bound`` takes one or two bounds and gives the generator ``min`` bit for bit."""
+
+    CAP = idmod.PowerBound(4.0)
+    POWER = idmod.PowerBound(2.0, 0.5, 2.0)  # 2 sqrt(T): ties the cap at T = 4
+    PAIRS = {
+        "cap_and_power": (CAP, POWER),
+        "power_and_cap": (POWER, CAP),
+        "signed_zero_tie": (idmod.PowerBound(-0.0), idmod.PowerBound(0.0, 0.5, 2.0)),
+        "zero_tie_reversed": (idmod.PowerBound(0.0, 0.5, 2.0), idmod.PowerBound(-0.0)),
+        "infinite_cap": (idmod.PowerBound(math.inf), POWER),
+        "infinite_tie": (idmod.PowerBound(math.inf), idmod.PowerBound(math.inf, 0.5, 2.0)),
+    }
+    HORIZONS = (0.0, math.ulp(0.0), 1e-300, 1.0, 4.0, 5.0, 1e300, math.inf)
+
+    @pytest.mark.parametrize("bounds", [(CAP,), (POWER,), *PAIRS.values()], ids=["cap", "power", *PAIRS])
+    def test_values_and_roots_match_the_generator_min(self, bounds):
+        least = _least_bound(bounds, True)
+        reference = oracle.reference_least_bound(bounds, True)
+        for T in self.HORIZONS:
+            assert least.fn(T).hex() == reference.fn(T).hex(), T
+        for y in (-1.0, 0.0, 1.0, 4.0, 1e300, math.inf):
+            assert least.root(y) == reference.root(y), y
+
+    def test_single_bound_is_its_own_evaluator(self):
+        assert _least_bound([self.POWER], False).fn is self.POWER
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_other_counts_are_refused(self, count):
+        with pytest.raises(ValueError, match=f"one or two bounds, got {count}"):
+            _least_bound([self.CAP, self.POWER, self.CAP][:count], True)
 
 
 @pytest.mark.xfail(
