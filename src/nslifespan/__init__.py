@@ -67,4 +67,4 @@ from .mixed_norms import (
     psi_bound,
     psi_min,
 )
-from .recurrence import CoupledRecurrence, coupled_bound
+from .recurrence import coupled_bound

@@ -147,14 +147,6 @@ class ExponentPair:
         self.q = q
 
     @property
-    def conjugate_p(self) -> float:
-        return self.p / (self.p - 1.0) if self.p > 1 else math.inf
-
-    @property
-    def conjugate_q(self) -> float:
-        return self.q / (self.q - 1.0) if self.q > 1 else math.inf
-
-    @property
     def inverse_output(self) -> float:
         """1/r for the Young output exponent r."""
         return 1.0 / self.p + 1.0 / self.q - 1.0
@@ -392,15 +384,19 @@ def composite_constants(d: int, delta: float) -> ConstantSet:
 def default_delta_grid(n: int = 64) -> tuple[float, ...]:
     """Deterministic hybrid delta grid used by the sweep drivers.
 
-    Half the points are log-spaced in (1e-3, 0.3) to resolve the small-delta
-    blow-up of the envelopes; the rest are linear on (0.3, 0.97). delta0 is
-    always included so the critical point is on every grid.
+    Half the points are log-spaced from 1e-3 to 0.3 (just 1e-3 when that
+    half is one point) to resolve the small-delta blow-up of the envelopes;
+    the rest are linear on (0.3, 0.97). delta0 is always included so the
+    critical point is on every grid.
     """
     if n < 2:
         raise DomainError(f"grid needs at least 2 points, got {n}")
     n_log = n // 2
     n_lin = n - n_log
-    log_part = [10.0 ** (-3.0 + (k / (n_log - 1)) * (math.log10(0.3) + 3.0)) for k in range(n_log)]
+    if n_log == 1:
+        log_part = [1e-3]
+    else:
+        log_part = [10.0 ** (-3.0 + (k / (n_log - 1)) * (math.log10(0.3) + 3.0)) for k in range(n_log)]
     lin_part = [0.3 + (k + 1) * (0.97 - 0.3) / n_lin for k in range(n_lin)]
     grid = sorted(set(log_part + lin_part + [DELTA0]))
     return tuple(grid)

@@ -27,11 +27,10 @@ intermediates; every certifier builds its checks with it, and
 ``replay_certificate`` calls it again on the stored values, so a stored
 check that does not restate its intermediates fails replay. The coupled
 arithmetic has one source, ``recurrence.reduced_system``: the search takes
-only its verdict, on plain floats (``_coupled_feasible``), and the
-intermediates at t0 and in replay come from one function,
-``_coupled_quantities``, through ``CoupledRecurrence`` and
-``coupled_bound``. Replay needs only the stored numbers, so a report can be
-re-validated in a process that never constructs the original evaluators.
+only its verdict (``_coupled_feasible``), and the intermediates at t0 and
+in replay come from one function, ``recurrence.coupled_bound``. Replay
+needs only the stored numbers, so a report can be re-validated in a
+process that never constructs the original evaluators.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from typing import Callable, Mapping, Sequence
 from . import initial_data as idmod
 from .constants import C3_DISCREPANCY_NOTE, ConstantSet, composite_constants
 from .errors import DomainError, UnavailableBoundError
-from .recurrence import CoupledRecurrence, coupled_bound, reduced_system
+from .recurrence import OFFSET_FLOOR, coupled_bound, reduced_system
 
 __all__ = [
     "KatoEvaluator",
@@ -77,7 +76,6 @@ _INT64 = struct.Struct("<q")
 # the vortex evaluators stay below 4e-15 (tests/test_lifespan.py, mpmath).
 _BRACKET_EPS = 1e-13
 _EXPLICIT_SHRINK = 1.0 - 1e-12  # keeps closed-form replay margins nonnegative
-_TINY = 1e-300
 
 
 class KatoEvaluator:
@@ -338,41 +336,18 @@ class DeltaSweep:
 # ---------------------------------------------------------------------------
 
 
-def _coupled_quantities(k0: float, k0p: float, j1: float, j2: float) -> dict[str, float]:
-    """The coupled route's intermediates at (K0, K0') = (k0, k0p), at t0 and in replay.
-
-    (k0, k0p), floored at _TINY, fills both the offset and the start slots
-    of the ``CoupledRecurrence`` with the constants (J1, J2); s1, s2, d1, d2
-    are its det1, det2, d1, d2, and v1, v2 the bounds of ``coupled_bound``,
-    present only when its hypotheses hold. d1 and d2 are left out when they
-    overflow the doubles, which fails those hypotheses.
-    """
-    x0, y0 = max(k0, _TINY), max(k0p, _TINY)
-    rec = CoupledRecurrence(alpha1=x0, alpha2=y0, beta1=j1, beta2=j2, x0=x0, y0=y0)
-    res = coupled_bound(rec)
-    quantities = {"k0_at_t0": k0, "k0_prime_at_t0": k0p, "j1": j1, "j2": j2, "s1": rec.det1, "s2": rec.det2}
-    try:
-        quantities.update(d1=rec.d1, d2=rec.d2)
-    except OverflowError:
-        pass
-    if res.ok:
-        quantities["v1"], quantities["v2"] = res.x_bound, res.y_bound
-    return quantities
-
-
 def _coupled_feasible(k0: float, k0p: float, j1: float, j2: float) -> bool:
     """The coupled route's verdict at (K0, K0') = (k0, k0p), from plain floats.
 
-    It is the verdict that ``_coupled_quantities`` gives, v1 and v2 present
-    with v1 - k0 and v2 - k0p above _COUPLED_MARGIN, from the same
-    ``reduced_system`` arithmetic without its objects: a margin above 0
-    puts the start values below the positive roots. Constants come
-    positive from ``composite_constants``, so the recurrence needs no
-    validation.
+    It is the verdict that ``coupled_bound`` gives, v1 and v2 present with
+    v1 - k0 and v2 - k0p above _COUPLED_MARGIN, from the same
+    ``reduced_system`` arithmetic without the dict: a margin above 0 puts
+    the start values below the roots. Constants come positive from
+    ``composite_constants``, so they need no check here.
     """
-    x0, y0 = max(k0, _TINY), max(k0p, _TINY)
+    x0, y0 = max(k0, OFFSET_FLOOR), max(k0p, OFFSET_FLOOR)
     try:
-        roots = reduced_system(x0, y0, j1, j2)[2]
+        roots = reduced_system(x0, y0, j1, j2)[3]
     except OverflowError:
         return False
     return roots is not None and roots[0] - k0 > _COUPLED_MARGIN and roots[1] - k0p > _COUPLED_MARGIN
@@ -558,9 +533,9 @@ def theorem31_bound(state: KatoBoundState) -> LifespanCertificate:
     certified directly. Otherwise the scan skips every T at or above the
     later saturation time of the two evaluators, where the verdict is the
     failed one at infinity. The search sees only the verdict of
-    ``_coupled_feasible``; the intermediates are built by
-    ``_coupled_quantities`` once, at the certified T, or at the floor 1e-12
-    when no T is feasible. Each probe calls both ``KatoEvaluator``s, K0
+    ``_coupled_feasible``, which reads ``reduced_system``; the intermediates
+    are built by ``coupled_bound`` once, at the certified T, or at the floor
+    1e-12 when no T is feasible. Each probe calls both ``KatoEvaluator``s, K0
     first, so ``lifespan.probes_per_cert`` in perfbench counts it.
     """
     k0, k0p, j1, j2 = state.k0, state.k0_prime, state.constants.j1, state.constants.j2
@@ -572,7 +547,7 @@ def theorem31_bound(state: KatoBoundState) -> LifespanCertificate:
         saturated = max(k0.saturation, k0p.saturation) if at_infinity else math.inf
         t0, notes = _largest_feasible(feasible, saturated)
     T = _COUPLED_FLOOR if t0 is None else t0
-    q = _coupled_quantities(k0(T), k0p(T), j1, j2)
+    q = coupled_bound(k0(T), k0p(T), j1, j2)
     if t0 is None:
         return _infeasible_certificate("thm31", state.delta, q, (*notes, *state.notes))
     intermediate = {**q, "margin": _COUPLED_MARGIN}
@@ -844,7 +819,7 @@ def replay_certificate(cert: LifespanCertificate | Mapping) -> ReplayReport:
         if derived != tuple(cert.checks):
             record("derived:checks", False, "stored checks differ from those the intermediates give")
         if cert.theorem == "thm31":
-            q = _coupled_quantities(inter["k0_at_t0"], inter["k0_prime_at_t0"], inter["j1"], inter["j2"])
+            q = coupled_bound(inter["k0_at_t0"], inter["k0_prime_at_t0"], inter["j1"], inter["j2"])
             for name, formula in _COUPLED_IDENTITIES:
                 record(f"identity:{name}", name in q and close(q[name], inter[name]), formula)
         elif cert.theorem == "thm41":

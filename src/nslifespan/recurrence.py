@@ -1,22 +1,30 @@
-"""Fixed-point bounds for the coupled quadratic recurrence inequalities.
+"""The coupled quadratic recurrence of the coupled route, on plain floats.
 
-Scalar form: any nonnegative sequence with x_{n+1} <= alpha + beta x_n +
-gamma x_n^2 stays below the larger root Z of alpha + beta Z + gamma Z^2 = Z
-whenever the root is real and positive and x_0 starts below it (induction on
-n, using that the quadratic map is monotone on [0, Z]); ``z_root`` is that
-root.
+Lemma (start equal to offset). Let alpha1, alpha2, beta1, beta2 > 0 and let
+nonnegative sequences with x_0 <= alpha1 and y_0 <= alpha2 obey
 
-Coupled form: x_{n+1} <= alpha1 + beta1 x_n y_n, y_{n+1} <= alpha2 +
-beta2 x_n y_n. Along the equality dynamics the combination beta2 x - beta1 y
-is conserved after one step, which reduces each component to a scalar
-recurrence with the cross-determinant det1 = alpha2 beta1 - alpha1 beta2 in
-the linear slot; the two reduced discriminants coincide identically.
+    x_{n+1} <= alpha1 + beta1 x_n y_n,    y_{n+1} <= alpha2 + beta2 x_n y_n.
+
+Put det1 = alpha2 beta1 - alpha1 beta2, d1 = (det1 + 1)^2 - 4 alpha1 beta2
+and d2 = (1 - det1)^2 - 4 alpha2 beta1. If d1 > 0 and d2 > 0, and the
+reduced roots Zx = Z(alpha1, det1, beta2) and Zy = Z(alpha2, -det1, beta1)
+lie above the starts, alpha1 < Zx and alpha2 < Zy, then x_n <= Zx and
+y_n <= Zy for every n. Here Z(a, b, g) = (1 - b + sqrt((b - 1)^2 - 4 a g)) /
+(2 g) is the larger root of a + b z + g z^2 = z.
+
+The right-hand sides increase in x_n and y_n, so the equality dynamics
+dominate every obedient sequence. Along them beta2 x - beta1 y = -det1
+after one step, which reduces each component to the scalar recurrence
+z_{n+1} = a + b z_n + g z_n^2 with the signed det1 in the linear slot; the
+two reduced discriminants coincide, and d1 > 0, d2 > 0 put them above
+4 |det1| >= 0, so the roots are real.
+
 ``reduced_system`` is the one place that arithmetic is written: the
-properties of ``CoupledRecurrence``, ``coupled_bound`` and the coupled
-route's search all read it.
-
-The test suite's oracles (``tests/oracle_utils.py``) iterate the equality
-dynamics, which dominate every obedient sequence pointwise.
+coupled route's search reads its verdict, and ``coupled_bound`` the
+intermediates a thm31 certificate stores. It restates det1 only where d1
+or d2 overflows, since reduced_system then returns nothing. The test
+suite's oracles (``tests/oracle_utils.py``) iterate the equality dynamics
+from general starts.
 """
 
 from __future__ import annotations
@@ -25,167 +33,59 @@ import math
 
 from .errors import DomainError
 
-__all__ = [
-    "CoupledRecurrence",
-    "HypothesisFailure",
-    "CoupledBound",
-    "coupled_bound",
-    "reduced_system",
-]
+__all__ = ["coupled_bound", "reduced_system"]
+
+OFFSET_FLOOR = 1e-300  # (K0, K0') below it enter the system as this value
 
 
-class CoupledRecurrence:
-    """Coefficients of the coupled product system with start (x0, y0)."""
-
-    __slots__ = ("alpha1", "alpha2", "beta1", "beta2", "x0", "y0")
-
-    def __init__(self, alpha1: float, alpha2: float, beta1: float, beta2: float, x0: float, y0: float) -> None:
-        self.alpha1 = alpha1
-        self.alpha2 = alpha2
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.x0 = x0
-        self.y0 = y0
-        if min(alpha1, alpha2, beta1, beta2) <= 0:
-            raise DomainError(f"coupled coefficients must be positive, got {self}")
-        if x0 <= 0 or y0 <= 0:
-            raise DomainError(f"start values must be positive, got {self}")
-
-    def __repr__(self) -> str:  # the error messages above print it
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"CoupledRecurrence({fields})"
-
-    @property
-    def det1(self) -> float:
-        return _det1(self.alpha1, self.alpha2, self.beta1, self.beta2)
-
-    @property
-    def det2(self) -> float:
-        return -self.det1
-
-    @property
-    def d1(self) -> float:
-        """(det1 + 1)^2 - 4 alpha1 beta2."""
-        return _discriminant(self.alpha1, self.det1, self.beta2)
-
-    @property
-    def d2(self) -> float:
-        """(det2 + 1)^2 - 4 alpha2 beta1."""
-        return _discriminant(self.alpha2, self.det2, self.beta1)
-
-
-class HypothesisFailure:
-    """A named hypothesis with the (nonpositive) margin by which it failed.
-
-    `margin` is the value of the quantity that the hypothesis requires to be
-    positive (a discriminant, a root, or a root minus the start value), as
-    evaluated when the check failed; it is NaN for ``quadratics_finite``,
-    whose quantities overflow the doubles.
-    """
-
-    __slots__ = ("condition", "margin")
-
-    def __init__(self, condition: str, margin: float) -> None:
-        self.condition = condition
-        self.margin = margin
-
-
-class CoupledBound:
-    """Result of the coupled fixed-point bound."""
-
-    __slots__ = ("x_bound", "y_bound", "failures")
-
-    def __init__(self, x_bound: float | None, y_bound: float | None, failures: tuple[HypothesisFailure, ...]) -> None:
-        self.x_bound = x_bound
-        self.y_bound = y_bound
-        self.failures = failures
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def value(self) -> tuple[float, float] | None:
-        if self.ok:
-            assert self.x_bound is not None and self.y_bound is not None
-            return (self.x_bound, self.y_bound)
-        return None
-
-
-def z_root(alpha: float, beta: float, gamma: float) -> float:
-    """Larger root (1 - beta + sqrt((beta-1)^2 - 4 alpha gamma)) / (2 gamma).
-
-    The beta slot may be negative (the coupled reduction feeds the signed
-    cross-determinant through it). Raises if the root is not real.
-    """
-    if gamma <= 0:
-        raise DomainError(f"z_root requires gamma > 0, got {gamma}")
+def _root(alpha: float, beta: float, gamma: float) -> float:
     disc = (beta - 1.0) ** 2 - 4.0 * alpha * gamma
     if disc < 0:
-        raise DomainError(f"z_root: discriminant {disc} < 0, no real root")
+        raise DomainError(f"reduced discriminant {disc} < 0, no real root")
     return (1.0 - beta + math.sqrt(disc)) / (2.0 * gamma)
-
-
-def _det1(alpha1: float, alpha2: float, beta1: float, beta2: float) -> float:
-    return alpha2 * beta1 - alpha1 * beta2
-
-
-def _discriminant(alpha: float, det: float, beta: float) -> float:
-    return (det + 1.0) ** 2 - 4.0 * alpha * beta
 
 
 def reduced_system(
     alpha1: float, alpha2: float, beta1: float, beta2: float
-) -> tuple[float, float, tuple[float, float] | None]:
-    """(d1, d2, roots) of the coupled system with these coefficients, on plain floats.
+) -> tuple[float, float, float, tuple[float, float] | None]:
+    """(det1, d1, d2, roots) of the coupled system with these coefficients.
 
-    roots is the pair of reduced roots (z(alpha1, det1, beta2),
-    z(alpha2, det2, beta1)) when d1 > 0 and d2 > 0, and None otherwise
-    (a NaN d1 or d2 included); the roots are not computed then. Raises
-    OverflowError when d1 or d2 overflows the doubles. The coefficients
-    are not validated: ``CoupledRecurrence`` does that, and a caller that
-    skips it must pass positive (or NaN) coefficients.
+    roots is the pair (Zx, Zy) of reduced roots when d1 > 0 and d2 > 0, and
+    None otherwise (a NaN d1 or d2 included); the roots are not computed
+    then. Raises OverflowError when d1 or d2 overflows the doubles, and
+    DomainError if a reduced discriminant rounds below 0. The coefficients
+    are not validated: pass positive (or NaN) ones.
     """
-    det1 = _det1(alpha1, alpha2, beta1, beta2)
-    d1 = _discriminant(alpha1, det1, beta2)
-    d2 = _discriminant(alpha2, -det1, beta1)
+    det1 = alpha2 * beta1 - alpha1 * beta2
+    d1 = (det1 + 1.0) ** 2 - 4.0 * alpha1 * beta2
+    d2 = (-det1 + 1.0) ** 2 - 4.0 * alpha2 * beta1
     if d1 > 0 and d2 > 0:
-        return d1, d2, (z_root(alpha1, det1, beta2), z_root(alpha2, -det1, beta1))
-    return d1, d2, None
+        return det1, d1, d2, (_root(alpha1, det1, beta2), _root(alpha2, -det1, beta1))
+    return det1, d1, d2, None
 
 
-def coupled_bound(rec: CoupledRecurrence) -> CoupledBound:
-    """Certified componentwise sup bounds for the coupled system.
+def coupled_bound(k0: float, k0p: float, j1: float, j2: float) -> dict[str, float]:
+    """The thm31 intermediates at (K0, K0') = (k0, k0p) with the constants (J1, J2).
 
-    Hypotheses: d1 > 0, d2 > 0, both reduced roots z(alpha1, det1, beta2)
-    and z(alpha2, det2, beta1) positive, and the start values below them.
-    d1 > 0 and d2 > 0 together force the shared reduced discriminant
-    (det1 - 1)^2 - 4 alpha1 beta2 = (det2 - 1)^2 - 4 alpha2 beta1 above
-    4 |det1| >= 0, so the roots are then automatically real. When d1 or d2
-    overflows the doubles, nothing is certified: the single failure is
-    ``quadratics_finite``.
+    (k0, k0p), floored at OFFSET_FLOOR, fills both the offset and the start
+    slots: alpha1 = x_0 = k0, alpha2 = y_0 = k0p, beta1 = j1, beta2 = j2.
+    s1, s2, d1, d2 are det1, -det1, d1, d2, and v1, v2 the reduced roots,
+    present only when the lemma's hypotheses hold. d1 and d2 are left out
+    when they overflow the doubles, which fails those hypotheses. j1 and j2
+    come from a stored certificate in replay, so a nonpositive one is a
+    DomainError.
     """
+    if min(j1, j2) <= 0:
+        raise DomainError(f"coupled constants must be positive, got j1={j1!r}, j2={j2!r}")
+    x0, y0 = max(k0, OFFSET_FLOOR), max(k0p, OFFSET_FLOOR)
+    quantities = {"k0_at_t0": k0, "k0_prime_at_t0": k0p, "j1": j1, "j2": j2}
     try:
-        d1, d2, roots = reduced_system(rec.alpha1, rec.alpha2, rec.beta1, rec.beta2)
-    except OverflowError:
-        return CoupledBound(None, None, (HypothesisFailure("quadratics_finite", math.nan),))
-    failures: list[HypothesisFailure] = []
-    if roots is None:  # d1 or d2 fails, NaN included
-        if not d1 > 0:
-            failures.append(HypothesisFailure("d1_positive", d1))
-        if not d2 > 0:
-            failures.append(HypothesisFailure("d2_positive", d2))
-        return CoupledBound(None, None, tuple(failures))
-
-    zx, zy = roots
-    if zx <= 0:
-        failures.append(HypothesisFailure("x_root_positive", zx))
-    if zy <= 0:
-        failures.append(HypothesisFailure("y_root_positive", zy))
-    if not rec.x0 < zx:
-        failures.append(HypothesisFailure("x_start_below_root", zx - rec.x0))
-    if not rec.y0 < zy:
-        failures.append(HypothesisFailure("y_start_below_root", zy - rec.y0))
-    if failures:
-        return CoupledBound(None, None, tuple(failures))
-    return CoupledBound(zx, zy, ())
+        det1, d1, d2, roots = reduced_system(x0, y0, j1, j2)
+    except OverflowError:  # d1 or d2 is beyond the doubles: s1 and s2 only
+        det1 = y0 * j1 - x0 * j2  # reduced_system's det1
+        quantities.update(s1=det1, s2=-det1)
+        return quantities
+    quantities.update(s1=det1, s2=-det1, d1=d1, d2=d2)
+    if roots is not None and x0 < roots[0] and y0 < roots[1]:
+        quantities["v1"], quantities["v2"] = roots
+    return quantities

@@ -272,8 +272,3 @@ class CompiledSchema:
             prefix += best.path
             best = ranked[0]
         return (*prefix, *best.path), best.message
-
-
-def best_error(instance: Any, schema: Mapping) -> tuple[tuple, str] | None:
-    """``CompiledSchema(schema).best_error(instance)``, compiling `schema` for this one call."""
-    return CompiledSchema(schema).best_error(instance)

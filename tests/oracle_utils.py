@@ -8,8 +8,9 @@ grids. The report encoder is checked against a plain recursive encoder and
 against its own single-pass form without text memos, and the envelope and
 coupled certifiers against their first probe forms.
 It also holds what only the tests use: the pointwise vortex field
-(``VortexGaussian``), the worst-case iteration of the recurrences, the
-ground truth for their fixed-point bounds, and the Gauss-Laguerre builder
+(``VortexGaussian``), the scalar recurrence and the coupled one from a
+general start, their worst-case iteration, the ground truth for their
+fixed-point bounds, and the Gauss-Laguerre builder
 of the package's gradient-constant table (``python tests/oracle_utils.py``
 rewrites the table).
 """
@@ -31,7 +32,6 @@ from scipy import integrate
 from nslifespan import initial_data, lifespan
 from nslifespan.constants import _check_delta
 from nslifespan.errors import DomainError
-from nslifespan.recurrence import CoupledRecurrence, HypothesisFailure, z_root
 
 # iterates beyond this are reported as divergence (not an overflow crash)
 _DIVERGENCE_CAP = 1e150
@@ -844,6 +844,28 @@ def reference_theorem31_t0(state: lifespan.KatoBoundState) -> float:
 
 
 @dataclass(frozen=True)
+class HypothesisFailure:
+    """A named hypothesis with the (nonpositive) margin by which it failed."""
+
+    condition: str
+    margin: float
+
+
+def z_root(alpha: float, beta: float, gamma: float) -> float:
+    """Larger root (1 - beta + sqrt((beta-1)^2 - 4 alpha gamma)) / (2 gamma).
+
+    The beta slot may be negative (the coupled reduction feeds the signed
+    cross-determinant through it). Raises if the root is not real.
+    """
+    if gamma <= 0:
+        raise DomainError(f"z_root requires gamma > 0, got {gamma}")
+    disc = (beta - 1.0) ** 2 - 4.0 * alpha * gamma
+    if disc < 0:
+        raise DomainError(f"z_root: discriminant {disc} < 0, no real root")
+    return (1.0 - beta + math.sqrt(disc)) / (2.0 * gamma)
+
+
+@dataclass(frozen=True)
 class ScalarRecurrence:
     """Coefficients of x_{n+1} <= alpha + beta x_n + gamma x_n^2, x_0 = x0.
 
@@ -905,6 +927,34 @@ def fixed_point_bound(rec: ScalarRecurrence) -> ScalarBound:
     if not rec.x0 < z:
         failures.append(HypothesisFailure("start_below_root", z - rec.x0))
     return ScalarBound(z, disc, tuple(failures))
+
+
+@dataclass(frozen=True)
+class CoupledRecurrence:
+    """Coefficients of x_{n+1} <= alpha1 + beta1 x_n y_n, y_{n+1} <= alpha2 + beta2 x_n y_n from (x0, y0).
+
+    The start is general here; the package's coupled route has it equal to
+    the offsets (alpha1, alpha2).
+    """
+
+    alpha1: float
+    alpha2: float
+    beta1: float
+    beta2: float
+    x0: float
+    y0: float
+
+    def __post_init__(self) -> None:
+        if min(self.alpha1, self.alpha2, self.beta1, self.beta2) <= 0:
+            raise DomainError(f"coupled coefficients must be positive, got {self}")
+        if self.x0 <= 0 or self.y0 <= 0:
+            raise DomainError(f"start values must be positive, got {self}")
+
+    @property
+    def roots(self) -> tuple[float, float]:
+        """(z_root(alpha1, det1, beta2), z_root(alpha2, -det1, beta1)); they do not depend on the start."""
+        det1 = self.alpha2 * self.beta1 - self.alpha1 * self.beta2
+        return z_root(self.alpha1, det1, self.beta2), z_root(self.alpha2, -det1, self.beta1)
 
 
 @dataclass(frozen=True)

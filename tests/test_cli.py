@@ -18,7 +18,7 @@ from nslifespan.cli import SCHEMA, ConfigError, build_report, load_config, main,
 from nslifespan.constants import DELTA0, composite_constants
 from nslifespan.errors import DomainError, InfeasibleExponentError, UnavailableBoundError
 from nslifespan.jsonio import canonical_dumps, decode_infinities
-from nslifespan.validation import ANNOTATIONS, KEYWORDS, CompiledSchema, best_error
+from nslifespan.validation import ANNOTATIONS, KEYWORDS, CompiledSchema
 
 from oracle_utils import canonical_dumps_recursive
 
@@ -254,7 +254,7 @@ class TestConfigValidation:
     def test_unreached_cases_match_jsonschema(self, name):
         schema, instance = self.UNREACHED_CASES[name]
         expected = jsonschema.exceptions.best_match(jsonschema.Draft7Validator(schema).iter_errors(instance))
-        assert best_error(instance, schema) == (tuple(expected.absolute_path), expected.message)
+        assert CompiledSchema(schema).best_error(instance) == (tuple(expected.absolute_path), expected.message)
 
     NAN_CONFIGS = {
         "mixed_norms_q_grid": {"d": 3, "mode": "mixed_norms", "q_grid": [math.nan], "data": THM41_CONFIG["data"]},

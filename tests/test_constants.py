@@ -171,9 +171,6 @@ class TestYoung:
     def test_exponent_pair_validation(self):
         with pytest.raises(DomainError):
             ExponentPair(0.9, 2.0)
-        pair = ExponentPair(2.0, 4.0)
-        assert pair.conjugate_p == pytest.approx(2.0)
-        assert pair.conjugate_q == pytest.approx(4.0 / 3.0)
 
 
 class TestHeatKernel:
@@ -306,6 +303,14 @@ class TestDeltaGrid:
 
     def test_deterministic(self):
         assert default_delta_grid() == default_delta_grid()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_small_grids(self, n):
+        # n = 2 and 3 have a single log point, 1e-3
+        grid = default_delta_grid(n)
+        assert list(grid) == sorted(grid)
+        assert all(0.0 < x < 1.0 for x in grid)
+        assert {1e-3, DELTA0, 0.97} <= set(grid)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -30,7 +30,6 @@ from nslifespan.lifespan import (
     _BRACKET_EPS,
     _COUPLED_MARGIN,
     _coupled_feasible,
-    _coupled_quantities,
     _derived_checks,
     _largest_double,
     _largest_feasible,
@@ -51,8 +50,8 @@ from nslifespan.lifespan import (
     thm31_feasible_at,
     thm41_feasible_at,
 )
-from nslifespan.recurrence import CoupledRecurrence
-from oracle_utils import ScalarRecurrence, fixed_point_bound, iterate_worst_case
+from nslifespan.recurrence import coupled_bound, reduced_system
+from oracle_utils import CoupledRecurrence, ScalarRecurrence, fixed_point_bound, iterate_worst_case
 
 
 def vortex_with_a3(target_a3: float, sigma: float = 1.0) -> VortexGaussian:
@@ -989,7 +988,7 @@ class TestGlobalThreshold:
 
 def _quantities_verdict(k0, k0p, j1, j2):
     # the verdict that the coupled route's intermediates state
-    q = _coupled_quantities(k0, k0p, j1, j2)
+    q = coupled_bound(k0, k0p, j1, j2)
     return "v1" in q and q["v1"] - k0 > _COUPLED_MARGIN and q["v2"] - k0p > _COUPLED_MARGIN
 
 
@@ -1032,7 +1031,7 @@ class TestCoupledVerdict:
         assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
         # (s1 + 1)^2 overflows the doubles here, which fails the hypotheses
         with pytest.raises(OverflowError):
-            CoupledRecurrence(1e-3, 1e160, 1.0, 1.0, 1e-3, 1e160).d1
+            reduced_system(1e-3, 1e160, 1.0, 1.0)
         assert not _coupled_feasible(1e-3, 1e160, 1.0, 1.0)
 
     def test_around_the_sweep_horizons(self, rng):
@@ -1321,6 +1320,17 @@ class TestReplayMutations:
         assert data["checks"][0]["name"] == "k0_below_v1"
         data["checks"][0]["lhs"] /= 2.0
         assert not replay_certificate(data).all_passed
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0])
+    @pytest.mark.parametrize("name", ["j1", "j2"])
+    def test_nonpositive_coupled_constant(self, feasible_certificates, name, value):
+        data = feasible_certificates["thm31"].to_dict()
+        data["intermediate"][name] = value
+        report = replay_certificate(data)
+        assert not report.all_passed
+        failing = [(row, detail) for row, passed, detail in report.results if not passed]
+        assert [row for row, _ in failing] == ["intermediates"]
+        assert "DomainError" in failing[0][1]
 
     @pytest.mark.parametrize("theorem", THEOREMS)
     def test_deleted_check(self, feasible_certificates, theorem):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from nslifespan.errors import DomainError
-from nslifespan.recurrence import CoupledRecurrence, coupled_bound
+from nslifespan.recurrence import coupled_bound, reduced_system
 from oracle_utils import (
+    CoupledRecurrence,
     ScalarRecurrence,
     fixed_point_bound,
     iterate_coupled_batch,
@@ -124,24 +125,23 @@ class TestScalarBound:
 
 class TestCoupledBound:
     def test_symmetric_case(self):
-        rec = CoupledRecurrence(3 / 16, 3 / 16, 1.0, 1.0, 3 / 16, 3 / 16)
-        assert rec.det1 == 0.0
-        res = coupled_bound(rec)
-        assert res.ok
-        assert res.x_bound == 0.75 and res.y_bound == 0.75
-        traj = iterate_worst_case(rec, 10_000)
+        assert reduced_system(3 / 16, 3 / 16, 1.0, 1.0) == (0.0, 0.25, 0.25, (0.75, 0.75))
+        q = coupled_bound(3 / 16, 3 / 16, 1.0, 1.0)
+        assert q["s1"] == q["s2"] == 0.0
+        assert q["v1"] == 0.75 and q["v2"] == 0.75
+        traj = iterate_worst_case(CoupledRecurrence(3 / 16, 3 / 16, 1.0, 1.0, 3 / 16, 3 / 16), 10_000)
         assert traj.sup[0] <= 0.75 + 1e-12 and traj.sup[1] <= 0.75 + 1e-12
 
     def test_small_data_limit(self):
         eps = 1e-6
-        rec = CoupledRecurrence(eps, eps, 1.0, 1.0, eps, eps)
-        res = coupled_bound(rec)
-        assert res.ok
-        assert res.x_bound >= 1.0 - 5 * eps
-        traj = iterate_worst_case(rec, 1000)
+        q = coupled_bound(eps, eps, 1.0, 1.0)
+        assert q["v1"] >= 1.0 - 5 * eps
+        traj = iterate_worst_case(CoupledRecurrence(eps, eps, 1.0, 1.0, eps, eps), 1000)
         assert traj.sup[0] <= 2 * eps and traj.sup[1] <= 2 * eps
 
     def test_randomized_against_oracle(self, rng):
+        # the reduced roots do not depend on the start, so draws from general
+        # starts check the roots the package computes with start = offset
         recs = sample_admissible_coupled(rng, 1000)
         a1 = np.array([r.alpha1 for r in recs])
         a2 = np.array([r.alpha2 for r in recs])
@@ -149,35 +149,41 @@ class TestCoupledBound:
         b2 = np.array([r.beta2 for r in recs])
         x0 = np.array([r.x0 for r in recs])
         y0 = np.array([r.y0 for r in recs])
-        zx = np.array([coupled_bound(r).x_bound for r in recs])
-        zy = np.array([coupled_bound(r).y_bound for r in recs])
+        roots = [reduced_system(r.alpha1, r.alpha2, r.beta1, r.beta2)[3] for r in recs]
+        for rec, pair in zip(recs, roots):
+            assert pair == pytest.approx(rec.roots, rel=1e-14)
+        zx = np.array([pair[0] for pair in roots])
+        zy = np.array([pair[1] for pair in roots])
         sx, sy = iterate_coupled_batch(a1, a2, b1, b2, x0, y0, 2000)
         assert np.all(sx <= zx + 1e-12)
         assert np.all(sy <= zy + 1e-12)
 
     def test_failure_reporting(self):
-        rec = CoupledRecurrence(5.0, 5.0, 1.0, 1.0, 1.0, 1.0)
-        res = coupled_bound(rec)
-        assert not res.ok
-        assert {f.condition for f in res.failures} <= {
-            "d1_positive", "d2_positive", "x_root_positive", "y_root_positive",
-            "x_start_below_root", "y_start_below_root",
-        }
-        assert res.value is None
+        # d1 = d2 = 1 - 20 < 0: the discriminants are stored, the bounds left out
+        assert reduced_system(5.0, 5.0, 1.0, 1.0) == (0.0, -19.0, -19.0, None)
+        q = coupled_bound(5.0, 5.0, 1.0, 1.0)
+        assert q == {"k0_at_t0": 5.0, "k0_prime_at_t0": 5.0, "j1": 1.0, "j2": 1.0,
+                     "s1": 0.0, "s2": -0.0, "d1": -19.0, "d2": -19.0}
+        assert "v1" not in coupled_bound(math.nan, 0.1, 1.0, 1.0)
 
     @pytest.mark.parametrize("big", [1e160, 1e300])
     def test_overflowing_quadratic_fails(self, big):
         # det1 = 1 - big, so (det1 + 1)^2 lies beyond the largest double
-        res = coupled_bound(CoupledRecurrence(big, 1.0, 1.0, 1.0, big, 1.0))
-        assert not res.ok and res.value is None
-        assert [f.condition for f in res.failures] == ["quadratics_finite"]
-        assert math.isnan(res.failures[0].margin)
+        with pytest.raises(OverflowError):
+            reduced_system(big, 1.0, 1.0, 1.0)
+        q = coupled_bound(big, 1.0, 1.0, 1.0)
+        assert q == {"k0_at_t0": big, "k0_prime_at_t0": 1.0, "j1": 1.0, "j2": 1.0,
+                     "s1": 1.0 - big, "s2": big - 1.0}
 
     def test_domain_errors(self):
+        # the constants come from a stored certificate in replay
+        for j1, j2 in ((0.0, 1.0), (1.0, -1.0), (-0.0, -2.0)):
+            with pytest.raises(DomainError):
+                coupled_bound(0.1, 0.1, j1, j2)
+        # the offsets are floored instead
+        assert coupled_bound(0.0, -1.0, 1.0, 1.0)["s1"] == 0.0
         with pytest.raises(DomainError):
             CoupledRecurrence(0.0, 1.0, 1.0, 1.0, 0.1, 0.1)
-        with pytest.raises(DomainError):
-            CoupledRecurrence(1.0, 1.0, -1.0, 1.0, 0.1, 0.1)
         with pytest.raises(DomainError):
             CoupledRecurrence(1.0, 1.0, 1.0, 1.0, 0.0, 0.1)
 
